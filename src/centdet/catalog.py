@@ -24,7 +24,7 @@ from .pgroup import (
     p_rank,
     pc_structure,
 )
-from .resolution import MinimalResolution
+from .resolution import BudgetExceededError, MinimalResolution
 
 CACHE_ENV = "CENTDET_CACHE_DIR"
 
@@ -58,9 +58,16 @@ class CatalogEntry:
                 )
 
     def check_invariants(self, report_dict: dict):
-        """Compare a computed report against the published values."""
-        for key in ("type", "e", "d0", "d1", "e_prime"):
-            if key not in self.expected or report_dict.get(key) is None:
+        """Compare a computed report against the published values.
+
+        Fields whose certificate is false may still change at a larger
+        degree bound, so they are not compared.
+        """
+        certified = report_dict.get("certified", {})
+        for key, flag in (("type", "type"), ("e", "type"), ("d0", "d0"),
+                          ("d1", "d1"), ("e_prime", "e_prime")):
+            if (key not in self.expected or report_dict.get(key) is None
+                    or not certified.get(flag)):
                 continue
             want = self.expected[key]
             if key == "type":
@@ -273,12 +280,10 @@ _BUILTINS["64#153"] = _entry(
     order=64, center_rank=3, rank=3, p_central=True,
     type=[4, 4, 4], e=9, d0=9, d1=11,
 )
-_BUILTINS["W2"] = _BUILTINS["32#18"]
-_BUILTINS["Q64#267"] = _BUILTINS["Q64"]
 
 
 def builtin_ids() -> list[str]:
-    return sorted(k for k in _BUILTINS if k not in ("W2", "Q64#267"))
+    return sorted(_BUILTINS)
 
 
 def builtin(id: str) -> CatalogEntry:
@@ -429,11 +434,6 @@ def load_pcp(path: str) -> PcPresentation:
         return parse_pcp(fh.read())
 
 
-def save_pcp(pres: PcPresentation, path: str, header: str = ""):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pcp(pres, header))
-
-
 # ---------------------------------------------------------------------------
 # resolution cache
 
@@ -471,14 +471,30 @@ def save_resolution(res: MinimalResolution, directory: str):
 
 def load_resolution(pres: PcPresentation, directory: str,
                     budget: int = 20000) -> MinimalResolution | None:
-    """Rebuild a cached resolution; None on miss or stale hash/version."""
+    """Rebuild a cached resolution.
+
+    None on a miss, on a stale hash or version, and on a file that is
+    truncated or malformed or whose rows fail the minimality or d o d = 0
+    check: the caller then rebuilds the resolution and rewrites the file.
+    """
     path = _cache_path(directory, pres)
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "COHRES v1":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            res = _parse_resolution(fh.read().splitlines(), pres, budget)
+        fault = res.complex_fault()
+    except (ValueError, IndexError, KeyError, BudgetExceededError):
         return None
+    return res if fault is None else None
+
+
+def _parse_resolution(lines: list[str], pres: PcPresentation,
+                      budget: int) -> MinimalResolution:
+    """The resolution of pres in a cache file's lines.  Raises ValueError,
+    IndexError or KeyError when they hold anything else."""
+    if lines[0] != "COHRES v1":
+        raise ValueError("unknown cache format")
     meta = {}
     idx = 1
     while idx < len(lines) and not lines[idx].startswith("deg "):
@@ -486,21 +502,23 @@ def load_resolution(pres: PcPresentation, directory: str,
         meta[key] = value
         idx += 1
     if meta.get("hash") != pres.hash_key():
-        return None
+        raise ValueError("cache file is for another presentation")
     betti = [int(x) for x in meta["betti"].split()]
+    if betti[0] != 1 or len(betti) != int(meta["N"]) + 1:
+        raise ValueError("Betti numbers do not match the degree bound")
     res = MinimalResolution(pres, budget=budget)
-    res.betti = [1]
-    for i in range(1, int(meta["N"]) + 1):
-        head = lines[idx].split()
-        assert head[0] == "deg" and int(head[1]) == i
-        rows, cols = int(head[3]), int(head[5])
-        idx += 1
+    for i in range(1, len(betti)):
+        rows, cols = betti[i], betti[i - 1] * pres.order
+        if lines[idx] != f"deg {i} rows {rows} cols {cols}" or len(lines) <= idx + rows:
+            raise ValueError(f"degree {i} is truncated or has a bad header")
         mat = np.zeros((rows, cols), dtype=np.uint8)
         for r in range(rows):
-            mat[r] = np.frombuffer(bytes.fromhex(lines[idx]), dtype=np.uint8)
-            idx += 1
+            mat[r] = np.frombuffer(bytes.fromhex(lines[idx + 1 + r]), dtype=np.uint8)
+        idx += 1 + rows
+        if mat.size and int(mat.max()) >= pres.p:
+            raise ValueError(f"degree {i} has entries outside F_{pres.p}")
         res._gen_images.append(mat)
         res.betti.append(rows)
-    if res.betti != betti:
-        return None
+    if idx != len(lines):
+        raise ValueError("cache file has lines past its last degree")
     return res

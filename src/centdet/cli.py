@@ -16,7 +16,7 @@ from .catalog import (
     load_resolution,
     save_resolution,
 )
-from .invariants import Workspace
+from .invariants import DegreeBoundError, Workspace
 from .pgroup import PcPresentation
 from .resolution import BudgetExceededError, CohomologyFragment
 
@@ -25,6 +25,20 @@ CSV_HEADER = "order,id,type,e,h,d0,d1,e_prime,e_dprime,p_central,certified"
 
 def default_degree(pres: PcPresentation) -> int:
     return 10 if pres.order <= 32 else 8
+
+
+def degree_bound(command: str, degree: int | None, pres: PcPresentation) -> int:
+    """The --degree value, or the group's default when it is not given.
+
+    Betti numbers start in degree 0, so `cohomology` takes any degree
+    >= 0; the invariant reports read H^1 and need degree >= 1.
+    """
+    if degree is None:
+        return default_degree(pres)
+    lowest = 0 if command == "cohomology" else 1
+    if degree < lowest:
+        raise ValueError(f"{command} needs --degree >= {lowest}, got {degree}")
+    return degree
 
 
 def resolve_group(name: str) -> CatalogEntry:
@@ -52,7 +66,7 @@ def cmd_info(args, out) -> int:
 
 def cmd_cohomology(args, out) -> int:
     entry = resolve_group(args.group)
-    N = args.degree if args.degree is not None else default_degree(entry.pres)
+    N = degree_bound(args.command, args.degree, entry.pres)
     ws = Workspace(budget=args.budget)
     directory = args.cache or cache_dir()
     if directory:
@@ -75,7 +89,7 @@ def cmd_cohomology(args, out) -> int:
 
 def cmd_invariants(args, out) -> int:
     entry = resolve_group(args.group)
-    N = args.degree if args.degree is not None else default_degree(entry.pres)
+    N = degree_bound(args.command, args.degree, entry.pres)
     ws = Workspace(budget=args.budget)
     rep = _report(entry, N, ws)
     text = json.dumps(rep, indent=2)
@@ -88,7 +102,7 @@ def cmd_invariants(args, out) -> int:
 
 def cmd_cess(args, out) -> int:
     entry = resolve_group(args.group)
-    N = args.degree if args.degree is not None else default_degree(entry.pres)
+    N = degree_bound(args.command, args.degree, entry.pres)
     ws = Workspace(budget=args.budget)
     a = ws.analyzer(entry.pres, N, label=entry.id)
     ep, epc = a.e_prime()
@@ -125,7 +139,7 @@ def _csv_row(rep: dict) -> str:
 
 def _table_worker(name: str, degree: int | None, budget: int) -> dict:
     entry = resolve_group(name)
-    N = degree if degree is not None else default_degree(entry.pres)
+    N = degree_bound("table", degree, entry.pres)
     return _report(entry, N, Workspace(budget=budget))
 
 
@@ -143,7 +157,7 @@ def cmd_table(args, out) -> int:
         rows = []
         for gid in args.groups:
             entry = resolve_group(gid)
-            N = args.degree if args.degree is not None else default_degree(entry.pres)
+            N = degree_bound("table", args.degree, entry.pres)
             rows.append(_report(entry, N, ws))
     lines = [CSV_HEADER] + [_csv_row(r) for r in rows]
     text = "\n".join(lines) + "\n"
@@ -231,7 +245,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (CatalogError, BudgetExceededError, ValueError, OSError) as exc:
+    except (CatalogError, BudgetExceededError, DegreeBoundError, ValueError,
+            OSError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
                   sys.stdout)
         sys.stdout.write("\n")

@@ -188,9 +188,6 @@ class FpMatrix:
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols})"
 
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.arr.T, check=False)
-
     def mul(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.cols != other.rows:
             raise DimensionMismatchError("matmul shape/prime mismatch")
@@ -269,9 +266,6 @@ class FpSubspace:
     def contains(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
 
-    def contains_space(self, other: "FpSubspace") -> bool:
-        return all(self.contains(row) for row in other.basis.arr)
-
     def annihilator_matrix(self) -> FpMatrix:
         """Matrix whose kernel (as a map on columns) is exactly this subspace."""
         ann = kernel_basis(self.basis)
@@ -287,19 +281,26 @@ def rref(m: FpMatrix):
     return FpMatrix(m.p, R, check=False), tuple(pivots), len(pivots)
 
 
-def kernel_basis(m: FpMatrix) -> FpSubspace:
-    """Null space {x : m x = 0} as a canonical RREF subspace of F_p^cols."""
-    R, pivots = _rref_array(m.arr, m.p)
-    n = m.cols
-    free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
-        return FpSubspace.zero(m.p, n)
+def _free_column_rows(R: np.ndarray, pivots, n: int, p: int) -> np.ndarray:
+    """Null-space spanning rows of R, in RREF with the given pivot columns:
+    one row e_f - sum_i R[i, f] e_{pivots[i]} per free column f."""
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
     rows = np.zeros((len(free), n), dtype=np.uint8)
     for t, f in enumerate(free):
         rows[t, f] = 1
         for i, c in enumerate(pivots):
-            rows[t, c] = (-int(R[i, f])) % m.p
-    return FpSubspace.from_spanning(m.p, n, rows)
+            rows[t, c] = (-int(R[i, f])) % p
+    return rows
+
+
+def kernel_basis(m: FpMatrix) -> FpSubspace:
+    """Null space {x : m x = 0} as a canonical RREF subspace of F_p^cols."""
+    R, pivots = _rref_array(m.arr, m.p)
+    rows = _free_column_rows(R, pivots, m.cols, m.p)
+    if not len(rows):
+        return FpSubspace.zero(m.p, m.cols)
+    return FpSubspace.from_spanning(m.p, m.cols, rows)
 
 
 def image_basis(m: FpMatrix) -> FpSubspace:
@@ -329,10 +330,6 @@ def subspace_sum(a: FpSubspace, b: FpSubspace) -> FpSubspace:
     return FpSubspace.from_spanning(
         a.p, a.ambient_dim, np.vstack([a.basis.arr, b.basis.arr])
     )
-
-
-def contains(a: FpSubspace, v: np.ndarray) -> bool:
-    return a.contains(v)
 
 
 def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -494,23 +491,12 @@ class LinSolver:
     def kernel_rows(self) -> np.ndarray:
         """Canonical RREF basis of {x : M x = 0} as a uint8 array."""
         if self._kernel_rows is None:
-            n = self.cols_n
-            pivset = set(self.pivots)
-            free = [c for c in range(n) if c not in pivset]
-            if not free:
-                self._kernel_rows = np.zeros((0, n), dtype=np.uint8)
-            else:
-                if self.p == 2:
-                    R = _unpack_rows(self._R[: self.rank], n)
-                else:
-                    R = self._R[: self.rank]
-                rows = np.zeros((len(free), n), dtype=np.uint8)
-                for t, f in enumerate(free):
-                    rows[t, f] = 1
-                    for i, c in enumerate(self.pivots):
-                        rows[t, c] = (-int(R[i, f])) % self.p
-                red, piv = _rref_array(rows, self.p)
-                self._kernel_rows = red[: len(piv)]
+            R = self._R[: self.rank]
+            if self.p == 2:
+                R = _unpack_rows(R, self.cols_n)
+            rows = _free_column_rows(R, self.pivots, self.cols_n, self.p)
+            red, piv = _rref_array(rows, self.p)
+            self._kernel_rows = red[: len(piv)]
         return self._kernel_rows
 
     def nullity(self) -> int:

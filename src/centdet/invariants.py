@@ -60,6 +60,10 @@ from .resolution import (
 )
 
 
+class DegreeBoundError(RuntimeError):
+    """The degree bound is too small to certify a value a computation needs."""
+
+
 class Workspace:
     """Shared cache of resolutions and analyzers across related groups.
 
@@ -383,35 +387,41 @@ class Analyzer:
             return mats
         return self._memo("h1pow", make)
 
-    def _bockstein_reps(self) -> list[np.ndarray]:
-        """For p odd: vectors z_t in H^2(C) with z_t = beta(e_t) modulo
-        products of degree-one classes (enough for all p-th power work)."""
+    def _rank_one_data(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """For p odd, one entry per subgroup U of order p in C: the
+        restriction matrices H^1(C) -> H^1(U) and H^2(C) -> H^2(U), and
+        mu with beta(e*) = mu times the generator of H^2(U)."""
         def make():
             presC, _, _ = self._c_pres()
-            resC = self.resC
-            c = resC.rank(1)
-            rows = []
-            rhs_blocks = []
+            out = []
             for U in elementary_abelian_subgroups(presC):
                 if U.rank != 1:
                     continue
                 presU, embedU, _ = subgroup_presentation(presC, U)
                 resU = self.ws.resolution(presU, 2)
                 mu = _rank_one_bockstein(resU)
-                rmap = induced_map(embedU, resU, resC)
-                rows.append(rmap.matrix(2))
-                rhs_blocks.append((rmap.matrix(1), mu))
-            A = np.vstack(rows)
+                rmap = induced_map(embedU, resU, self.resC)
+                out.append((rmap.matrix(1), rmap.matrix(2), mu))
+            return out
+        return self._memo("rank_one", make)
+
+    def _bockstein_rhs(self, x: np.ndarray) -> np.ndarray:
+        """Restrictions of beta(x) to every U of order p, stacked."""
+        return np.concatenate([
+            (matmul_mod(R1, x[:, None], self.p)[:, 0].astype(np.int64) * mu) % self.p
+            for R1, _, mu in self._rank_one_data()
+        ]).astype(np.uint8)
+
+    def _bockstein_reps(self) -> list[np.ndarray]:
+        """For p odd: vectors z_t in H^2(C) with z_t = beta(e_t) modulo
+        products of degree-one classes (enough for all p-th power work)."""
+        def make():
+            c = self.resC.rank(1)
+            A = np.vstack([R2 for _, R2, _ in self._rank_one_data()])
             solver = LinSolver(FpMatrix(self.p, A, check=False))
             out = []
-            for t in range(c):
-                e_t = np.zeros(c, dtype=np.uint8)
-                e_t[t] = 1
-                rhs = np.concatenate([
-                    (matmul_mod(R1, e_t[:, None], self.p)[:, 0].astype(np.int64) * mu) % self.p
-                    for (R1, mu) in rhs_blocks
-                ]).astype(np.uint8)
-                z = solver.solve(rhs)
+            for e_t in np.eye(c, dtype=np.uint8):
+                z = solver.solve(self._bockstein_rhs(e_t))
                 if z is None:
                     raise AssertionError("Bockstein system inconsistent")
                 out.append(z)
@@ -423,9 +433,6 @@ class Analyzer:
         for _ in range(self.p - 1):
             out = cup_product(res, out, v)
         return out
-
-    def frobenius_flag(self) -> FrobeniusFlag:
-        return self.group_type().flag
 
     def group_type(self) -> GroupType:
         return self._memo("type", self._compute_type)
@@ -546,7 +553,8 @@ class Analyzer:
     def _compute_duflot(self) -> DuflotData:
         t = self.group_type()
         if not t.certified:
-            raise BudgetExceededError(self.N, 0, 0)
+            raise DegreeBoundError(
+                f"the type of {self.label} is not certified at degree bound {self.N}")
         gens: list[tuple[int, Cocycle]] = []
         targets: list[tuple[int, np.ndarray]] = []
         resC = self.resC
@@ -591,26 +599,9 @@ class Analyzer:
 
     def _split_bockstein_target(self, x: np.ndarray) -> np.ndarray:
         """A Bockstein partner of x that lies inside the degree-2 image."""
-        presC, _, _ = self._c_pres()
-        resC = self.resC
-        rows = []
-        rhs_parts = []
-        for U in elementary_abelian_subgroups(presC):
-            if U.rank != 1:
-                continue
-            presU, embedU, _ = subgroup_presentation(presC, U)
-            resU = self.ws.resolution(presU, 2)
-            mu = _rank_one_bockstein(resU)
-            rmap = induced_map(embedU, resU, resC)
-            rows.append(rmap.matrix(2))
-            val = (matmul_mod(rmap.matrix(1), x[:, None], self.p)[:, 0].astype(np.int64) * mu) % self.p
-            rhs_parts.append(val.astype(np.uint8))
-        im2 = self.res_image(2)
-        ann = im2.annihilator_matrix()
-        rows.append(ann.arr)
-        rhs_parts.append(np.zeros(ann.rows, dtype=np.uint8))
-        A = np.vstack(rows)
-        rhs = np.concatenate(rhs_parts)
+        ann = self.res_image(2).annihilator_matrix()
+        A = np.vstack([R2 for _, R2, _ in self._rank_one_data()] + [ann.arr])
+        rhs = np.concatenate([self._bockstein_rhs(x), np.zeros(ann.rows, dtype=np.uint8)])
         z = LinSolver(FpMatrix(self.p, A, check=False)).solve(rhs)
         if z is None:
             raise AssertionError("no Bockstein partner inside the image")
@@ -870,17 +861,15 @@ class Analyzer:
             G = self.G
             V = obj.rep
             K = centralizer(G, V)
-            presK, embedK, to_idxK = subgroup_presentation(G, K)
+            presK, _, to_idxK = subgroup_presentation(G, K)
             resK = self.ws.resolution(presK, self.N)
             V_in_K = Subgroup(presK, [to_idxK[x] for x in V.elems],
                               [to_idxK[x] for x in V.elems if x != 0])
-            presV, _, _ = subgroup_presentation(presK, V_in_K)
-            resV = self.ws.resolution(presV, self.N)
-            com = ComoduleMap(resK, V_in_K, resV)
-            return {
-                "V": V, "K": K, "presK": presK, "embedK": embedK,
-                "to_idxK": to_idxK, "resK": resK, "com": com,
-            }
+            presV_K, _, _ = subgroup_presentation(presK, V_in_K)
+            com = ComoduleMap(resK, V_in_K, self.ws.resolution(presV_K, self.N))
+            presV, _, _ = subgroup_presentation(G, V)
+            return {"K": K, "resK": resK, "com": com,
+                    "resV": self.ws.resolution(presV, self.N)}
         return self._memo(key, make)
 
     def _conj_hom(self, S_from: Subgroup, S_to: Subgroup, g: int) -> GroupHom:
@@ -931,9 +920,7 @@ class Analyzer:
             if layer is None:
                 emb = prim.basis.arr.T  # (b_k(K), dim)
             else:
-                presV, _, _ = subgroup_presentation(G, obj.rep)
-                resV = self.ws.resolution(presV, self.N)
-                bV = resV.rank(k)
+                bV = data["resV"].rank(k)
                 emb = np.kron(np.eye(bV, dtype=np.uint8), prim.basis.arr.T)
             blocks.append(emb)
             offsets.append(offsets[-1] + emb.shape[1])
@@ -962,9 +949,7 @@ class Analyzer:
                 if layer is None:
                     act = AK
                 else:
-                    presV, _, _ = subgroup_presentation(G, obj.rep)
-                    resV = self.ws.resolution(presV, self.N)
-                    AV = self._action_matrix_on(obj.rep, resV, w, k)
+                    AV = self._action_matrix_on(obj.rep, data["resV"], w, k)
                     act = np.kron(AV, AK) % p
                 diff = (matmul_mod(act, emb, p).astype(np.int64) - emb) % p
                 add_rows({pos: diff.astype(np.uint8)}, emb.shape[0])
@@ -995,11 +980,9 @@ class Analyzer:
                     presV1, _, _ = subgroup_presentation(G, V1p)
                     resV1 = self.ws.resolution(presV1, self.N)
                     rho = self._conj_hom(V1p, obj1.rep, g)
-                    Mrho = induced_map(rho, resV1, self.ws.resolution(
-                        subgroup_presentation(G, obj1.rep)[0], self.N)).matrix(k)
+                    Mrho = induced_map(rho, resV1, data1["resV"]).matrix(k)
                     inc = self._conj_hom(V1p, V2, 0)
-                    Minc = induced_map(inc, resV1, self.ws.resolution(
-                        subgroup_presentation(G, V2)[0], self.N)).matrix(k)
+                    Minc = induced_map(inc, resV1, data2["resV"]).matrix(k)
                     lhs = matmul_mod(np.kron(Mrho, Mpsi) % p, blocks[pos1], p)
                     rhs = matmul_mod(np.kron(Minc, np.eye(
                         data2["resK"].rank(layer), dtype=np.uint8)) % p,
@@ -1043,6 +1026,8 @@ class Analyzer:
                 cess_nz = ep >= 0
         except BudgetExceededError:
             certified["budget_exceeded"] = True
+        except DegreeBoundError:
+            certified["degree_bound_too_small"] = True
         return InvariantReport(
             group_id=gid,
             p=self.p,
@@ -1068,63 +1053,12 @@ def _subspace_join(a: FpSubspace, b: FpSubspace) -> FpSubspace:
     return subspace_sum(a, b)
 
 
-# -- spec-level convenience wrappers ------------------------------------------------
-
-
-def restriction_image(G: PcPresentation, N: int, ws: Workspace | None = None) -> GradedDims:
-    return (ws or Workspace()).analyzer(G, N).restriction_image_dims()
-
-
-def type_of(G: PcPresentation, N: int, ws: Workspace | None = None) -> GroupType:
-    return (ws or Workspace()).analyzer(G, N).group_type()
-
-
-def duflot_lift(G: PcPresentation, N: int, ws: Workspace | None = None) -> DuflotData:
-    return (ws or Workspace()).analyzer(G, N).duflot()
-
-
-def qa_dims(G: PcPresentation, N: int, ws: Workspace | None = None) -> GradedDims:
-    return (ws or Workspace()).analyzer(G, N).qa_dims()
-
-
-def pc_primitive_dims(G: PcPresentation, N: int, ws: Workspace | None = None) -> GradedDims:
-    return (ws or Workspace()).analyzer(G, N).pc_dims()
-
-
-def cess_dims(G: PcPresentation, N: int, ws: Workspace | None = None) -> GradedDims:
-    return (ws or Workspace()).analyzer(G, N).cess_dims()
-
-
-def e_prime(G: PcPresentation, N: int, ws: Workspace | None = None) -> tuple[int, bool]:
-    return (ws or Workspace()).analyzer(G, N).e_prime()
-
-
-def e_double_prime(G: PcPresentation, N: int, ws: Workspace | None = None) -> tuple[int, bool]:
-    return (ws or Workspace()).analyzer(G, N).e_double_prime()
-
-
-def d0_d1_p_central(G: PcPresentation, N: int, ws: Workspace | None = None) -> tuple[int, int]:
-    return (ws or Workspace()).analyzer(G, N).d0_d1_p_central()
-
-
 def d0_d1_via_sylow_transfer(sylow_type: GroupType) -> tuple[int, int]:
     """Detection numbers of any finite group whose p-Sylow subgroup is
     p-central with the given certified type: they transfer unchanged."""
     if not sylow_type.certified:
         raise ValueError("transfer needs a certified Sylow type")
     return sylow_type.e, sylow_type.e + sylow_type.h
-
-
-def d0_general(G: PcPresentation, N: int, ws: Workspace | None = None) -> tuple[int, bool]:
-    return (ws or Workspace()).analyzer(G, N).d0_general()
-
-
-def lf_dims(G: PcPresentation, N: int, ws: Workspace | None = None) -> GradedDims:
-    return (ws or Workspace()).analyzer(G, N).lf_dims()
-
-
-def bar_rd_dims(G: PcPresentation, d: int, N: int, ws: Workspace | None = None) -> GradedDims:
-    return (ws or Workspace()).analyzer(G, N).bar_rd_dims(d)
 
 
 def report(G: PcPresentation, N: int, group_id: str | None = None,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fplinalg import FpMatrix, kernel_basis
+from .fplinalg import FpMatrix, _is_prime, kernel_basis
 
 
 class PcPresentationError(ValueError):
@@ -28,17 +28,6 @@ class PcPresentationError(ValueError):
 
 class InconsistentPresentationError(PcPresentationError):
     """Collection produced a relation violation: the input was inconsistent."""
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class PcPresentation:
@@ -322,9 +311,6 @@ class Subgroup:
     def contains(self, x: int) -> bool:
         return x in set(self.elems)
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return set(other.elems) <= set(self.elems)
-
     def is_abelian(self) -> bool:
         G = self.parent
         return all(G.comm(a, b) == 0 for a in self.elems for b in self.elems)
@@ -527,14 +513,6 @@ class ConjClass:
     rep: Subgroup
     members: dict = field(default_factory=dict)  # elems-tuple -> g with rep^g = member
 
-    def subgroup_for(self, elems: tuple) -> tuple[Subgroup, int]:
-        g = self.members[elems]
-        return self.rep.conjugate(g), g
-
-
-def conjugacy_reps(G: PcPresentation, subgroups) -> list[ConjClass]:
-    """Representatives with orbit data; alias kept close to the math name."""
-    return conjugacy_classes(G, subgroups)
 
 
 def conjugacy_classes(G: PcPresentation, subgroups) -> list[ConjClass]:
@@ -809,13 +787,6 @@ def direct_product(G: PcPresentation, H: PcPresentation) -> PcPresentation:
     return PcPresentation(G.p, n, power_rels, comm_rels)
 
 
-def product_inclusions(G, H, P):
-    """Inclusion homs G -> GxH and H -> GxH for P = direct_product(G, H)."""
-    incG = GroupHom(G, P, [P.gen_idx(t) for t in range(G.n)])
-    incH = GroupHom(H, P, [P.gen_idx(G.n + t) for t in range(H.n)])
-    return incG, incH
-
-
 def multiplication_hom(G: PcPresentation, C: Subgroup):
     """The hom C x G -> G, (c, g) -> c g, for a central subgroup C.
 
@@ -852,9 +823,6 @@ class QuillenCategoryAC:
     C: Subgroup
     objects: list[QuillenObject]
     member_index: dict  # elems-tuple -> (object position, conjugator)
-
-    def object_of(self, elems: tuple):
-        return self.member_index[elems]
 
     def weyl_reps(self, obj: QuillenObject) -> list[int]:
         """Coset representatives of C_G(V) in N_G(V) for V the class rep."""

@@ -72,8 +72,6 @@ class MinimalResolution:
         self._solvers: dict[int, LinSolver] = {}
         self._cup_lifts: dict = {}
 
-    # -- interface shared with TensorResolution --------------------------------
-
     @property
     def top_degree(self) -> int:
         return len(self.betti) - 1
@@ -99,9 +97,10 @@ class MinimalResolution:
             needed = len(gens) * self.order
             if needed > self.budget:
                 raise BudgetExceededError(i, needed, self.budget)
+            if self.block_sums(gens, self.betti[i - 1]).any():
+                raise AssertionError(f"differential d_{i} is not minimal")
             self._gen_images.append(gens)
             self.betti.append(len(gens))
-            self._check_minimality(i)
         return self
 
     def _kernel_below(self, i: int) -> np.ndarray:
@@ -134,18 +133,6 @@ class MinimalResolution:
         r3 = rows.reshape(rows.shape[0], blocks, self.order)
         return r3[:, :, gather].reshape(rows.shape[0], -1)
 
-    def translate(self, vec: np.ndarray, g: int) -> np.ndarray:
-        blocks = vec.shape[0] // self.order
-        gather = self.pres.left_inv_gather()[g]
-        return vec.reshape(blocks, self.order)[:, gather].ravel()
-
-    def _check_minimality(self, i: int):
-        gens = self._gen_images[i]
-        if gens.size:
-            sums = gens.reshape(gens.shape[0], -1, self.order).sum(axis=2) % self.p
-            if sums.any():
-                raise AssertionError(f"differential d_{i} is not minimal")
-
     # -- expanded matrices and solvers -------------------------------------------
 
     def expanded_diff(self, i: int) -> np.ndarray:
@@ -160,7 +147,7 @@ class MinimalResolution:
         gather = self.pres.left_inv_gather()
         D = np.zeros((b_prev * order, b_i * order), dtype=np.uint8)
         for j in range(b_i):
-            V = self._gen_images[i][j].reshape(b_prev, order)
+            V = self.gen_image_row(i, j).reshape(b_prev, order)
             arr = V[:, gather]  # (b_prev, order_g, order_x)
             D[:, j * order:(j + 1) * order] = (
                 arr.transpose(1, 0, 2).reshape(order, b_prev * order).T
@@ -180,17 +167,26 @@ class MinimalResolution:
     def block_sums(self, rows: np.ndarray, blocks: int) -> np.ndarray:
         return rows.reshape(rows.shape[0], blocks, self.order).sum(axis=2) % self.p
 
-    def verify(self, up_to: int | None = None):
-        """Assert d o d = 0 and minimality at every built degree."""
+    def complex_fault(self, up_to: int | None = None) -> str | None:
+        """The first degree where d_i is not minimal or d_{i-1} o d_i != 0,
+        described, or None when every built degree passes both checks."""
         top = self.top_degree if up_to is None else min(up_to, self.top_degree)
         for i in range(1, top + 1):
-            self._check_minimality(i)
-        for i in range(2, top + 1):
-            D = self.expanded_diff(i - 1)
-            gens = self._gen_images[i]
-            prod = matmul_mod(D, gens.T, self.p)
-            if prod.any():
-                raise AssertionError(f"d_{i - 1} o d_{i} != 0")
+            gens = np.zeros((self.betti[i], self.betti[i - 1] * self.order), dtype=np.uint8)
+            for j in range(self.betti[i]):
+                gens[j] = self.gen_image_row(i, j)
+            if self.block_sums(gens, self.betti[i - 1]).any():
+                return f"differential d_{i} is not minimal"
+            if i >= 2 and matmul_mod(self.expanded_diff(i - 1), gens.T, self.p).any():
+                return f"d_{i - 1} o d_{i} != 0"
+        return None
+
+    def verify(self, up_to: int | None = None):
+        """Assert minimality, d o d = 0 and exactness at every built degree."""
+        fault = self.complex_fault(up_to)
+        if fault is not None:
+            raise AssertionError(fault)
+        top = self.top_degree if up_to is None else min(up_to, self.top_degree)
         # exactness of ranks: dim ker d_i = rank d_{i+1} for built degrees
         for i in range(1, top):
             if self.solver(i).nullity() != self.solver(i + 1).rank:
@@ -215,7 +211,7 @@ def betti(res, i: int) -> int:
     return res.betti[i]
 
 
-class TensorResolution:
+class TensorResolution(MinimalResolution):
     """Tensor product of two minimal resolutions, over the product group.
 
     Minimal again since both factors are; generator (i, u, v) of total
@@ -225,32 +221,27 @@ class TensorResolution:
 
     def __init__(self, resA: MinimalResolution, resB: MinimalResolution,
                  prod: PcPresentation | None = None, budget: int = 20000):
+        super().__init__(prod if prod is not None else direct_product(resA.pres, resB.pres),
+                         budget)
         self.resA = resA
         self.resB = resB
-        self.p = resA.p
-        self.pres = prod if prod is not None else direct_product(resA.pres, resB.pres)
-        self.order = self.pres.order
         self.orderA = resA.order
         self.orderB = resB.order
-        self.budget = budget
-        N = min(resA.top_degree, resB.top_degree)
-        self.betti = [
-            sum(resA.betti[i] * resB.betti[k - i] for i in range(k + 1))
-            for k in range(N + 1)
-        ]
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
         self._pos: dict[int, dict[tuple[int, int, int], int]] = {}
         self._sparse: dict = {}
-        self._expanded: dict[int, np.ndarray] = {}
-        self._solvers: dict[int, LinSolver] = {}
-        self._cup_lifts: dict = {}
+        self.extend_to(min(resA.top_degree, resB.top_degree))
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.betti) - 1
-
-    def rank(self, k: int) -> int:
-        return self.betti[k]
+    def extend_to(self, N: int) -> "TensorResolution":
+        """Extend both factors to N; the Betti numbers are their convolution."""
+        if N > self.top_degree:
+            self.resA.extend_to(N)
+            self.resB.extend_to(N)
+            self.betti = [
+                sum(self.resA.betti[i] * self.resB.betti[k - i] for i in range(k + 1))
+                for k in range(N + 1)
+            ]
+        return self
 
     def pairs(self, k: int) -> list[tuple[int, int, int]]:
         got = self._pairs.get(k)
@@ -311,50 +302,6 @@ class TensorResolution:
         coords, vals = self.gen_image_sparse(k, j)
         row[coords] = vals
         return row
-
-    def expanded_diff(self, k: int) -> np.ndarray:
-        cached = self._expanded.get(k)
-        if cached is not None:
-            return cached
-        b_k, b_prev = self.betti[k], self.betti[k - 1]
-        if b_k * self.order > self.budget:
-            raise BudgetExceededError(k, b_k * self.order, self.budget)
-        gather = self.pres.left_inv_gather()
-        D = np.zeros((b_prev * self.order, b_k * self.order), dtype=np.uint8)
-        for j in range(b_k):
-            V = self.gen_image_row(k, j).reshape(b_prev, self.order)
-            arr = V[:, gather]
-            D[:, j * self.order:(j + 1) * self.order] = (
-                arr.transpose(1, 0, 2).reshape(self.order, b_prev * self.order).T
-            )
-        self._expanded[k] = D
-        return D
-
-    def solver(self, k: int) -> LinSolver:
-        s = self._solvers.get(k)
-        if s is None:
-            s = LinSolver(FpMatrix(self.p, self.expanded_diff(k), check=False))
-            self._solvers[k] = s
-        return s
-
-    def block_sums(self, rows: np.ndarray, blocks: int) -> np.ndarray:
-        return rows.reshape(rows.shape[0], blocks, self.order).sum(axis=2) % self.p
-
-    def verify(self, up_to: int | None = None):
-        top = self.top_degree if up_to is None else min(up_to, self.top_degree)
-        for k in range(1, top + 1):
-            rows = np.stack([self.gen_image_row(k, j) for j in range(self.betti[k])]) \
-                if self.betti[k] else np.zeros((0, self.betti[k - 1] * self.order), np.uint8)
-            if rows.size:
-                sums = rows.reshape(rows.shape[0], -1, self.order).sum(axis=2) % self.p
-                if sums.any():
-                    raise AssertionError(f"tensor differential {k} not minimal")
-        for k in range(2, top + 1):
-            D = self.expanded_diff(k - 1)
-            for j in range(self.betti[k]):
-                v = self.gen_image_row(k, j)
-                if matmul_mod(D, v[:, None], self.p).any():
-                    raise AssertionError(f"tensor d_{k - 1} o d_{k} != 0")
 
 
 def kunneth(resA: MinimalResolution, resB: MinimalResolution,
@@ -417,12 +364,15 @@ class ChainMap:
     """
 
     def __init__(self, src_res, tgt_res, phi_table: np.ndarray, shift: int,
-                 base_rows: np.ndarray):
+                 base_rows: np.ndarray, _second: bool = False):
         self.src = src_res
         self.tgt = tgt_res
         self.phi = phi_table
         self.shift = shift
         self.maps: list[np.ndarray] = [base_rows]
+        # lift with LinSolver.second_solution, so a test can check that the
+        # answer on cohomology does not depend on the particular solutions
+        self._second = _second
 
     def extend_to(self, t_max: int):
         p = self.tgt.p
@@ -435,6 +385,7 @@ class ChainMap:
             width = self.tgt.rank(t) * self.tgt.order
             prev = self.maps[t - 1]
             solver = self.tgt.solver(t)
+            solve = solver.second_solution if self._second else solver.solve
             rows = np.zeros((n_gens, width), dtype=np.uint8)
             for j in range(n_gens):
                 coords, vals = self.src.gen_image_sparse(src_deg, j)
@@ -442,7 +393,7 @@ class ChainMap:
                     prev, coords, vals, self.src.order, self.phi,
                     self.tgt, self.tgt.rank(t - 1) * self.tgt.order, p,
                 )
-                x = solver.solve(rhs)
+                x = solve(rhs)
                 if x is None:
                     raise AssertionError("chain-map lift system inconsistent")
                 rows[j] = x
@@ -459,28 +410,31 @@ class ChainMap:
 # ---------------------------------------------------------------------------
 # cup products
 
+def _cocycle_chain(res, g: Cocycle, second: bool = False) -> ChainMap:
+    base = np.zeros((res.rank(g.degree), res.order), dtype=np.uint8)
+    base[:, 0] = g.vec  # g_j times the identity basis vector of F_0
+    phi = np.arange(res.order, dtype=np.int32)
+    return ChainMap(res, res, phi, g.degree, base, second)
+
+
 def _cocycle_lift(res, g: Cocycle, t_max: int) -> ChainMap:
     key = g.key()
     cm = res._cup_lifts.get(key)
     if cm is None:
-        base = np.zeros((res.rank(g.degree), res.order), dtype=np.uint8)
-        base[:, 0] = g.vec  # g_j times the identity basis vector of F_0
-        phi = np.arange(res.order, dtype=np.int32)
-        cm = ChainMap(res, res, phi, g.degree, base)
+        cm = _cocycle_chain(res, g)
         res._cup_lifts[key] = cm
     return cm.extend_to(t_max)
 
 
 def cup_product(res, f: Cocycle, g: Cocycle, alt_lift: bool = False) -> Cocycle:
-    """Product in H*(G) by lifting g to a chain map and composing with f."""
+    """Product in H*(G) by lifting g to a chain map and composing with f.
+
+    ``alt_lift`` lifts afresh, uncached, with different particular solutions."""
     m, n = f.degree, g.degree
     if m + n > res.top_degree:
         raise IndexError("product degree exceeds resolution bound")
-    if alt_lift:
-        M = _multiplication_matrix_alt(res, g, m)
-    else:
-        cm = _cocycle_lift(res, g, m)
-        M = cm.functional_matrix(m)
+    cm = _cocycle_chain(res, g, second=True) if alt_lift else _cocycle_lift(res, g, m)
+    M = cm.functional_matrix(m)
     vec = matmul_mod(M, f.vec[:, None], res.p)[:, 0]
     return Cocycle(m + n, vec)
 
@@ -488,33 +442,6 @@ def cup_product(res, f: Cocycle, g: Cocycle, alt_lift: bool = False) -> Cocycle:
 def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
     """Matrix of (cup with g): H^m -> H^{m+|g|}, columns over the H^m basis."""
     cm = _cocycle_lift(res, g, m)
-    return cm.functional_matrix(m)
-
-
-def _multiplication_matrix_alt(res, g: Cocycle, m: int) -> np.ndarray:
-    """Recompute a cup lift with different particular solutions (no cache)."""
-    base = np.zeros((res.rank(g.degree), res.order), dtype=np.uint8)
-    base[:, 0] = g.vec
-    phi = np.arange(res.order, dtype=np.int32)
-    cm = ChainMap(res, res, phi, g.degree, base)
-    p = res.p
-    while len(cm.maps) <= m:
-        t = len(cm.maps)
-        src_deg = cm.shift + t
-        n_gens = res.rank(src_deg)
-        width = res.rank(t) * res.order
-        prev = cm.maps[t - 1]
-        solver = res.solver(t)
-        rows = np.zeros((n_gens, width), dtype=np.uint8)
-        for j in range(n_gens):
-            coords, vals = res.gen_image_sparse(src_deg, j)
-            rhs = _apply_map_to_vec(prev, coords, vals, res.order, cm.phi,
-                                    res, res.rank(t - 1) * res.order, p)
-            x = solver.second_solution(rhs)
-            if x is None:
-                raise AssertionError("chain-map lift system inconsistent")
-            rows[j] = x
-        cm.maps.append(rows)
     return cm.functional_matrix(m)
 
 
@@ -611,17 +538,6 @@ class ComoduleMap:
             got = kernel_basis(FpMatrix(self.res_G.p, diff.astype(np.uint8), check=False))
             self._prim[k] = got
         return got
-
-    def components(self, k: int, x: np.ndarray):
-        """Coaction of x, unpacked as {(i, j): matrix H^i(C) x H^j(G) coeffs}."""
-        img = matmul_mod(self.matrix(k), np.asarray(x, np.uint8)[:, None], self.res_G.p)[:, 0]
-        out = {}
-        for j, (i, u, v) in enumerate(self.kun.pairs(k)):
-            if img[j]:
-                out.setdefault((i, k - i), np.zeros(
-                    (self.res_C.rank(i), self.res_G.rank(k - i)), dtype=np.uint8
-                ))[u, v] = img[j]
-        return out
 
 
 def comodule_map(res_G: MinimalResolution, C: Subgroup,

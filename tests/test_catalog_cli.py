@@ -240,3 +240,69 @@ def test_table_parallel_jobs(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "Q8", "--degree", "0"),
+    ("invariants", "Q8", "--degree", "-1"),
+    ("cess", "Q8", "--degree", "0"),
+    ("table", "Q8", "Z4", "--degree", "0"),
+    ("cohomology", "Q8", "--degree", "-1"),
+])
+def test_cli_rejects_bad_degree(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "--degree" in json.loads(out)["error"]["message"]
+
+
+def test_cli_cohomology_degree_zero(capsys):
+    code, out = run_cli(capsys, "cohomology", "Q8", "--degree", "0")
+    assert code == 0
+    assert json.loads(out)["betti"] == [1]
+
+
+def test_cli_uncertified_fields_do_not_refuse_the_entry(capsys):
+    # at degree 1 the type of Q8 reads [2], uncertified; the published [4]
+    # must not be compared with it
+    code, out = run_cli(capsys, "invariants", "Q8", "--degree", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["type"] == [2] and data["certified"]["type"] is False
+    validate_report_schema(data)
+
+
+def test_cli_degree_bound_too_small_is_not_a_budget_error(capsys):
+    code, out = run_cli(capsys, "invariants", "SD16", "--degree", "2")
+    assert code == 0
+    certified = json.loads(out)["certified"]
+    assert certified["degree_bound_too_small"] is True
+    assert "budget_exceeded" not in certified
+    code, out = run_cli(capsys, "cess", "SD16", "--degree", "2")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegreeBoundError"
+
+
+@pytest.mark.parametrize("damage", ["line_boundary", "mid_line", "flipped_digit"])
+def test_cli_cohomology_rebuilds_damaged_cache(capsys, tmp_path, damage):
+    cache = str(tmp_path)
+    code, out = run_cli(capsys, "cohomology", "Q8", "--degree", "6", "--cache", cache)
+    assert code == 0
+    [name] = [n for n in os.listdir(cache) if n.startswith("cohres-")]
+    path = os.path.join(cache, name)
+    with open(path) as fh:
+        good = fh.read()
+    last = good.splitlines(keepends=True)[-1]
+    if damage == "line_boundary":
+        bad = good[: -len(last)]
+    elif damage == "mid_line":
+        bad = good[: -(len(last) // 2)]
+    else:
+        bad = good[:-2] + ("1" if good[-2] == "0" else "0") + "\n"
+    with open(path, "w") as fh:
+        fh.write(bad)
+    assert load_resolution(builtin("Q8").pres, cache) is None
+    code, again = run_cli(capsys, "cohomology", "Q8", "--degree", "6", "--cache", cache)
+    assert code == 0
+    assert json.loads(again) == json.loads(out)
+    with open(path) as fh:
+        assert fh.read() == good

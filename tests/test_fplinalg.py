@@ -70,6 +70,17 @@ def test_kernel_trivial_cases():
     assert ker.contains(np.array([1, 1], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_basis_and_solver_kernel_agree(p):
+    rng = np.random.default_rng(p)
+    for _ in range(30):
+        m = random_matrix(rng, p, int(rng.integers(0, 12)), int(rng.integers(1, 15)))
+        ker = kernel_basis(m)
+        assert ker.dim + rref(m)[2] == m.cols
+        assert not matmul_mod(m.arr, ker.basis.arr.T, p).any()
+        assert np.array_equal(LinSolver(m).kernel_rows(), ker.basis.arr)
+
+
 def test_image_basis():
     ident = FpMatrix.identity(2, 4)
     assert image_basis(ident) == FpSubspace.full(2, 4)

@@ -334,6 +334,20 @@ def test_kunneth_products_match_tensor_structure():
     assert [kun.pairs(2)[t] for t in nz] == [(0, 0, 0)]
 
 
+def test_kunneth_extend_to():
+    # extending the tensor resolution extends both factors and keeps the
+    # Betti numbers equal to those of the product resolved directly
+    Z4 = cyclic(2, 2)
+    resq = build_minimal_resolution(Q8, 3)
+    res4 = build_minimal_resolution(Z4, 2)
+    kun = kunneth(resq, res4)
+    assert kun.top_degree == 2
+    assert kun.extend_to(5) is kun
+    assert resq.top_degree == res4.top_degree == 5
+    assert kun.betti == build_minimal_resolution(direct_product(Q8, Z4), 5).betti
+    kun.verify()
+
+
 def test_kunneth_verify_odd_p():
     Z3 = cyclic(3, 1)
     res3 = build_minimal_resolution(Z3, 5)
