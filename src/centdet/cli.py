@@ -69,12 +69,14 @@ def cmd_cohomology(args, out) -> int:
     N = degree_bound(args.command, args.degree, entry.pres)
     ws = Workspace(budget=args.budget)
     directory = args.cache or cache_dir()
+    cached_top = None
     if directory:
         cached = load_resolution(entry.pres, directory, budget=args.budget)
         if cached is not None:
+            cached_top = cached.top_degree
             ws._res[entry.pres.hash_key()] = cached  # extended below if short
     res = ws.resolution(entry.pres, N)
-    if directory:
+    if directory and (cached_top is None or res.top_degree > cached_top):
         save_resolution(res, directory)
     frag = CohomologyFragment(res)
     json.dump({

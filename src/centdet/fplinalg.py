@@ -123,7 +123,8 @@ def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
         others = np.flatnonzero(R[:, c])
         others = others[others != r]
         if others.size:
-            R[others] = (R[others] - np.outer(R[others, c], R[r])) % p
+            # the pivot row is zero left of c, so only columns >= c change
+            R[others, c:] = (R[others, c:] - np.outer(R[others, c], R[r, c:])) % p
         pivots.append(c)
         r += 1
     return R.astype(np.uint8), pivots
@@ -135,6 +136,14 @@ def _rref_array(arr: np.ndarray, p: int):
         packed, pivots = _rref_bits(_pack_rows(arr), arr.shape[1])
         return _unpack_rows(packed, arr.shape[1]), pivots
     return _rref_generic(arr, p)
+
+
+def stacked_pivots(blocks, ncols: int, p: int) -> list[int]:
+    """Pivot columns of the uint8 row blocks stacked in order.  At p = 2
+    each block is packed as it arrives, so the stack is only held packed."""
+    if p == 2:
+        return _rref_bits(np.vstack([_pack_rows(b) for b in blocks]), ncols)[1]
+    return _rref_generic(np.vstack(list(blocks)), p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +293,14 @@ def rref(m: FpMatrix):
 def _free_column_rows(R: np.ndarray, pivots, n: int, p: int) -> np.ndarray:
     """Null-space spanning rows of R, in RREF with the given pivot columns:
     one row e_f - sum_i R[i, f] e_{pivots[i]} per free column f."""
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    rows = np.zeros((len(free), n), dtype=np.uint8)
-    for t, f in enumerate(free):
-        rows[t, f] = 1
-        for i, c in enumerate(pivots):
-            rows[t, c] = (-int(R[i, f])) % p
+    pivots = np.asarray(pivots, dtype=np.intp)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    rows = np.zeros((free.size, n), dtype=np.uint8)
+    rows[np.arange(free.size), free] = 1
+    # uint8 throughout: p - R stays in [1, p], so nothing wraps
+    rows[:, pivots] = ((p - R[: pivots.size][:, free]) % p).T
     return rows
 
 

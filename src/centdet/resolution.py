@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import FpMatrix, FpSubspace, IncrementalSpan, LinSolver, kernel_basis, matmul_mod
+from .fplinalg import FpMatrix, FpSubspace, LinSolver, kernel_basis, matmul_mod, stacked_pivots
 from .pgroup import GroupHom, PcPresentation, Subgroup, direct_product, multiplication_hom
 
 
@@ -93,7 +93,7 @@ class MinimalResolution:
         while self.top_degree < N:
             i = self.top_degree + 1
             kernel = self._kernel_below(i)
-            gens = self._radical_complement(kernel, i)
+            gens = self._radical_complement(kernel)
             needed = len(gens) * self.order
             if needed > self.budget:
                 raise BudgetExceededError(i, needed, self.budget)
@@ -109,29 +109,35 @@ class MinimalResolution:
             return kernel_basis(ones).basis.arr
         return self.solver(i - 1).kernel_rows()
 
-    def _radical_complement(self, kernel_rows: np.ndarray, i: int) -> np.ndarray:
+    def _radical_complement(self, kernel_rows: np.ndarray) -> np.ndarray:
         """Minimal module generators of the kernel: the lexicographically
-        first kernel-basis rows completing rad*K to K."""
-        width = kernel_rows.shape[1] if kernel_rows.size else self.betti[i - 1] * self.order
-        span = IncrementalSpan(self.p, width)
-        b_prev = self.betti[i - 1]
-        for t in range(self.pres.n):
-            g = self.pres.gen_idx(t)
-            moved = self._translate_rows(kernel_rows, g, b_prev)
-            rad_rows = (moved.astype(np.int64) - kernel_rows.astype(np.int64)) % self.p
-            span.add_rows(rad_rows.astype(np.uint8))
-        chosen = []
-        for row in kernel_rows:
-            if span.add(row):
-                chosen.append(row)
-        if not chosen:
-            return np.zeros((0, width), dtype=np.uint8)
-        return np.array(chosen, dtype=np.uint8)
+        first kernel-basis rows completing rad*K to K.
 
-    def _translate_rows(self, rows: np.ndarray, g: int, blocks: int) -> np.ndarray:
-        gather = self.pres.left_inv_gather()[g]
-        r3 = rows.reshape(rows.shape[0], blocks, self.order)
-        return r3[:, :, gather].reshape(rows.shape[0], -1)
+        K is in RREF with pivot columns P, so a vector of K has the
+        coordinates v[P] in the basis K.  Translation by a pc generator g
+        permutes columns, so the coordinates of the rows g.k - k, which
+        span rad*K, are K[:, perm_g[P]] - I.  Row j of K is redundant iff
+        some vector of rad*K has its last nonzero coordinate at j, i.e. iff
+        j is a pivot once the coordinate columns are reversed.
+        """
+        dim = kernel_rows.shape[0]
+        if dim == 0:
+            return kernel_rows
+        order = self.order
+        P = np.argmax(kernel_rows != 0, axis=1)
+        P_block, P_elem = P - P % order, P % order
+        diag = np.arange(dim)
+        gather = self.pres.left_inv_gather()
+
+        def coords(t: int) -> np.ndarray:
+            block = kernel_rows[:, P_block + gather[self.pres.gen_idx(t)][P_elem]]
+            block[diag, diag] = (block[diag, diag] + (self.p - 1)) % self.p
+            return block[:, ::-1]
+
+        pivots = stacked_pivots((coords(t) for t in range(self.pres.n)), dim, self.p)
+        keep = np.ones(dim, dtype=bool)
+        keep[dim - 1 - np.asarray(pivots, dtype=np.intp)] = False
+        return kernel_rows[keep]
 
     # -- expanded matrices and solvers -------------------------------------------
 

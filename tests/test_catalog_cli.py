@@ -154,6 +154,35 @@ def test_cli_cohomology_with_cache(capsys, tmp_path):
     assert json.loads(out)["betti"] == data["betti"]
 
 
+def test_cli_cohomology_rewrites_cache_only_when_it_grows(capsys, tmp_path):
+    cache = str(tmp_path)
+
+    def cohomology(degree):
+        code, out = run_cli(capsys, "cohomology", "Q8", "--degree", str(degree),
+                            "--cache", cache)
+        assert code == 0
+        [name] = [n for n in os.listdir(cache) if n.startswith("cohres-")]
+        path = os.path.join(cache, name)
+        st = os.stat(path)
+        with open(path) as fh:
+            top = [line for line in fh if line.startswith("N ")]
+        return (st.st_ino, st.st_mtime_ns), top
+
+    # a hit that needs no new degree leaves the file alone
+    written, top = cohomology(6)
+    assert cohomology(4) == (written, top)
+    assert top == ["N 6\n"]
+
+    # a hit that needs more degrees rewrites it
+    for name in os.listdir(cache):
+        os.remove(os.path.join(cache, name))
+    written, top = cohomology(4)
+    assert top == ["N 4\n"]
+    rewritten, top = cohomology(6)
+    assert rewritten != written
+    assert top == ["N 6\n"]
+
+
 def test_cli_cess(capsys):
     code, out = run_cli(capsys, "cess", "SD16", "--degree", "8")
     assert code == 0

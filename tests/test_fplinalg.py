@@ -8,7 +8,9 @@ from centdet.fplinalg import (
     LinSolver,
     _rref_bits,
     _rref_generic,
+    _free_column_rows,
     _pack_rows,
+    _rref_array,
     _unpack_rows,
     image_basis,
     intersect,
@@ -176,6 +178,73 @@ def test_packed_agrees_with_generic_200x200():
     Rg, pg = _rref_generic(arr, 2)
     assert pb == pg
     assert np.array_equal(_unpack_rows(Rb, 200), Rg)
+
+
+def low_rank_array(seed, p, rows, cols):
+    """A random rows x cols array over F_p of random rank, as int64."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    a = rng.integers(0, p, size=(rows, k), dtype=np.int64)
+    b = rng.integers(0, p, size=(k, cols), dtype=np.int64)
+    return (a @ b) % p
+
+
+def gauss_jordan(rows, p, pivot_limit):
+    """Textbook Gauss-Jordan mod p on lists of ints: (reduced rows, pivots)."""
+    R = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(pivot_limit):
+        if r == len(R):
+            break
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            f = R[i][c]
+            if i != r and f:
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    rows=st.integers(0, 10),
+    cols=st.integers(1, 12),
+    limit_frac=st.floats(0, 1),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=80, deadline=None)
+def test_rref_generic_matches_textbook_gauss_jordan(p, rows, cols, limit_frac, seed):
+    arr = low_rank_array(seed, p, rows, cols)
+    limit = round(limit_frac * cols)
+    R, pivots = _rref_generic(arr, p, pivot_limit=limit)
+    want_R, want_pivots = gauss_jordan(arr.tolist(), p, limit)
+    assert pivots == want_pivots
+    assert R.dtype == np.uint8
+    assert R.reshape(rows, cols).tolist() == want_R
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    rows=st.integers(0, 10),
+    cols=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=80, deadline=None)
+def test_free_column_rows_span_the_kernel(p, rows, cols, seed):
+    arr = low_rank_array(seed, p, rows, cols).astype(np.uint8)
+    R, pivots = _rref_array(arr, p)
+    ker = _free_column_rows(R, pivots, cols, p)
+    assert ker.dtype == np.uint8
+    assert ker.shape == (cols - len(pivots), cols)
+    assert not matmul_mod(arr, ker.T, p).any()
+    assert len(_rref_array(ker, p)[1]) == ker.shape[0]  # independent rows
 
 
 def test_pack_roundtrip():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centdet.fplinalg import FpSubspace, matmul_mod
+from centdet.fplinalg import FpMatrix, FpSubspace, kernel_basis, matmul_mod, rref
 from centdet.pgroup import (
     PcPresentation,
     direct_product,
@@ -38,6 +38,8 @@ def elem_abelian(p, n):
 
 Q8 = PcPresentation(2, 3, [(0, 0, 1), (0, 0, 1), (0, 0, 0)], {(1, 0): (0, 0, 1)})
 D8 = PcPresentation(2, 3, [(0, 0, 0), (0, 0, 1), (0, 0, 0)], {(1, 0): (0, 0, 1)})
+# extraspecial of order 27 and exponent 3
+E27 = PcPresentation(3, 3, [(0, 0, 0)] * 3, {(1, 0): (0, 0, 1)})
 
 
 def binom(n, k):
@@ -89,6 +91,44 @@ def test_betti_odd_p():
     # (Z/p)^2 at odd p: Lambda(x1,x2) (x) F_p[y1,y2] has dim k+1 in degree k
     assert res2.betti == [k + 1 for k in range(6)]
     res2.verify()
+
+
+def greedy_generators(G, res, i):
+    """Degree i generators picked one kernel row at a time: row j of the
+    kernel basis K is kept iff it is not in rad*K plus the rows before it.
+    rad*K is spanned by g.k - k over the pc generators g and rows k of K,
+    with (g.v)[b, x] = v[b, g^-1 x] computed from the multiplication table."""
+    p, order = G.p, G.order
+    if i == 1:
+        K = kernel_basis(FpMatrix(p, np.ones((1, order), dtype=np.uint8))).basis.arr
+    else:
+        K = kernel_basis(FpMatrix(p, res.expanded_diff(i - 1))).basis.arr
+    blocks = K.shape[1] // order
+    rad = []
+    for t in range(G.n):
+        g_inv = G.inv(G.gen_idx(t))
+        src = [G.mult(g_inv, x) for x in range(order)]
+        for k in K.reshape(len(K), blocks, order):
+            moved = k[:, src].ravel()
+            rad.append((moved.astype(np.int64) - k.ravel()) % p)
+    R, _, rank = rref(FpMatrix(p, np.array(rad, dtype=np.uint8)))
+    span = R.arr[:rank]
+    chosen = []
+    for j in range(len(K)):
+        grown = rref(FpMatrix(p, np.vstack([span, K[j:j + 1]])))
+        if grown[2] > rank:
+            chosen.append(K[j])
+            span, rank = grown[0].arr[:grown[2]], grown[2]
+    return np.array(chosen, dtype=np.uint8).reshape(-1, K.shape[1])
+
+
+@pytest.mark.parametrize("G", [Q8, D8, direct_product(cyclic(2, 2), cyclic(2, 1)), E27],
+                         ids=["Q8", "D8", "Z4xZ2", "E27"])
+def test_generator_choice_matches_greedy_reference(G):
+    res = build_minimal_resolution(G, 5)
+    res.verify()
+    for i in range(1, 6):
+        assert np.array_equal(res._gen_images[i], greedy_generators(G, res, i)), i
 
 
 def test_b1_is_minimal_generator_count():
