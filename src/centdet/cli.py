@@ -126,7 +126,10 @@ def cmd_cess(args, out) -> int:
 
 def _csv_row(rep: dict) -> str:
     type_str = "[" + ",".join(str(a) for a in rep["type"]) + "]" if rep["type"] is not None else ""
-    certified = all(rep["certified"].values()) if rep["certified"] else False
+    flags = rep["certified"]
+    # a report cut short carries only its failure marker, never a certificate
+    certified = bool(flags) and all(flags.values()) and not (
+        "budget_exceeded" in flags or "degree_bound_too_small" in flags)
 
     def fmt(v):
         return "" if v is None else str(v)

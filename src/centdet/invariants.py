@@ -7,7 +7,7 @@ maximal central elementary abelian subgroup:
   Frobenius-power filtration of H^1(C) reads off its generator degrees,
   the *type* [a_1..a_c], from which e(G) = sum(a_i - 1) and h(G) follow;
 - lifting the image generators gives a Duflot subalgebra A over which
-  H*(G) is free; Q_A denotes indecosmposables, P_C the coaction
+  H*(G) is free; Q_A denotes indecomposables, P_C the coaction
   primitives, and both vanish above e(G) with a one-dimensional top when
   every order-p element is central;
 - central essential classes are those restricting to zero on the
@@ -25,6 +25,7 @@ computed range carries a certification flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +33,12 @@ from .fplinalg import (
     FpMatrix,
     FpSubspace,
     LinSolver,
+    image_basis,
     intersect,
     kernel_basis,
     matmul_mod,
+    solve_preimage,
+    subspace_sum,
 )
 from .pgroup import (
     GroupHom,
@@ -95,16 +99,13 @@ class Workspace:
         return a
 
 
-@dataclass
-class FrobeniusFlag:
-    """Increasing filtration of H^1(C) whose jumps give the type exponents."""
+class FlagLevel(NamedTuple):
+    """One level of the Frobenius flag of H^1(C): the classes x whose image
+    M x in H^degree(C) lies in the restriction image (with level 0 joined)."""
 
-    subspaces: list[FpSubspace]
-    saturated_level: int | None  # level K with C_K full, None if not reached
-
-    @property
-    def dims(self) -> list[int]:
-        return [s.dim for s in self.subspaces]
+    degree: int
+    subspace: FpSubspace
+    frobenius: np.ndarray  # M: H^1(C) -> H^degree(C), one column per e_t
 
 
 @dataclass
@@ -114,7 +115,7 @@ class GroupType:
     p: int
     entries: tuple[int, ...]
     certified: bool
-    flag: FrobeniusFlag | None = None
+    flag: list[FlagLevel] = field(default_factory=list)  # the levels walked
 
     @property
     def c(self) -> int:
@@ -169,7 +170,6 @@ class GradedDims:
     role: str
     dims: tuple[int, ...]
     N: int
-    certified: bool = True
 
     def top_nonzero(self) -> int:
         top = -1
@@ -219,89 +219,6 @@ class InvariantReport:
         }
 
 
-class _TargetView:
-    """Minimal target interface for chain-map application (bar comparison)."""
-
-    def __init__(self, pres: PcPresentation):
-        self.pres = pres
-        self.order = pres.order
-
-
-def _rank_one_bockstein(res_U: MinimalResolution) -> int:
-    """H^2 coordinate of beta(e*) for the dual basis e* of H^1 of a cyclic
-    order-p group, pinned by comparison with the bar resolution and the
-    integral carry cocycle."""
-    from .resolution import _apply_map_to_vec
-
-    U = res_U.pres
-    p = U.p
-    if U.order != p:
-        raise ValueError("rank-one Bockstein needs a cyclic group of order p")
-    order = p
-    mt = U.mult_table()
-
-    # expanded bar differentials in degrees 1 and 2
-    D1 = np.zeros((order, order * order), dtype=np.int64)
-    for g in range(order):
-        for h in range(order):
-            col = g * order + h
-            D1[mt[h, g], col] += 1
-            D1[h, col] -= 1
-    D1 = (D1 % p).astype(np.uint8)
-    D2 = np.zeros((order * order, order * order * order), dtype=np.uint8)
-    for g in range(order):
-        for h in range(order):
-            gen = g * order + h
-            img = np.zeros(order * order, dtype=np.int64)
-            img[h * order + g] += 1          # g.[h]
-            img[mt[g, h] * order + 0] -= 1   # [gh]
-            img[g * order + 0] += 1          # [g]
-            img %= p
-            for u in range(order):
-                col = gen * order + u
-                # u . img : translate the module element by u
-                gather = U.left_inv_gather()[u]
-                moved = img.reshape(order, order)[:, gather].ravel()
-                D2[:, col] = moved.astype(np.uint8)
-    s1 = LinSolver(FpMatrix(p, D1, check=False))
-    s2 = LinSolver(FpMatrix(p, D2, check=False))
-
-    # comparison chain map from the minimal resolution
-    theta0 = np.zeros((1, order), dtype=np.uint8)
-    theta0[0, 0] = 1
-    view = _TargetView(U)
-    phi = np.arange(order, dtype=np.int32)
-
-    coords, vals = res_U.gen_image_sparse(1, 0)
-    rhs = _apply_map_to_vec(theta0, coords, vals, order, phi, view, order, p)
-    t1 = s1.solve(rhs)
-    if t1 is None:
-        raise AssertionError("bar comparison failed in degree 1")
-    theta1 = t1[None, :]
-    coords, vals = res_U.gen_image_sparse(2, 0)
-    rhs = _apply_map_to_vec(theta1, coords, vals, order, phi, view, order * order, p)
-    t2 = s2.solve(rhs)
-    if t2 is None:
-        raise AssertionError("bar comparison failed in degree 2")
-
-    # the carry two-cocycle of the canonical character chi(g^s) = s
-    lam = 0
-    sums1 = theta1.reshape(order, order).sum(axis=1) % p
-    for g in range(order):
-        s = U.exp_of(g)[0]
-        lam = (lam + s * int(sums1[g])) % p
-    nu = 0
-    sums2 = t2.reshape(order * order, order).sum(axis=1) % p
-    for g in range(order):
-        for h in range(order):
-            s, t = U.exp_of(g)[0], U.exp_of(h)[0]
-            carry = 1 if s + t >= p else 0
-            nu = (nu + carry * int(sums2[g * order + h])) % p
-    if lam == 0 or nu == 0:
-        raise AssertionError("degenerate bar comparison")
-    return (nu * pow(lam, p - 2, p)) % p
-
-
 class Analyzer:
     """All invariant computations for one group at one degree bound."""
 
@@ -342,6 +259,11 @@ class Analyzer:
     def p_central(self) -> bool:
         return self._memo("p_central", lambda: is_p_central(self.G))
 
+    @property
+    def category(self):
+        """The Quillen category of elementary abelians containing C."""
+        return self._memo("cat", lambda: quillen_category_AC(self.G))
+
     def _c_pres(self):
         return self._memo("c_pres", lambda: subgroup_presentation(self.G, self.C))
 
@@ -360,7 +282,6 @@ class Analyzer:
 
     def res_image(self, k: int) -> FpSubspace:
         def make():
-            from .fplinalg import image_basis
             M = self.restriction_to_C().matrix(k)
             return image_basis(FpMatrix(self.p, M, check=False))
         return self._memo(("im", k), make)
@@ -371,143 +292,95 @@ class Analyzer:
 
     # -- type -----------------------------------------------------------------------
 
-    def _h1_power_matrices(self) -> list[np.ndarray]:
-        """Matrices of x -> x^(2^k): H^1(C) -> H^(2^k)(C), while 2^k <= N (p=2)."""
-        def make():
-            resC = self.resC
-            c = resC.rank(1)
-            mats = [np.eye(c, dtype=np.uint8)]
-            vecs = [Cocycle(1, row) for row in np.eye(c, dtype=np.uint8)]
-            k = 0
-            while 2 ** (k + 1) <= self.N:
-                vecs = [cup_product(resC, v, v) for v in vecs]
-                k += 1
-                mats.append(np.stack([v.vec for v in vecs]).T if c else
-                            np.zeros((resC.rank(2 ** k), 0), np.uint8))
-            return mats
-        return self._memo("h1pow", make)
-
-    def _rank_one_data(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """For p odd, one entry per subgroup U of order p in C: the
-        restriction matrices H^1(C) -> H^1(U) and H^2(C) -> H^2(U), and
-        mu with beta(e*) = mu times the generator of H^2(U)."""
+    def _rank_one_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """For p odd: the restriction matrices H^1(C) -> H^1(U) and
+        H^2(C) -> H^2(U), each stacked over the subgroups U of order p in C."""
         def make():
             presC, _, _ = self._c_pres()
-            out = []
+            R1, R2 = [], []
             for U in elementary_abelian_subgroups(presC):
                 if U.rank != 1:
                     continue
                 presU, embedU, _ = subgroup_presentation(presC, U)
-                resU = self.ws.resolution(presU, 2)
-                mu = _rank_one_bockstein(resU)
-                rmap = induced_map(embedU, resU, self.resC)
-                out.append((rmap.matrix(1), rmap.matrix(2), mu))
-            return out
+                rmap = induced_map(embedU, self.ws.resolution(presU, 2), self.resC)
+                R1.append(rmap.matrix(1))
+                R2.append(rmap.matrix(2))
+            return np.vstack(R1), np.vstack(R2)
         return self._memo("rank_one", make)
 
-    def _bockstein_rhs(self, x: np.ndarray) -> np.ndarray:
-        """Restrictions of beta(x) to every U of order p, stacked."""
-        return np.concatenate([
-            (matmul_mod(R1, x[:, None], self.p)[:, 0].astype(np.int64) * mu) % self.p
-            for R1, _, mu in self._rank_one_data()
-        ]).astype(np.uint8)
+    def _bockstein_reps(self) -> np.ndarray:
+        """Matrix H^1(C) -> H^2(C) whose column z_t stands for beta(e_t).
 
-    def _bockstein_reps(self) -> list[np.ndarray]:
-        """For p odd: vectors z_t in H^2(C) with z_t = beta(e_t) modulo
-        products of degree-one classes (enough for all p-th power work)."""
+        At p = 2 it is e_t^2 = Sq^1 e_t.  At odd p, z_t restricts on every
+        U of order p to e_t|U times the dual generator of H^2(U); every such
+        U has the same canonical presentation, so z_t is beta(e_t) up to one
+        nonzero scalar common to every U, modulo products of degree-one
+        classes.  A common scalar changes no span, which is all the flag and
+        the Duflot targets read."""
         def make():
-            c = self.resC.rank(1)
-            A = np.vstack([R2 for _, R2, _ in self._rank_one_data()])
-            solver = LinSolver(FpMatrix(self.p, A, check=False))
-            out = []
-            for e_t in np.eye(c, dtype=np.uint8):
-                z = solver.solve(self._bockstein_rhs(e_t))
+            c = self.center_rank
+            if self.p == 2:
+                return self._frobenius(np.eye(c, dtype=np.uint8), 1)
+            R1, R2 = self._rank_one_data()
+            solver = LinSolver(FpMatrix(self.p, R2, check=False))
+            cols = []
+            for t in range(c):
+                z = solver.solve(R1[:, t])
                 if z is None:
                     raise AssertionError("Bockstein system inconsistent")
-                out.append(z)
-            return out
+                cols.append(z)
+            return np.stack(cols, axis=1)
         return self._memo("bock", make)
 
-    def _pth_power(self, res, v: Cocycle) -> Cocycle:
-        out = v
-        for _ in range(self.p - 1):
-            out = cup_product(res, out, v)
-        return out
+    def _frobenius(self, M: np.ndarray, degree: int) -> np.ndarray:
+        """The columns of M, classes in H^degree(C), raised to the p-th power."""
+        cols = []
+        for col in M.T:
+            v = out = Cocycle(degree, col)
+            for _ in range(self.p - 1):
+                out = cup_product(self.resC, out, v)
+            cols.append(out.vec)
+        return np.stack(cols, axis=1)
 
     def group_type(self) -> GroupType:
         return self._memo("type", self._compute_type)
 
     def _compute_type(self) -> GroupType:
-        c = self.center_rank
-        if c == 0:
-            return GroupType(self.p, (), True, FrobeniusFlag([], 0))
-        if self.p == 2:
-            return self._type_p2(c)
-        return self._type_odd(c)
+        """Walk the Frobenius flag of H^1(C) until it fills H^1(C).
 
-    def _type_p2(self, c: int) -> GroupType:
-        subs = []
-        saturated = None
-        mats = self._h1_power_matrices()
-        for k, M in enumerate(mats):
-            im = self.res_image(2 ** k)
-            ann = im.annihilator_matrix()
-            cond = matmul_mod(ann.arr, M, 2)
-            sub = kernel_basis(FpMatrix(2, cond, check=False))
-            subs.append(sub)
-            if sub.dim == c:
-                saturated = k
-                break
-        flag = FrobeniusFlag(subs, saturated)
+        Level 0 is the degree-one image.  Level k >= 1, in degree 2 p^(k-1),
+        holds the x with beta(x)^(p^(k-1)) in the restriction image, joined
+        with level 0; Frobenius is additive in characteristic p, so that is
+        the preimage of the image under the matrix M_k whose columns are
+        beta(e_t)^(p^(k-1)).  The dimensions a level adds are the type
+        entries equal to its degree; when the bound N stops the walk first,
+        the rest get the next level's degree and the type is uncertified."""
+        p, c = self.p, self.center_rank
+        if c == 0:
+            return GroupType(p, (), True)
+        flag = [FlagLevel(1, self.res_image(1), np.eye(c, dtype=np.uint8))]
+        degree = 2
+        while flag[-1].subspace.dim < c and degree <= self.N:
+            M = (self._bockstein_reps() if degree == 2
+                 else self._frobenius(flag[-1].frobenius, degree // p))
+            target = self.res_image(degree)
+            if p != 2 and degree == 2:
+                # the representatives are only exact modulo products of
+                # degree-one classes; the true Bockstein image is pure,
+                # so membership may be tested modulo those products
+                target = subspace_sum(target, self._h1_products_span())
+            sub = solve_preimage(FpMatrix(p, M, check=False), target)
+            flag.append(FlagLevel(degree, subspace_sum(sub, flag[0].subspace), M))
+            degree *= p
         entries: list[int] = []
         prev = 0
-        for k, sub in enumerate(subs):
-            entries += [2 ** k] * (sub.dim - prev)
-            prev = sub.dim
-        certified = saturated is not None
-        if not certified:
-            entries += [2 ** len(subs)] * (c - prev)
+        for level in flag:
+            entries += [level.degree] * (level.subspace.dim - prev)
+            prev = level.subspace.dim
+        certified = prev == c
+        entries += [degree] * (c - prev)
         entries.sort(reverse=True)
-        return GroupType(2, tuple(entries), certified, flag)
-
-    def _type_odd(self, c: int) -> GroupType:
-        p = self.p
-        subs = [self.res_image(1)]  # split part: degree-one image
-        saturated = 1 if subs[0].dim == c else None
-        entries: list[int] = [1] * subs[0].dim
-        last_level = 0
-        if saturated is None:
-            zs = self._bockstein_reps()
-            resC = self.resC
-            powers = [Cocycle(2, z) for z in zs]
-            k = 0
-            while 2 * p ** k <= self.N:
-                M = np.stack([v.vec for v in powers]).T
-                im = self.res_image(2 * p ** k)
-                if k == 0:
-                    # the representatives are only exact modulo products of
-                    # degree-one classes; the true Bockstein image is pure,
-                    # so membership may be tested modulo those products
-                    im = _subspace_join(im, self._h1_products_span())
-                ann = im.annihilator_matrix()
-                cond = matmul_mod(ann.arr, M, p)
-                sub = kernel_basis(FpMatrix(p, cond, check=False))
-                # the split part is contained in every level
-                sub = _subspace_join(sub, subs[0])
-                entries += [2 * p ** k] * (sub.dim - subs[-1].dim)
-                subs.append(sub)
-                if sub.dim == c:
-                    saturated = k + 1
-                    break
-                k += 1
-                last_level = k
-                if 2 * p ** k <= self.N:
-                    powers = [self._pth_power(resC, v) for v in powers]
-            if saturated is None:
-                entries += [2 * p ** last_level] * (c - subs[-1].dim)
-        flag = FrobeniusFlag(subs, saturated)
-        entries.sort(reverse=True)
-        return GroupType(p, tuple(entries), saturated is not None, flag)
+        return GroupType(p, tuple(entries), certified, flag)
 
     def _h1_products_span(self) -> FpSubspace:
         """Span of all products of two degree-one classes in H^2(C)."""
@@ -539,58 +412,39 @@ class Analyzer:
 
     def _flag_adapted_basis(self) -> list[tuple[int, np.ndarray]]:
         """(level k, vector in H^1(C)) pairs, new directions per flag level."""
-        flag = self.group_type().flag
         chosen: list[tuple[int, np.ndarray]] = []
-        span = FpSubspace.zero(self.p, self.center_rank) if self.center_rank else None
-        for k, sub in enumerate(flag.subspaces):
-            for row in sub.basis.arr:
+        span = FpSubspace.zero(self.p, self.center_rank)
+        for k, level in enumerate(self.group_type().flag):
+            for row in level.subspace.basis.arr:
                 if not span.contains(row):
                     chosen.append((k, row))
-                    span = _subspace_join(span, FpSubspace.from_spanning(
+                    span = subspace_sum(span, FpSubspace.from_spanning(
                         self.p, self.center_rank, row[None, :]))
         return chosen
 
     def _compute_duflot(self) -> DuflotData:
+        """Lift one polynomial generator per new flag direction x: its
+        target is M_k x in the degree of level k.  At odd p, levels 0 and 1
+        also take a Bockstein partner of x inside the degree-two image,
+        because M_1 x is exact only modulo products of degree-one classes."""
         t = self.group_type()
         if not t.certified:
             raise DegreeBoundError(
                 f"the type of {self.label} is not certified at degree bound {self.N}")
         gens: list[tuple[int, Cocycle]] = []
         targets: list[tuple[int, np.ndarray]] = []
-        resC = self.resC
-        if self.p == 2:
-            for k, x in self._flag_adapted_basis():
-                v = Cocycle(1, x)
-                for _ in range(k):
-                    v = cup_product(resC, v, v)
-                deg = 2 ** k
-                gens.append((deg, self._lift_from_image(deg, v.vec)))
-                targets.append((deg, v.vec))
-        else:
-            zs = self._bockstein_reps()
-            Z = np.stack(zs).T if zs else np.zeros((self.resC.rank(2), 0), np.uint8)
-            for k, x in self._flag_adapted_basis():
-                if k == 0:
-                    # split entry: lift x itself and a Bockstein partner in im
-                    gens.append((1, self._lift_from_image(1, x)))
-                    targets.append((1, x))
-                    y = self._split_bockstein_target(x)
-                    gens.append((2, self._lift_from_image(2, y)))
-                    targets.append((2, y))
-                elif k == 1:
-                    # degree-two generator: needs the representative that
-                    # actually lies inside the image, not one mod products
-                    y = self._split_bockstein_target(x)
-                    gens.append((2, self._lift_from_image(2, y)))
-                    targets.append((2, y))
-                else:
-                    z = Cocycle(2, matmul_mod(Z, x[:, None], self.p)[:, 0])
-                    for _ in range(k - 1):
-                        z = self._pth_power(resC, z)
-                    deg = 2 * self.p ** (k - 1)
-                    gens.append((deg, self._lift_from_image(deg, z.vec)))
-                    targets.append((deg, z.vec))
-        data = DuflotData(gens, targets, self.group_type().entries)
+
+        def add(degree: int, target: np.ndarray):
+            gens.append((degree, self._lift_from_image(degree, target)))
+            targets.append((degree, target))
+
+        for k, x in self._flag_adapted_basis():
+            degree, _, M = t.flag[k]
+            if self.p == 2 or k != 1:
+                add(degree, matmul_mod(M, x[:, None], self.p)[:, 0])
+            if self.p != 2 and k <= 1:
+                add(2, self._split_bockstein_target(x))
+        data = DuflotData(gens, targets, t.entries)
         # the subalgebra on the lifts must match the image dimensions
         im_dims = [self.res_image(k).dim for k in range(self.N + 1)]
         if im_dims != data.a_dims(self.N):
@@ -599,17 +453,25 @@ class Analyzer:
 
     def _split_bockstein_target(self, x: np.ndarray) -> np.ndarray:
         """A Bockstein partner of x that lies inside the degree-2 image."""
-        ann = self.res_image(2).annihilator_matrix()
-        A = np.vstack([R2 for _, R2, _ in self._rank_one_data()] + [ann.arr])
-        rhs = np.concatenate([self._bockstein_rhs(x), np.zeros(ann.rows, dtype=np.uint8)])
-        z = LinSolver(FpMatrix(self.p, A, check=False)).solve(rhs)
+        def make():
+            ann = self.res_image(2).annihilator_matrix().arr
+            _, R2 = self._rank_one_data()
+            return LinSolver(FpMatrix(self.p, np.vstack([R2, ann]), check=False))
+        solver = self._memo("split", make)
+        R1, _ = self._rank_one_data()
+        # R1 and R2 have one row per U: H^1(U) and H^2(U) are one-dimensional
+        rhs = np.zeros(solver.rows_n, dtype=np.uint8)
+        rhs[: R1.shape[0]] = matmul_mod(R1, x[:, None], self.p)[:, 0]
+        z = solver.solve(rhs)
         if z is None:
             raise AssertionError("no Bockstein partner inside the image")
         return z
 
     def _lift_from_image(self, degree: int, target: np.ndarray) -> Cocycle:
-        M = self.restriction_to_C().matrix(degree)
-        x = LinSolver(FpMatrix(self.p, M, check=False)).solve(target)
+        def make():
+            M = self.restriction_to_C().matrix(degree)
+            return LinSolver(FpMatrix(self.p, M, check=False))
+        x = self._memo(("lift", degree), make).solve(target)
         if x is None:
             raise AssertionError(f"degree-{degree} image element has no preimage")
         return Cocycle(degree, x)
@@ -672,8 +534,7 @@ class Analyzer:
         or None when there is no subgroup strictly above C (the product
         over the empty set: every class is then central essential)."""
         def make():
-            cat = self._memo("cat", lambda: quillen_category_AC(self.G))
-            strict = [o for o in cat.objects if o.rep.order > self.C.order]
+            strict = [o for o in self.category.objects if o.rep.order > self.C.order]
             if not strict:
                 return None
             mats: dict[int, list[np.ndarray]] = {k: [] for k in range(self.N + 1)}
@@ -787,9 +648,8 @@ class Analyzer:
     def qualifying_reps(self) -> list[Subgroup]:
         """Conjugacy representatives V with V = C(C_G(V)), including C."""
         def make():
-            cat = self._memo("cat", lambda: quillen_category_AC(self.G))
             out = []
-            for obj in cat.objects:
+            for obj in self.category.objects:
                 V = obj.rep
                 K = centralizer(self.G, V)
                 kelems = set(K.elems)
@@ -908,7 +768,7 @@ class Analyzer:
         layer=None: component at V is P_V H^k(C_G(V))   (locally finite part)
         layer=d:    component at V is H^k(V) (x) P_V H^d(C_G(V))  (layer d)
         """
-        cat = self._memo("cat", lambda: quillen_category_AC(self.G))
+        cat = self.category
         G = self.G
         p = self.p
         # unknown blocks per object
@@ -1046,11 +906,6 @@ class Analyzer:
             truncation_degree=self.N,
             certified=certified,
         )
-
-
-def _subspace_join(a: FpSubspace, b: FpSubspace) -> FpSubspace:
-    from .fplinalg import subspace_sum
-    return subspace_sum(a, b)
 
 
 def d0_d1_via_sylow_transfer(sylow_type: GroupType) -> tuple[int, int]:

@@ -511,7 +511,7 @@ class ComoduleMap:
     """
 
     def __init__(self, res_G: MinimalResolution, C: Subgroup,
-                 res_C: MinimalResolution, budget: int = 20000):
+                 res_C: MinimalResolution):
         self.res_G = res_G
         self.res_C = res_C
         self.C = C

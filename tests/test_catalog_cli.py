@@ -207,6 +207,15 @@ def test_cli_table_csv(capsys, tmp_path):
         assert fh.read().strip() == out.strip()
 
 
+def test_cli_table_csv_budget_exceeded_is_not_certified(capsys):
+    # Q8 needs 16 columns in degree 1, over the budget; Z4 fits in 8
+    code, out = run_cli(capsys, "--budget", "8", "table", "Q8", "Z4", "--degree", "8")
+    assert code == 0
+    rows = {line.split(",")[1]: line for line in out.strip().splitlines()[1:]}
+    assert rows["Q8"].endswith(",false")
+    assert rows["Z4"].endswith(",true")
+
+
 def test_cli_pcp_file_input(capsys, tmp_path):
     path = str(tmp_path / "v4.pcp")
     with open(path, "w") as fh:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from centdet.fplinalg import intersect
-from centdet.pgroup import PcPresentation, direct_product
+from centdet.catalog import builtin
+from centdet.fplinalg import intersect, matmul_mod
+from centdet.pgroup import (
+    PcPresentation,
+    direct_product,
+    elementary_abelian_subgroups,
+    subgroup_presentation,
+)
 from centdet.invariants import (
     Analyzer,
     GroupType,
@@ -10,6 +16,7 @@ from centdet.invariants import (
     e_of,
     h_of,
 )
+from centdet.resolution import Cocycle, MinimalResolution, cup_product
 
 WS = Workspace()
 
@@ -35,6 +42,15 @@ W32 = PcPresentation(
     [(0, 0, 1, 0, 0), (0, 0, 0, 0, 1), (0,) * 5, (0,) * 5, (0,) * 5],
     {(1, 0): (0, 0, 0, 1, 0)},
 )
+# universal 3-central group of order 3^5: both p-th powers and the
+# commutator of the two lifts generate the rank-3 socle
+W23 = PcPresentation(
+    3, 5,
+    [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0,) * 5, (0,) * 5, (0,) * 5],
+    {(1, 0): (0, 0, 0, 0, 1)},
+)
+# extraspecial of order 27 and exponent 3
+H27 = PcPresentation(3, 3, [(0, 0, 0)] * 3, {(1, 0): (0, 0, 1)})
 
 
 def semidihedral(k):
@@ -111,6 +127,36 @@ def test_uncertified_type_at_tiny_bound():
     assert not t.certified
 
 
+def test_odd_p_type_below_degree_two_is_uncertified():
+    # at N = 1 the Bockstein level (degree 2) is out of range: the walk
+    # stops after the degree-one image instead of lifting into degree 2
+    a = Analyzer(direct_product(cyclic(3, 1), cyclic(3, 2)), 1, workspace=Workspace())
+    t = a.group_type()
+    assert t.entries == (2, 1) and not t.certified
+    assert [level.degree for level in t.flag] == [1]
+
+
+@pytest.mark.parametrize("G", [W23, direct_product(cyclic(5, 1), cyclic(5, 2))])
+def test_order_p_subgroups_of_c_share_the_canonical_presentation(G):
+    # the odd-p Bockstein representatives are fixed only up to the scalar
+    # that the resolution of each order-p subgroup U of C picks; one
+    # presentation for every U makes that scalar common to all of them
+    presC, _, _ = WS.analyzer(G, 2)._c_pres()
+    hashes = [subgroup_presentation(presC, U)[0].hash_key()
+              for U in elementary_abelian_subgroups(presC) if U.rank == 1]
+    assert len(hashes) == (presC.order - 1) // (G.p - 1)
+    assert set(hashes) == {cyclic(G.p, 1).hash_key()}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_canonical_cyclic_resolution(p):
+    # d_1(e_1) = e - g^(p-1) and d_2(e_2) = sum of all g
+    res = MinimalResolution(cyclic(p, 1)).extend_to(2)
+    assert res.rank(1) == res.rank(2) == 1
+    assert res.gen_image_row(1, 0).tolist() == [1] + [0] * (p - 2) + [p - 1]
+    assert res.gen_image_row(2, 0).tolist() == [1] * p
+
+
 def test_e_h_values():
     assert e_of(GroupType(2, (8, 8), True)) == 14
     assert h_of(GroupType(2, (8, 8), True)) == 4
@@ -147,12 +193,56 @@ def test_duflot_z4():
 
 
 def test_duflot_restrictions_are_targets():
-    a = WS.analyzer(Q8, 8)
-    d = a.duflot()
-    rmap = a.restriction_to_C()
-    for (deg, xi), (deg2, target) in zip(d.generators, d.targets):
-        assert deg == deg2
-        assert np.array_equal(rmap.apply(xi).vec, target)
+    for G, N in ((Q8, 8), (H27, 6), (direct_product(cyclic(3, 1), cyclic(3, 2)), 8)):
+        a = WS.analyzer(G, N)
+        d = a.duflot()
+        rmap = a.restriction_to_C()
+        for (deg, xi), (deg2, target) in zip(d.generators, d.targets):
+            assert deg == deg2
+            assert np.array_equal(rmap.apply(xi).vec, target)
+
+
+def _cup_power_target(a, x: np.ndarray, k: int) -> Cocycle:
+    """The level-k Frobenius image of x in H^1(C) by repeated cup products:
+    x^(2^k) at p = 2, (Z x)^(p^(k-1)) at odd p, Z the Bockstein columns."""
+    p = a.p
+    if p == 2:
+        v, n = Cocycle(1, x), 2 ** k
+    else:
+        v, n = Cocycle(2, matmul_mod(a._bockstein_reps(), x[:, None], p)[:, 0]), p ** (k - 1)
+    out = v
+    for _ in range(n - 1):
+        out = cup_product(a.resC, out, v)
+    return out
+
+
+@pytest.mark.parametrize("G,N", [
+    (Q8, 8),
+    (cyclic(2, 2), 6),
+    (builtin("64#187").pres, 8),
+    (H27, 10),
+])
+def test_flag_targets_match_explicit_cup_powers(G, N):
+    # reference path for the Frobenius matrices M_k of the flag and for the
+    # Duflot targets M_k x read off them; below level `first` the matrix is
+    # the identity (p = 2) or holds representatives modulo products (odd p)
+    a = WS.analyzer(G, N)
+    flag = a.group_type().flag
+    first = 1 if a.p == 2 else 2
+    assert len(flag) > first
+    eye = np.eye(a.center_rank, dtype=np.uint8)
+    for k in range(first, len(flag)):
+        for s in range(a.center_rank):
+            ref = _cup_power_target(a, eye[s], k)
+            assert ref.degree == flag[k].degree
+            assert np.array_equal(ref.vec, flag[k].frobenius[:, s])
+    deep = [(k, x) for k, x in a._flag_adapted_basis() if k >= first]
+    targets = [(deg, v) for deg, v in a.duflot().targets if deg >= flag[first].degree]
+    assert len(deep) == len(targets) > 0
+    for (k, x), (deg, v) in zip(deep, targets):
+        ref = _cup_power_target(a, x, k)
+        assert deg == ref.degree
+        assert np.array_equal(v, ref.vec)
 
 
 def test_duflot_odd_p_split():
@@ -436,13 +526,7 @@ def test_e_prime_at_most_e_on_corpus():
 
 
 def test_universal_2central_group_odd_p():
-    # order 3^5 universal example: both p-th powers and the commutator of
-    # the two lifts generate the rank-3 socle; d0 = 3, d1 = 4
-    W23 = PcPresentation(
-        3, 5,
-        [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0,) * 5, (0,) * 5, (0,) * 5],
-        {(1, 0): (0, 0, 0, 0, 1)},
-    )
+    # order 3^5 universal example (W23 above); d0 = 3, d1 = 4
     a = WS.analyzer(W23, 3, label="W(2,3)")
     t = a.group_type()
     assert t.entries == (2, 2, 2) and t.certified
@@ -454,7 +538,6 @@ def test_extraspecial_27_exponent_3():
     # extraspecial of order 27 and exponent 3: restriction image is generated
     # by the degree-2p class, cohomology is detected without central
     # essential classes
-    H27 = PcPresentation(3, 3, [(0, 0, 0)] * 3, {(1, 0): (0, 0, 1)})
     a = WS.analyzer(H27, 6, label="H27")
     t = a.group_type()
     assert t.entries == (6,) and t.certified
