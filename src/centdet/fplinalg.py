@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 _WORD = 64
+# bound on the temporaries of the batched kernels, in bytes
+_CHUNK_BYTES = 1 << 20
 
 
 class DimensionMismatchError(ValueError):
@@ -58,12 +60,41 @@ def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, :n])
 
 
-def _parity_matvec(packed: np.ndarray, bpacked: np.ndarray) -> np.ndarray:
-    """Row-wise parity of packed & bpacked, i.e. M b over F_2."""
-    if packed.shape[1] == 0:
-        return np.zeros(packed.shape[0], dtype=np.uint8)
-    cnt = np.bitwise_count(packed & bpacked[None, :])
-    return (cnt.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
+def _parity_products(packed: np.ndarray, bpacked: np.ndarray) -> np.ndarray:
+    """Parities of packed[k] & bpacked[i] at (i, k), i.e. B M^T over F_2.
+
+    Taken over chunks of B's rows, so the (rows, m, words) temporary
+    stays near _CHUNK_BYTES."""
+    r, (m, nw) = bpacked.shape[0], packed.shape
+    out = np.zeros((r, m), dtype=np.uint8)
+    step = max(1, _CHUNK_BYTES // max(1, 8 * m * nw))
+    for lo in range(0, r, step):
+        both = bpacked[lo:lo + step, None, :] & packed[None, :, :]
+        out[lo:lo + step] = np.bitwise_count(np.bitwise_xor.reduce(both, axis=2)) & 1
+    return out
+
+
+def segment_sums(rows: np.ndarray, pick: np.ndarray, coeffs: np.ndarray,
+                 owner: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Row i of the (n, width) result is the sum of coeffs[k] * rows[pick[k]]
+    over the k with owner[k] == i, mod p; owner must be nondecreasing.
+
+    At p = 2 the packed rows are XOR-reduced, at odd p the int64 products
+    are add-reduced; either way one reduceat over the runs of owner."""
+    out = np.zeros((n, rows.shape[1]), dtype=np.uint8)
+    if p == 2:
+        odd = (coeffs & 1).astype(bool)
+        pick, owner = pick[odd], owner[odd]
+    if owner.size == 0:
+        return out
+    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    if p == 2:
+        sums = np.bitwise_xor.reduceat(_pack_rows(rows)[pick], starts, axis=0)
+        out[owner[starts]] = _unpack_rows(sums, rows.shape[1])
+    else:
+        terms = rows[pick].astype(np.int64) * coeffs[:, None].astype(np.int64)
+        out[owner[starts]] = np.add.reduceat(terms, starts, axis=0) % p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +477,8 @@ class LinSolver:
     """Gauss-Jordan factorization of M supporting many solves of M x = b.
 
     Row-reduces [M | I] once; each later solve is a single mod-p
-    matrix-vector product with the recorded row-operation matrix E
-    (for p = 2: packed AND + popcount parity).
+    product of the right-hand sides with the recorded row-operation
+    matrix E (for p = 2: packed AND + popcount parity).
     """
 
     def __init__(self, mat: FpMatrix):
@@ -472,20 +503,23 @@ class LinSolver:
         self.rank = len(pivots)
         self._kernel_rows: np.ndarray | None = None
 
-    def _transform(self, b: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            bp = _pack_rows(np.asarray(b, dtype=np.uint8)[None, :])[0]
-            return _parity_matvec(self._E, bp)
-        return matmul_mod(self._E, np.asarray(b, dtype=np.uint8)[:, None], self.p)[:, 0]
-
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         """A particular solution of M x = b, or None if inconsistent."""
-        c = self._transform(b)
-        if c[self.rank:].any():
+        x = self.solve_rows(np.asarray(b, dtype=np.uint8)[None, :])
+        return None if x is None else x[0]
+
+    def solve_rows(self, B: np.ndarray) -> np.ndarray | None:
+        """Row i is solve(B[i]); None if any row is inconsistent."""
+        B = np.asarray(B, dtype=np.uint8)
+        if self.p == 2:
+            C = _parity_products(self._E, _pack_rows(B))
+        else:
+            C = matmul_mod(B, self._E.T, self.p)
+        if C[:, self.rank:].any():
             return None
-        x = np.zeros(self.cols_n, dtype=np.uint8)
-        x[list(self.pivots)] = c[: self.rank]
-        return x
+        X = np.zeros((B.shape[0], self.cols_n), dtype=np.uint8)
+        X[:, list(self.pivots)] = C[:, : self.rank]
+        return X
 
     def second_solution(self, b: np.ndarray) -> np.ndarray | None:
         """A solution differing from solve(b) whenever the kernel is nonzero."""

@@ -318,18 +318,13 @@ class Analyzer:
         classes.  A common scalar changes no span, which is all the flag and
         the Duflot targets read."""
         def make():
-            c = self.center_rank
             if self.p == 2:
-                return self._frobenius(np.eye(c, dtype=np.uint8), 1)
+                return self._frobenius(np.eye(self.center_rank, dtype=np.uint8), 1)
             R1, R2 = self._rank_one_data()
-            solver = LinSolver(FpMatrix(self.p, R2, check=False))
-            cols = []
-            for t in range(c):
-                z = solver.solve(R1[:, t])
-                if z is None:
-                    raise AssertionError("Bockstein system inconsistent")
-                cols.append(z)
-            return np.stack(cols, axis=1)
+            Z = LinSolver(FpMatrix(self.p, R2, check=False)).solve_rows(R1.T)
+            if Z is None:
+                raise AssertionError("Bockstein system inconsistent")
+            return np.ascontiguousarray(Z.T)
         return self._memo("bock", make)
 
     def _frobenius(self, M: np.ndarray, degree: int) -> np.ndarray:

@@ -16,7 +16,10 @@ Cohomology operations (cup products, restriction, inflation, maps
 induced by arbitrary homomorphisms, the coaction of a central
 elementary abelian subgroup) are all computed by lifting module maps
 through the resolutions degree by degree; any particular solution of
-the lifting systems gives the same answer on cohomology.
+the lifting systems gives the same answer on cohomology.  The
+generators of a degree are lifted together: their right-hand sides are
+assembled in chunks of bounded size and solved against the one
+factorization of the target differential.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import FpMatrix, FpSubspace, LinSolver, kernel_basis, matmul_mod, stacked_pivots
+from .fplinalg import (
+    FpMatrix,
+    FpSubspace,
+    LinSolver,
+    kernel_basis,
+    matmul_mod,
+    segment_sums,
+    stacked_pivots,
+)
 from .pgroup import GroupHom, PcPresentation, Subgroup, direct_product, multiplication_hom
 
 
@@ -320,45 +331,8 @@ def kunneth(resA: MinimalResolution, resB: MinimalResolution,
 # ---------------------------------------------------------------------------
 # chain maps
 
-def _apply_map_to_vec(prev_rows: np.ndarray, coords: np.ndarray, vals: np.ndarray,
-                      order_src: int, phi_table: np.ndarray,
-                      tgt_res, width: int, p: int) -> np.ndarray:
-    """Image of a source vector under a module map given on generators.
-
-    prev_rows[w] is the image of source generator w; the vector is
-    sum_{(w,s)} vals * s.e_w, so the image is sum vals * phi(s).prev_rows[w],
-    grouped by the group element s to keep translations vectorized.
-    """
-    if p == 2:
-        out = np.zeros(width, dtype=np.uint8)
-    else:
-        out = np.zeros(width, dtype=np.int64)
-    if coords.size == 0:
-        return out.astype(np.uint8)
-    w_idx = coords // order_src
-    s_idx = coords % order_src
-    gather = tgt_res.pres.left_inv_gather()
-    order_t = tgt_res.order
-    blocks = width // order_t
-    for s in np.unique(s_idx):
-        sel = s_idx == s
-        ws = w_idx[sel]
-        if p == 2:
-            if ws.size == 1:
-                combo = prev_rows[ws[0]]
-            else:
-                combo = np.bitwise_xor.reduce(prev_rows[ws], axis=0)
-        else:
-            combo = (vals[sel].astype(np.int64) @ prev_rows[ws].astype(np.int64)) % p
-        g = int(phi_table[s])
-        moved = combo.reshape(blocks, order_t)[:, gather[g]].ravel()
-        if p == 2:
-            out ^= moved.astype(np.uint8)
-        else:
-            out += moved
-    if p != 2:
-        out %= p
-    return out.astype(np.uint8)
+# bound on the temporaries of one chunk of right-hand sides, in bytes
+_LIFT_CHUNK_BYTES = 2 << 20
 
 
 class ChainMap:
@@ -376,8 +350,8 @@ class ChainMap:
         self.phi = phi_table
         self.shift = shift
         self.maps: list[np.ndarray] = [base_rows]
-        # lift with LinSolver.second_solution, so a test can check that the
-        # answer on cohomology does not depend on the particular solutions
+        # add the first kernel row to every solution, so a test can check that
+        # the answer on cohomology does not depend on the particular solutions
         self._second = _second
 
     def extend_to(self, t_max: int):
@@ -387,24 +361,57 @@ class ChainMap:
             src_deg = self.shift + t
             if src_deg > self.src.top_degree or t > self.tgt.top_degree:
                 raise IndexError("lift exceeds built resolution range")
-            n_gens = self.src.rank(src_deg)
-            width = self.tgt.rank(t) * self.tgt.order
-            prev = self.maps[t - 1]
             solver = self.tgt.solver(t)
-            solve = solver.second_solution if self._second else solver.solve
-            rows = np.zeros((n_gens, width), dtype=np.uint8)
-            for j in range(n_gens):
-                coords, vals = self.src.gen_image_sparse(src_deg, j)
-                rhs = _apply_map_to_vec(
-                    prev, coords, vals, self.src.order, self.phi,
-                    self.tgt, self.tgt.rank(t - 1) * self.tgt.order, p,
-                )
-                x = solve(rhs)
+            rows = np.empty((self.src.rank(src_deg), solver.cols_n), dtype=np.uint8)
+            for lo, hi, images in self._image_chunks(src_deg, self.maps[t - 1]):
+                x = solver.solve_rows(images)
                 if x is None:
                     raise AssertionError("chain-map lift system inconsistent")
-                rows[j] = x
+                rows[lo:hi] = x
+            ker = solver.kernel_rows() if self._second else ()
+            if len(ker):
+                rows = ((rows.astype(np.int64) + ker[0]) % p).astype(np.uint8)
             self.maps.append(rows)
         return self
+
+    def _image_chunks(self, src_deg: int, prev: np.ndarray):
+        """Yield (lo, hi, B): row j - lo of B is the image of d(e_j) under
+        the previous degree's map, for the source generators lo <= j < hi.
+
+        A chunk takes generators until their sparse images hold enough
+        terms to fill about _LIFT_CHUNK_BYTES of translated rows."""
+        width = prev.shape[1]
+        cap = _LIFT_CHUNK_BYTES // (width if self.tgt.p == 2 else 8 * width)
+        parts: list = []
+        size = lo = 0
+        n_gens = self.src.rank(src_deg)
+        for j in range(n_gens):
+            parts.append(self.src.gen_image_sparse(src_deg, j))
+            size += parts[-1][0].size
+            if size >= cap or j == n_gens - 1:
+                yield lo, j + 1, self._images(parts, prev)
+                parts, size, lo = [], 0, j + 1
+
+    def _images(self, parts: list, prev: np.ndarray) -> np.ndarray:
+        """Row i is the image of the source vector given sparsely by parts[i].
+
+        prev[w] is the image of source generator w, so a term v.s.e_w maps
+        to v.phi(s).prev[w]; each distinct (phi(s), w) is translated once."""
+        order, n_prev, width = self.tgt.order, len(prev), prev.shape[1]
+        owner = np.repeat(np.arange(len(parts)), [c.size for c, _ in parts])
+        coords = np.concatenate([c for c, _ in parts])
+        keys = self.phi[coords % self.src.order] * n_prev + coords // self.src.order
+        pairs, pick = np.unique(keys, return_inverse=True)
+        g, w = np.divmod(pairs, n_prev)
+        prev_blocks = prev.reshape(n_prev, width // order, order)
+        moved = np.empty((len(pairs),) + prev_blocks.shape[1:], dtype=np.uint8)
+        gather = self.tgt.pres.left_inv_gather()
+        cuts = np.flatnonzero(np.r_[True, g[1:] != g[:-1], True])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            np.take(prev_blocks[w[a:b]], gather[g[a]], axis=2, out=moved[a:b])
+        vals = np.concatenate([v for _, v in parts])
+        return segment_sums(moved.reshape(len(pairs), width), pick, vals, owner,
+                            len(parts), self.tgt.p)
 
     def functional_matrix(self, t: int) -> np.ndarray:
         """Matrix of f -> f o (this map) in degree t: shape (src rank, tgt rank)."""
@@ -574,11 +581,14 @@ class CohomologyFragment:
         return cup_product(self.res, f, g)
 
     def decomposable_subspace(self, k: int) -> FpSubspace:
-        """Span of all products of positive-degree classes in degree k."""
+        """Span of all products of positive-degree classes in degree k.
+
+        Only the products f.g with deg g <= k/2 are formed, since
+        f.g = +-g.f; classes above degree k/2 are never lifted."""
         got = self._decomp.get(k)
         if got is None:
             rows = []
-            for i in range(1, k):
+            for i in range(1, k // 2 + 1):
                 for g in self.basis(i):
                     M = multiplication_matrix(self.res, g, k - i)
                     rows.extend(M.T)  # column u is (basis_u of H^{k-i}) * g

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from centdet import fplinalg
 from centdet.fplinalg import (
     FpMatrix,
     FpSubspace,
@@ -278,6 +281,39 @@ def test_linsolver_detects_inconsistency():
     m = FpMatrix(2, [[1, 0], [1, 0]])
     solver = LinSolver(m)
     assert solver.solve(np.array([1, 0], dtype=np.uint8)) is None
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    rows=st.integers(0, 10),
+    cols=st.integers(1, 12),
+    nrhs=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=80, deadline=None)
+def test_solve_rows_matches_stacked_solves(p, rows, cols, nrhs, seed):
+    rng = np.random.default_rng(seed)
+    M = low_rank_array(seed, p, rows, cols).astype(np.uint8)
+    solver = LinSolver(FpMatrix(p, M, check=False))
+    B = matmul_mod(rng.integers(0, p, size=(nrhs, cols)), M.T, p)
+    X = solver.solve_rows(B)
+    assert X.shape == (nrhs, cols) and X.dtype == np.uint8
+    assert np.array_equal(X, np.stack([solver.solve(b) for b in B]))
+    # each row solves M x = b and vanishes off the pivots, which pins it down
+    assert np.array_equal(matmul_mod(X, M.T, p), B)
+    free = np.setdiff1d(np.arange(cols), solver.pivots)
+    assert not X[:, free].any()
+    with mock.patch.object(fplinalg, "_CHUNK_BYTES", 0):  # one row per chunk
+        assert np.array_equal(solver.solve_rows(B), X)
+    if solver.rank < rows:
+        # y M = 0 with y[c] != 0, so adding e_c to a consistent row breaks it
+        y = kernel_basis(FpMatrix(p, M.T, check=False)).basis.arr[0]
+        c = int(np.flatnonzero(y)[0])
+        bad = B.copy()
+        i = int(rng.integers(nrhs))
+        bad[i, c] = (int(bad[i, c]) + 1) % p
+        assert solver.solve(bad[i]) is None
+        assert solver.solve_rows(bad) is None
 
 
 def test_subspace_hashable_and_equal():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from centdet import resolution
+from centdet.catalog import builtin
 from centdet.fplinalg import FpMatrix, FpSubspace, kernel_basis, matmul_mod, rref
 from centdet.pgroup import (
     PcPresentation,
@@ -203,7 +205,7 @@ def test_cup_anticommutative_odd_p():
     g = Cocycle(1, [0, 1])
     fg = cup_product(res, f, g).vec.astype(np.int64)
     gf = cup_product(res, g, f).vec.astype(np.int64)
-    assert not fg.any() == False  # fg is nonzero
+    assert fg.any()
     assert ((fg + gf) % 3 == 0).all()
 
 
@@ -504,11 +506,131 @@ def test_comodule_coassociativity_z4():
             assert lhs == rhs2
 
 
+# ---------------------------------------------------------------------------
+# batched chain-map lifts against the per-generator reference
+
+
+def apply_map_to_vec(prev_rows, coords, vals, order_src, phi_table, tgt_res, width, p):
+    """Image of a source vector under a module map given on generators.
+
+    prev_rows[w] is the image of source generator w; the vector is
+    sum_{(w,s)} vals * s.e_w, so the image is sum vals * phi(s).prev_rows[w],
+    grouped by the group element s to keep translations vectorized.
+    """
+    if p == 2:
+        out = np.zeros(width, dtype=np.uint8)
+    else:
+        out = np.zeros(width, dtype=np.int64)
+    if coords.size == 0:
+        return out.astype(np.uint8)
+    w_idx = coords // order_src
+    s_idx = coords % order_src
+    gather = tgt_res.pres.left_inv_gather()
+    order_t = tgt_res.order
+    blocks = width // order_t
+    for s in np.unique(s_idx):
+        sel = s_idx == s
+        ws = w_idx[sel]
+        if p == 2:
+            if ws.size == 1:
+                combo = prev_rows[ws[0]]
+            else:
+                combo = np.bitwise_xor.reduce(prev_rows[ws], axis=0)
+        else:
+            combo = (vals[sel].astype(np.int64) @ prev_rows[ws].astype(np.int64)) % p
+        g = int(phi_table[s])
+        moved = combo.reshape(blocks, order_t)[:, gather[g]].ravel()
+        if p == 2:
+            out ^= moved.astype(np.uint8)
+        else:
+            out += moved
+    if p != 2:
+        out %= p
+    return out.astype(np.uint8)
+
+
+def reference_maps(cm, t_max):
+    """The lifts of cm, one generator and one solve at a time."""
+    p = cm.tgt.p
+    maps = [cm.maps[0]]
+    for t in range(1, t_max + 1):
+        src_deg = cm.shift + t
+        solver = cm.tgt.solver(t)
+        solve = solver.second_solution if cm._second else solver.solve
+        rows = np.zeros((cm.src.rank(src_deg), solver.cols_n), dtype=np.uint8)
+        for j in range(len(rows)):
+            coords, vals = cm.src.gen_image_sparse(src_deg, j)
+            rhs = apply_map_to_vec(maps[t - 1], coords, vals, cm.src.order, cm.phi,
+                                   cm.tgt, maps[t - 1].shape[1], p)
+            rows[j] = solve(rhs)
+        maps.append(rows)
+    return maps
+
+
+def cocycle_case(G, N, degree, seed, second=False):
+    res = build_minimal_resolution(G, N)
+    vec = np.random.default_rng(seed).integers(0, G.p, size=res.rank(degree))
+    vec[0] = 1
+    return resolution._cocycle_chain(res, Cocycle(degree, vec), second), N - degree
+
+
+def restriction_case(G, N):
+    res = build_minimal_resolution(G, N)
+    presH, embedH, _ = subgroup_presentation(G, maximal_subgroups(G)[0])
+    return induced_map(embedH, build_minimal_resolution(presH, N), res)._chain, N
+
+
+def comodule_case(G, N):
+    return build_comodule(G, N)[2]._induced._chain, N
+
+
+LIFT_CASES = {
+    "Q8-cocycle": lambda: cocycle_case(Q8, 7, 2, 0),
+    "Q8-cocycle-second": lambda: cocycle_case(Q8, 7, 1, 1, second=True),
+    "32#18-cocycle": lambda: cocycle_case(builtin("32#18").pres, 6, 2, 2),
+    "E27-restriction": lambda: restriction_case(E27, 6),
+    "D8-comodule": lambda: comodule_case(D8, 5),
+    "E27-comodule": lambda: comodule_case(E27, 4),
+}
+
+
+@pytest.mark.parametrize("one_per_chunk", [False, True], ids=["chunked", "one-per-chunk"])
+@pytest.mark.parametrize("case", list(LIFT_CASES))
+def test_batched_lifts_match_per_generator_reference(case, one_per_chunk, monkeypatch):
+    if one_per_chunk:
+        monkeypatch.setattr(resolution, "_LIFT_CHUNK_BYTES", 0)
+    cm, t_max = LIFT_CASES[case]()
+    if one_per_chunk:
+        chunks = list(cm._image_chunks(cm.shift + 1, cm.maps[0]))
+        assert [hi - lo for lo, hi, _ in chunks] == [1] * cm.src.rank(cm.shift + 1)
+    cm.extend_to(t_max)
+    want = reference_maps(cm, t_max)
+    assert len(cm.maps) == len(want)
+    for t, (got, ref) in enumerate(zip(cm.maps, want)):
+        assert got.dtype == np.uint8 and np.array_equal(got, ref), t
+
+
+# ---------------------------------------------------------------------------
+# ring fragment
+
+
 def test_fragment_generators():
     res = build_minimal_resolution(Q8, 6)
     frag = CohomologyFragment(res)
     # H*(Q8): two degree-1 generators and the degree-4 periodicity class
     assert frag.generator_counts(5) == [0, 2, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("name", ["Q8", "D8xZ4", "E27"])
+def test_decomposables_match_all_explicit_products(name):
+    G = builtin(name).pres if name == "D8xZ4" else {"Q8": Q8, "E27": E27}[name]
+    res = build_minimal_resolution(G, 6)
+    frag = CohomologyFragment(res)
+    for k in range(2, 7):
+        products = [cup_product(res, f, g).vec
+                    for i in range(1, k) for f in frag.basis(i) for g in frag.basis(k - i)]
+        want = FpSubspace.from_spanning(res.p, res.rank(k), np.array(products))
+        assert frag.decomposable_subspace(k) == want, k
 
 
 def test_fragment_generators_w32():
