@@ -376,7 +376,7 @@ def parse_pcp(text: str) -> PcPresentation:
         elif parts[0] == "pow":
             if p is None or n is None:
                 raise PcpFormatError(line_no, "pow before p/gens header")
-            if len(parts) < 4 or parts[2] != "=":
+            if len(parts) < 4 or parts[2] != "=" or not parts[1].isdigit():
                 raise PcpFormatError(line_no, "expected 'pow i = <word>'")
             i = int(parts[1])
             if not (1 <= i <= n):
@@ -390,7 +390,8 @@ def parse_pcp(text: str) -> PcPresentation:
         elif parts[0] == "comm":
             if p is None or n is None:
                 raise PcpFormatError(line_no, "comm before p/gens header")
-            if len(parts) < 5 or parts[3] != "=":
+            if (len(parts) < 5 or parts[3] != "="
+                    or not (parts[1].isdigit() and parts[2].isdigit())):
                 raise PcpFormatError(line_no, "expected 'comm j i = <word>'")
             j, i = int(parts[1]), int(parts[2])
             if not (1 <= i < j <= n):

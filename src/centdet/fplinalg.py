@@ -234,9 +234,6 @@ class FpMatrix:
         prod = matmul_mod(self.arr, other.arr, self.p)
         return FpMatrix(self.p, prod, check=False)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return matmul_mod(self.arr, np.asarray(v, dtype=np.uint8)[:, None], self.p)[:, 0]
-
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p via int64 accumulation."""
@@ -261,6 +258,8 @@ class FpSubspace:
 
     @classmethod
     def from_spanning(cls, p: int, ambient_dim: int, rows) -> "FpSubspace":
+        if ambient_dim == 0:  # reshape(-1, 0) is ambiguous; F_p^0 has one subspace
+            return cls.zero(p, 0)
         arr = np.asarray(rows, dtype=np.uint8).reshape(-1, ambient_dim) % p
         R, pivots = _rref_array(arr, p)
         return cls(p, ambient_dim, FpMatrix(p, R[: len(pivots)], check=False), pivots)

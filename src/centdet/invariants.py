@@ -643,19 +643,8 @@ class Analyzer:
     def qualifying_reps(self) -> list[Subgroup]:
         """Conjugacy representatives V with V = C(C_G(V)), including C."""
         def make():
-            out = []
-            for obj in self.category.objects:
-                V = obj.rep
-                K = centralizer(self.G, V)
-                kelems = set(K.elems)
-                socle = [
-                    x for x in K.elems
-                    if self.G.pth_power(x) == 0
-                    and all(self.G.comm(x, y) == 0 for y in K.elems)
-                ]
-                if sorted(socle) == list(V.elems):
-                    out.append(V)
-            return out
+            return [o.rep for o in self.category.objects
+                    if omega1_center(self.G, centralizer(self.G, o.rep)) == o.rep]
         return self._memo("qreps", make)
 
     def d0_general(self) -> tuple[int, bool]:

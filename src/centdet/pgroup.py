@@ -10,11 +10,19 @@ exponent vectors in mixed radix, with 0 the identity.
 Consistency is not taken on trust: construction builds the right-
 multiplication permutation action from collection and then verifies
 every defining relation as a permutation identity on all of G.
+
+The subgroup predicates (center, centralizer, normalizer, Omega_1 of a
+center, the elementary abelian enumeration) read two memoized arrays
+derived from the multiplication table: ``commute_table`` (xy = yx) and
+``order_p_mask`` (x^p = 1).  The element accessors ``comm``,
+``pth_power`` and ``conj`` remain for collection and for validating
+homomorphisms.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +68,8 @@ class PcPresentation:
             self._verify_relations()
         self._mult_table: np.ndarray | None = None
         self._inv_table: np.ndarray | None = None
+        self._commute_table: np.ndarray | None = None
+        self._order_p_mask: np.ndarray | None = None
         self._left_inv_gather: np.ndarray | None = None
         self._sub_pres_cache: dict = {}
         self._radix = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
@@ -246,6 +256,24 @@ class PcPresentation:
             self._inv_table = inv
         return self._inv_table
 
+    def commute_table(self) -> np.ndarray:
+        """Boolean matrix whose (x, y) entry says xy = yx."""
+        if self._commute_table is None:
+            tbl = self.mult_table()
+            self._commute_table = tbl == tbl.T
+        return self._commute_table
+
+    def order_p_mask(self) -> np.ndarray:
+        """Boolean vector whose x entry says x^p = 1 (the identity included)."""
+        if self._order_p_mask is None:
+            tbl = self.mult_table()
+            x = np.arange(self.order)
+            power = x
+            for _ in range(self.p - 1):
+                power = tbl[power, x]
+            self._order_p_mask = power == 0
+        return self._order_p_mask
+
     def left_inv_gather(self) -> np.ndarray:
         """Array L with L[g, x] = g^-1 x, so (g.v)[x] = v[L[g, x]]."""
         if self._left_inv_gather is None:
@@ -301,23 +329,14 @@ class Subgroup:
 
     @classmethod
     def generate(cls, parent: PcPresentation, gens) -> "Subgroup":
-        elems = closure(parent, gens)
-        return cls(parent, elems, gens)
+        return cls(parent, closure(parent.mult, 0, gens), gens)
 
     @property
     def order(self) -> int:
         return len(self.elems)
 
-    def contains(self, x: int) -> bool:
-        return x in set(self.elems)
-
-    def is_abelian(self) -> bool:
-        G = self.parent
-        return all(G.comm(a, b) == 0 for a in self.elems for b in self.elems)
-
     def is_elementary_abelian(self) -> bool:
-        G = self.parent
-        return self.is_abelian() and all(G.pth_power(a) == 0 for a in self.elems)
+        return omega1_center(self.parent, self).order == self.order
 
     @property
     def rank(self) -> int:
@@ -348,24 +367,21 @@ class Subgroup:
         return f"Subgroup(order={self.order})"
 
 
-def closure(G: PcPresentation, gens) -> list[int]:
-    seen = {0}
-    frontier = [0]
-    gset = [int(g) for g in gens]
+def closure(mult, ident, gens) -> set:
+    """Elements of the subgroup generated by gens, by BFS under mult."""
+    seen = {ident}
+    frontier = [ident]
+    gens = list(gens)
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gset:
-                y = G.mult(x, g)
+            for g in gens:
+                y = mult(x, g)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen)
-
-
-def trivial_subgroup(G: PcPresentation) -> Subgroup:
-    return Subgroup(G, [0])
+    return seen
 
 
 def whole_group(G: PcPresentation) -> Subgroup:
@@ -385,69 +401,65 @@ def normal_form(G: PcPresentation, word) -> tuple:
 
 
 def center(G: PcPresentation) -> Subgroup:
-    gens = G.generators()
-    elems = [x for x in range(G.order) if all(G.comm(x, g) == 0 for g in gens)]
-    return Subgroup(G, elems)
+    return centralizer(G, whole_group(G))
 
 
-def omega1_center(G: PcPresentation) -> Subgroup:
-    """Largest central elementary abelian subgroup: order-p part of the center."""
-    Z = center(G)
-    elems = [x for x in Z.elems if G.pth_power(x) == 0]
-    return Subgroup(G, elems)
+def omega1_center(G: PcPresentation, S: Subgroup | None = None) -> Subgroup:
+    """Omega_1 Z(S), the largest central elementary abelian subgroup of S
+    (default G): the elements of S of order dividing p that commute with S."""
+    if S is None:
+        S = whole_group(G)
+    elems = np.array(S.elems)
+    central = G.commute_table()[np.ix_(elems, S.gens or S.elems)].all(axis=1)
+    return Subgroup(G, elems[central & G.order_p_mask()[elems]])
 
 
 def is_p_central(G: PcPresentation) -> bool:
     """True iff every element of order p is central."""
-    C = set(omega1_center(G).elems)
-    return all(x in C for x in range(G.order) if G.pth_power(x) == 0)
+    return omega1_center(G).order == int(G.order_p_mask().sum())
 
 
 def centralizer(G: PcPresentation, S: Subgroup) -> Subgroup:
-    gens = S.gens if S.gens else S.elems
-    elems = [x for x in range(G.order) if all(G.comm(x, g) == 0 for g in gens)]
-    return Subgroup(G, elems)
+    commute = G.commute_table()[:, S.gens or S.elems]
+    return Subgroup(G, np.flatnonzero(commute.all(axis=1)))
 
 
 def normalizer(G: PcPresentation, S: Subgroup) -> Subgroup:
-    sset = set(S.elems)
-    elems = [
-        g for g in range(G.order)
-        if all(G.conj(x, g) in sset for x in S.elems)
-    ]
-    return Subgroup(G, elems)
+    """Elements g with g^-1 s g in S for every s in S, gathered through the table."""
+    tbl = G.mult_table()
+    conj = tbl[tbl[G.inv_table()[:, None], S.elems], np.arange(G.order)[:, None]]
+    inside = np.zeros(G.order, dtype=bool)
+    inside[list(S.elems)] = True
+    return Subgroup(G, np.flatnonzero(inside[conj].all(axis=1)))
 
 
 def elementary_abelian_subgroups(
     G: PcPresentation, containing: Subgroup | None = None
 ) -> list[Subgroup]:
-    """All elementary abelian subgroups, smallest first; brute-force closure."""
-    invol = [x for x in range(1, G.order) if G.pth_power(x) == 0]
-    base: Subgroup
-    if containing is not None:
-        if not containing.is_elementary_abelian():
-            return []
-        base = containing
-    else:
-        base = trivial_subgroup(G)
+    """All elementary abelian subgroups, smallest first; each found as
+    S<x> = S.<x> for a smaller one S and an order-p x centralizing S."""
+    if containing is not None and not containing.is_elementary_abelian():
+        return []
+    base = containing if containing is not None else Subgroup(G, [0])
+    tbl, commute, order_p = G.mult_table(), G.commute_table(), G.order_p_mask()
     found: dict[tuple, Subgroup] = {base.elems: base}
     frontier = [base]
     while frontier:
         nxt = []
         for S in frontier:
-            sset = set(S.elems)
-            for x in invol:
-                if x in sset:
-                    continue
-                if any(G.comm(x, s) != 0 for s in S.elems):
-                    continue
-                bigger = Subgroup.generate(G, list(S.gens or S.elems) + [x])
+            admissible = order_p & commute[:, S.elems].all(axis=1)
+            admissible[list(S.elems)] = False
+            for x in np.flatnonzero(admissible).tolist():
+                powers = [0, x]
+                for _ in range(G.p - 2):
+                    powers.append(int(tbl[powers[-1], x]))
+                bigger = Subgroup(G, tbl[np.ix_(S.elems, powers)].ravel(),
+                                  list(S.gens or S.elems) + [x])
                 if bigger.elems not in found:
                     found[bigger.elems] = bigger
                     nxt.append(bigger)
         frontier = nxt
-    out = sorted(found.values(), key=lambda s: (s.order, s.elems))
-    return out
+    return sorted(found.values(), key=lambda s: (s.order, s.elems))
 
 
 def p_rank(G: PcPresentation) -> int:
@@ -467,10 +479,9 @@ def maximal_subgroups(G: PcPresentation) -> list[Subgroup]:
         basis = hom_space.basis.arr
     else:
         basis = np.eye(n, dtype=np.uint8)
-    d = len(basis)
     seen = set()
     out = []
-    for coeffs in _nonzero_tuples(p, d):
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
         v = np.zeros(n, dtype=np.int64)
         for c, row in zip(coeffs, basis):
             v = (v + c * row.astype(np.int64)) % p
@@ -491,19 +502,6 @@ def maximal_subgroups(G: PcPresentation) -> list[Subgroup]:
         out.append(Subgroup(G, elems))
     out.sort(key=lambda s: s.elems)
     return out
-
-
-def _nonzero_tuples(p, d):
-    if d == 0:
-        return
-    total = p ** d
-    for m in range(1, total):
-        e = []
-        mm = m
-        for _ in range(d):
-            e.append(mm % p)
-            mm //= p
-        yield tuple(e)
 
 
 @dataclass
@@ -641,28 +639,13 @@ def pc_structure(elems, mult, inv, p):
             x = mult(x, a)
         return x
 
-    def gen_closure(seed):
-        seen = {ident}
-        frontier = [ident]
-        seeds = list(seed)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in seeds:
-                    y = mult(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
     # lower p-central series
     series = [set(elems)]
     while len(series[-1]) > 1:
         cur = series[-1]
         gens = {comm(a, g) for a in cur for g in elems} | {pth(a) for a in cur}
         gens.discard(ident)
-        nxt = gen_closure(gens)
+        nxt = closure(mult, ident, gens)
         if nxt == cur:
             raise PcPresentationError("p-central series does not descend; not a p-group")
         series.append(nxt)
@@ -678,7 +661,7 @@ def pc_structure(elems, mult, inv, p):
             if x not in spanned:
                 pcgs.append(x)
                 span_gens.append(x)
-                spanned = gen_closure(span_gens)
+                spanned = closure(mult, ident, span_gens)
             if spanned == layer:
                 break
 
@@ -687,7 +670,7 @@ def pc_structure(elems, mult, inv, p):
     tails = [None] * (n + 1)
     tails[n] = {ident}
     for t in range(n - 1, -1, -1):
-        tails[t] = gen_closure(pcgs[t:])
+        tails[t] = closure(mult, ident, pcgs[t:])
 
     def to_exp(x):
         e = []
@@ -740,12 +723,15 @@ def subgroup_presentation(G: PcPresentation, S: Subgroup):
     return result
 
 
+def _require_central(G: PcPresentation, S: Subgroup):
+    if not set(S.elems) <= set(center(G).elems):
+        raise PcPresentationError("subgroup is not central")
+
+
 def quotient_by_central(G: PcPresentation, Z: Subgroup):
     """Quotient presentation by a central subgroup plus the projection hom."""
-    Zset = set(Z.elems)
+    _require_central(G, Z)
     gens = G.generators()
-    if any(G.comm(z, g) != 0 for z in Z.elems for g in gens):
-        raise PcPresentationError("subgroup is not central")
     # canonical coset labels: minimum element of the coset
     label = np.full(G.order, -1, dtype=np.int64)
     cosets = []
@@ -793,9 +779,8 @@ def multiplication_hom(G: PcPresentation, C: Subgroup):
     Returns (product presentation of C x G, presentation of C, embedding
     of C into G, the multiplication hom).
     """
+    _require_central(G, C)
     gens = G.generators()
-    if any(G.comm(c, g) != 0 for c in C.elems for g in gens):
-        raise PcPresentationError("subgroup is not central")
     presC, embedC, _ = subgroup_presentation(G, C)
     prod = direct_product(presC, G)
     images = [embedC.apply(g) for g in presC.generators()] + gens
@@ -825,20 +810,13 @@ class QuillenCategoryAC:
     member_index: dict  # elems-tuple -> (object position, conjugator)
 
     def weyl_reps(self, obj: QuillenObject) -> list[int]:
-        """Coset representatives of C_G(V) in N_G(V) for V the class rep."""
+        """Coset representatives of C_G(V) in N_G(V) for V the class rep:
+        the least element of each coset C_G(V) x."""
         G = self.G
-        V = obj.rep
-        N = normalizer(G, V)
-        Ce = centralizer(G, V)
-        cset = set(Ce.elems)
-        reps = []
-        seen = set()
-        for x in N.elems:
-            coset = frozenset(G.mult(c, x) for c in cset)
-            if coset not in seen:
-                seen.add(coset)
-                reps.append(x)
-        return reps
+        N = np.array(normalizer(G, obj.rep).elems)
+        K = centralizer(G, obj.rep).elems
+        least = G.mult_table()[np.ix_(K, N)].min(axis=0)
+        return N[least == N].tolist()
 
 
 def quillen_category_AC(G: PcPresentation) -> QuillenCategoryAC:

@@ -245,7 +245,6 @@ class TensorResolution(MinimalResolution):
         self.orderA = resA.order
         self.orderB = resB.order
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
-        self._pos: dict[int, dict[tuple[int, int, int], int]] = {}
         self._sparse: dict = {}
         self.extend_to(min(resA.top_degree, resB.top_degree))
 
@@ -270,12 +269,13 @@ class TensorResolution(MinimalResolution):
                 for v in range(self.resB.betti[k - i])
             ]
             self._pairs[k] = got
-            self._pos[k] = {t: j for j, t in enumerate(got)}
         return got
 
-    def pair_pos(self, k: int, triple: tuple[int, int, int]) -> int:
-        self.pairs(k)
-        return self._pos[k][triple]
+    def pair_pos(self, k: int, triple):
+        """Position of (i, u, v) in pairs(k); u and v may be integer arrays."""
+        i, u, v = triple
+        bA, bB = self.resA.betti, self.resB.betti
+        return sum(bA[t] * bB[k - t] for t in range(i)) + u * bB[k - i] + v
 
     def gen_image_sparse(self, k: int, j: int):
         key = (k, j)
@@ -290,20 +290,14 @@ class TensorResolution(MinimalResolution):
             alpha = self.resA.gen_image_row(i, u)
             nz = np.flatnonzero(alpha)
             u_prime, a = nz // self.orderA, nz % self.orderA
-            pos = np.array(
-                [self.pair_pos(k - 1, (i - 1, int(up), v)) for up in u_prime],
-                dtype=np.int64,
-            )
+            pos = self.pair_pos(k - 1, (i - 1, u_prime, v))
             coords.append(pos * self.order + a * self.orderB)
             vals.append(alpha[nz])
         if jj >= 1:
             beta = self.resB.gen_image_row(jj, v)
             nz = np.flatnonzero(beta)
             v_prime, b = nz // self.orderB, nz % self.orderB
-            pos = np.array(
-                [self.pair_pos(k - 1, (i, u, int(vp))) for vp in v_prime],
-                dtype=np.int64,
-            )
+            pos = self.pair_pos(k - 1, (i, u, v_prime))
             sign = 1 if (i % 2 == 0 or self.p == 2) else self.p - 1
             coords.append(pos * self.order + b)
             vals.append((beta[nz].astype(np.int64) * sign % self.p).astype(np.uint8))
@@ -380,8 +374,8 @@ class ChainMap:
 
         A chunk takes generators until their sparse images hold enough
         terms to fill about _LIFT_CHUNK_BYTES of translated rows."""
-        width = prev.shape[1]
-        cap = _LIFT_CHUNK_BYTES // (width if self.tgt.p == 2 else 8 * width)
+        width = prev.shape[1]  # 0 when the target has rank 0 (the trivial group)
+        cap = _LIFT_CHUNK_BYTES // max(1, width if self.tgt.p == 2 else 8 * width)
         parts: list = []
         size = lo = 0
         n_gens = self.src.rank(src_deg)

@@ -69,6 +69,13 @@ def test_pcp_rejects_bad_word():
         parse_pcp("p 2\ngens 2\npow 1 = h2^1\n")
 
 
+@pytest.mark.parametrize("line", ["pow x = g2^1", "comm 2 y = g3^1", "comm z 1 = g3^1"])
+def test_pcp_rejects_non_integer_index(line):
+    with pytest.raises(PcpFormatError) as ei:
+        parse_pcp(f"p 2\ngens 3\n{line}\n")
+    assert ei.value.line_no == 3 and str(ei.value).startswith("line 3:")
+
+
 def test_pcp_rejects_non_prime():
     with pytest.raises(ValueError):
         parse_pcp("p 4\ngens 1\n")
@@ -189,6 +196,18 @@ def test_cli_cess(capsys):
     data = json.loads(out)
     assert data["e_prime"] == 2
     assert data["e_double_prime"] == 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cli_cess_trivial_group(capsys, tmp_path, p):
+    path = str(tmp_path / f"trivial{p}.pcp")
+    with open(path, "w") as fh:
+        fh.write(f"p {p}\ngens 0\n")
+    code, out = run_cli(capsys, "cess", path, "--degree", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert data["cess_dims"] == [1, 0, 0, 0, 0]
+    assert data["e_prime"] == 0 and data["e_double_prime"] == 0
 
 
 def test_cli_table_csv(capsys, tmp_path):

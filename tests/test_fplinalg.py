@@ -146,6 +146,12 @@ def test_intersect_trivial():
     assert intersect(a, zero) == zero
 
 
+@pytest.mark.parametrize("rows", [[], [[]], np.zeros((3, 0), dtype=np.uint8)])
+def test_from_spanning_zero_ambient(rows):
+    for p in (2, 3):
+        assert FpSubspace.from_spanning(p, 0, rows) == FpSubspace.zero(p, 0)
+
+
 def test_kronecker():
     i2 = FpMatrix.identity(2, 2)
     i3 = FpMatrix.identity(2, 3)

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from centdet.catalog import builtin
 from centdet.pgroup import (
     GroupHom,
     InconsistentPresentationError,
@@ -344,3 +347,152 @@ def test_center_order_by_enumeration():
             if all(G.comm(x, g) == 0 for g in gens)
         )
         assert n_central == center(G).order
+
+
+# ---------------------------------------------------------------------------
+# the table-based predicates against their textbook definitions, computed
+# element by element from G.mult and G.inv only
+
+# the universal 3-central group of order 3^5 and the extraspecial group of
+# order 27 and exponent 3, as W23 and H27 in test_invariants.py
+W23 = PcPresentation(
+    3, 5,
+    [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0,) * 5, (0,) * 5, (0,) * 5],
+    {(1, 0): (0, 0, 0, 0, 1)},
+)
+H27 = PcPresentation(3, 3, [(0, 0, 0)] * 3, {(1, 0): (0, 0, 1)})
+REFERENCE_GROUPS = ["V4", "D8", "Q8", "32#18", "D8xZ4", "64#187", "W23", "H27", "D16xD8"]
+
+
+class Reference:
+    """Definitions evaluated one element at a time."""
+
+    def __init__(self, G):
+        self.G = G
+        self.n = G.order
+        self.mul = [[G.mult(a, b) for b in range(self.n)] for a in range(self.n)]
+        self.inv = [G.inv(a) for a in range(self.n)]
+
+    def commutes(self, x, y):
+        return self.mul[x][y] == self.mul[y][x]
+
+    def has_order_dividing_p(self, x):
+        y = 0
+        for _ in range(self.G.p):
+            y = self.mul[y][x]
+        return y == 0
+
+    def centralizer(self, S):
+        return [g for g in range(self.n) if all(self.commutes(g, s) for s in S)]
+
+    def normalizer(self, S):
+        inside = set(S)
+        return [g for g in range(self.n)
+                if all(self.mul[self.mul[self.inv[g]][s]][g] in inside for s in S)]
+
+    def omega1_center(self, S):
+        return [x for x in S
+                if self.has_order_dividing_p(x) and all(self.commutes(x, s) for s in S)]
+
+    def is_elementary_abelian(self, S):
+        return (all(self.has_order_dividing_p(x) for x in S)
+                and all(self.commutes(x, y) for x in S for y in S))
+
+    def closure(self, gens):
+        seen, frontier = {0}, [0]
+        while frontier:
+            frontier = [y for y in {self.mul[x][g] for x in frontier for g in gens}
+                        if y not in seen]
+            seen.update(frontier)
+        return tuple(sorted(seen))
+
+    def elementary_abelian_subgroups(self, containing=None):
+        """The breadth-first enumerator the table-based one replaced:
+        (elems, gens) pairs, smallest first."""
+        if containing is None:
+            base = ((0,), ())
+        elif self.is_elementary_abelian(containing.elems):
+            base = (containing.elems, containing.gens)
+        else:
+            return []
+        order_p = [x for x in range(1, self.n) if self.has_order_dividing_p(x)]
+        found = {base[0]: base}
+        frontier = [base]
+        while frontier:
+            nxt = []
+            for elems, gens in frontier:
+                for x in order_p:
+                    if x in elems or not all(self.commutes(x, s) for s in elems):
+                        continue
+                    bigger_gens = tuple(gens or elems) + (x,)
+                    bigger = self.closure(bigger_gens)
+                    if bigger not in found:
+                        found[bigger] = (bigger, bigger_gens)
+                        nxt.append(found[bigger])
+            frontier = nxt
+        return sorted(found.values(), key=lambda s: (len(s[0]), s[0]))
+
+    def weyl_reps(self, N, K):
+        """First element of each coset K x met in N, by frozenset cosets."""
+        reps, seen = [], set()
+        for x in N:
+            coset = frozenset(self.mul[c][x] for c in K)
+            if coset not in seen:
+                seen.add(coset)
+                reps.append(x)
+        return reps
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(name):
+    fixed = {"V4": V4, "D8": D8, "Q8": Q8, "W23": W23, "H27": H27}
+    return Reference(fixed[name] if name in fixed else builtin(name).pres)
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_center_and_p_centrality_match_definitions(name):
+    ref = _reference(name)
+    G = ref.G
+    Z = ref.centralizer(range(G.order))
+    assert list(center(G).elems) == Z
+    assert list(omega1_center(G).elems) == ref.omega1_center(Z)
+    p_central = all(x in Z for x in range(G.order) if ref.has_order_dividing_p(x))
+    assert is_p_central(G) is p_central
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_elementary_abelian_enumeration_matches_bfs_reference(name):
+    ref = _reference(name)
+    G = ref.G
+    C = omega1_center(G)
+    for containing in (None, C):
+        got = elementary_abelian_subgroups(G, containing=containing)
+        expect = ref.elementary_abelian_subgroups(containing)
+        assert [(S.elems, S.gens, S.order) for S in got] == \
+            [(elems, gens, len(elems)) for elems, gens in expect]
+        assert all(S.is_elementary_abelian() for S in got)
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_centralizers_and_normalizers_match_definitions(name):
+    ref = _reference(name)
+    G = ref.G
+    socles = {}
+    for V in elementary_abelian_subgroups(G):
+        K = centralizer(G, V)
+        assert list(K.elems) == ref.centralizer(V.elems)
+        assert list(normalizer(G, V).elems) == ref.normalizer(V.elems)
+        if K.elems not in socles:
+            socles[K.elems] = ref.omega1_center(K.elems)
+            assert K.is_elementary_abelian() == ref.is_elementary_abelian(K.elems)
+        assert list(omega1_center(G, K).elems) == socles[K.elems]
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_weyl_reps_match_coset_loop(name):
+    ref = _reference(name)
+    cat = quillen_category_AC(ref.G)
+    for obj in cat.objects:
+        V = obj.rep.elems
+        expect = ref.weyl_reps(ref.normalizer(V), ref.centralizer(V))
+        assert cat.weyl_reps(obj) == expect

@@ -442,6 +442,27 @@ def test_comodule_restriction_compatibility():
         assert np.array_equal(M[rows], rmap.matrix(k))
 
 
+def test_pair_pos_matches_pairs_index():
+    # the closed-form position agrees with the enumerated pair list, for
+    # scalar triples and for u or v given as arrays
+    _, _, cm = build_comodule(builtin("D8xZ4").pres, 6)
+    kun = cm.kun
+    for k in range(7):
+        pairs = kun.pairs(k)
+        for j, triple in enumerate(pairs):
+            assert kun.pair_pos(k, triple) == pairs.index(triple) == j
+        for i in range(k + 1):
+            bA, bB = kun.resA.betti[i], kun.resB.betti[k - i]
+            for u in range(bA):
+                vs = np.arange(bB)
+                expect = [pairs.index((i, u, v)) for v in vs]
+                assert kun.pair_pos(k, (i, u, vs)).tolist() == expect
+            for v in range(bB):
+                us = np.arange(bA)
+                expect = [pairs.index((i, u, v)) for u in us]
+                assert kun.pair_pos(k, (i, us, v)).tolist() == expect
+
+
 def test_comodule_primitives_of_self():
     # over itself, an elementary abelian group has primitives only in degree 0
     V = elem_abelian(2, 2)
