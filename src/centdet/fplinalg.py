@@ -2,9 +2,15 @@
 
 Everything downstream reduces to the row-reduction kernels in this
 module.  For p = 2, rows are packed into 64-bit words and eliminated
-with whole-row XOR, which is the dominant cost of resolution building;
-odd primes take a plain integer path.  All arithmetic is exact mod p,
-no floating point anywhere.
+with whole-row XOR, which is the dominant cost of resolution building.
+Odd primes work on int64 rows in column panels: each panel is reduced
+in a narrow block that also records its row operations, and the
+columns right of it catch up in one integer product per panel (see
+``_rref_generic``).  The panel width is a fixed constant, not a setting:
+the result does not depend on it, the sums in that product stay below
+_PANEL * p^2 for every input, and 16 was the fastest width from 8 to 32
+on the odd-p reports.  All arithmetic is exact mod p, no floating point
+anywhere.
 
 Conventions: matrices act on column vectors, so ``kernel_basis(m)``
 lives in F_p^cols and ``image_basis(m)`` (the column space) lives in
@@ -17,8 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 _WORD = 64
+# the largest prime whose residues, and p - x for a residue x, fit in the
+# uint8 entries every matrix is stored in
+MAX_PRIME = 251
 # bound on the temporaries of the batched kernels, in bytes
 _CHUNK_BYTES = 1 << 20
+# pivot columns per panel of the odd-p elimination (_rref_generic)
+_PANEL = 16
 
 
 class DimensionMismatchError(ValueError):
@@ -133,31 +144,72 @@ def _rref_bits(rows: np.ndarray, ncols: int, pivot_limit: int | None = None):
 
 
 def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
-    """Gauss-Jordan mod p on an integer array.  Returns (uint8 rref, pivots)."""
+    """Gauss-Jordan mod p on an integer array.  Returns (uint8 rref, pivots).
+
+    The pivot columns are taken in panels of _PANEL columns.  Within a
+    panel of w columns, the pivot search, swaps, scaling and eliminations
+    act on a narrow int64 block W: the panel's columns followed by a
+    tracker T, one column for each pivot the panel can hold.  When the
+    row at position r becomes the panel's t-th pivot, T[r, t] is set to
+    1, and every later row operation acts on T too.  Right of the panel,
+    row i should then end as its own entries plus T[i] @ src, where src
+    holds the pivot rows as they were when the panel began; a pivot row's
+    own entries are already counted through T, so they are zeroed first.
+    That one product, over the rows with a nonzero T row and the columns
+    where src is nonzero, brings every column right of the panel up to
+    date, augmented ones included, with one reduction mod p.
+
+    These are the row operations of column-by-column Gauss-Jordan in the
+    same order, so the result is the same exactly; what changes is that
+    the wide columns are reduced once per panel instead of once per pivot
+    (the delayed reduction of Dumas-Giorgi-Pernet's FFLAS-FFPACK).  The
+    width is a constant because the result does not depend on it and it
+    keeps every sum of the product below _PANEL * p^2, far inside int64.
+    """
     R = arr.astype(np.int64, copy=True) % p
     m, n = R.shape
     limit = n if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     r = 0
-    for c in range(limit):
+    for c0 in range(0, limit, _PANEL):
         if r == m:
             break
-        hits = np.flatnonzero(R[r:, c])
-        if hits.size == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        if inv != 1:
-            R[r] = (R[r] * inv) % p
-        others = np.flatnonzero(R[:, c])
-        others = others[others != r]
-        if others.size:
-            # the pivot row is zero left of c, so only columns >= c change
-            R[others, c:] = (R[others, c:] - np.outer(R[others, c], R[r, c:])) % p
-        pivots.append(c)
-        r += 1
+        c1 = min(c0 + _PANEL, limit)
+        w = c1 - c0
+        W = np.zeros((m, 2 * w), dtype=np.int64)
+        W[:, :w] = R[:, c0:c1]
+        r0 = r
+        for c in range(w):
+            if r == m:
+                break
+            hits = np.flatnonzero(W[r:, c])
+            if hits.size == 0:
+                continue
+            pr = r + int(hits[0])
+            if pr != r:
+                W[[r, pr]] = W[[pr, r]]
+                R[[r, pr], c1:] = R[[pr, r], c1:]
+            W[r, w + r - r0] = 1
+            inv = pow(int(W[r, c]), p - 2, p)
+            if inv != 1:
+                W[r] = (W[r] * inv) % p
+            others = np.flatnonzero(W[:, c])
+            others = others[others != r]
+            if others.size:
+                # the pivot row is zero left of c, so only columns >= c change
+                W[others, c:] = (W[others, c:] - np.outer(W[others, c], W[r, c:])) % p
+            pivots.append(c0 + c)
+            r += 1
+        R[:, c0:c1] = W[:, :w]
+        if r > r0 and c1 < n:
+            T = W[:, w:w + r - r0]
+            src = R[r0:r, c1:].copy()
+            R[r0:r, c1:] = 0
+            rows = np.flatnonzero(T.any(axis=1))
+            cols = np.flatnonzero(src.any(axis=0))
+            block = np.ix_(rows, c1 + cols)
+            # entries below p and at most _PANEL terms: no int64 overflow
+            R[block] = (R[block] + T[rows] @ src[:, cols]) % p
     return R.astype(np.uint8), pivots
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fplinalg import FpMatrix, _is_prime, kernel_basis
+from .fplinalg import MAX_PRIME, FpMatrix, _is_prime, kernel_basis
 
 
 class PcPresentationError(ValueError):
@@ -44,6 +44,8 @@ class PcPresentation:
     def __init__(self, p: int, n: int, power_rels, comm_rels, check: bool = True):
         if not _is_prime(p):
             raise PcPresentationError(f"p must be prime, got {p}")
+        if p > MAX_PRIME:
+            raise PcPresentationError(f"p must be at most {MAX_PRIME}, got {p}")
         if n < 0:
             raise PcPresentationError("negative generator count")
         self.p = p

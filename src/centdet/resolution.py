@@ -142,7 +142,8 @@ class MinimalResolution:
 
         def coords(t: int) -> np.ndarray:
             block = kernel_rows[:, P_block + gather[self.pres.gen_idx(t)][P_elem]]
-            block[diag, diag] = (block[diag, diag] + (self.p - 1)) % self.p
+            d = block[diag, diag].astype(np.int64)  # 2p - 2 overflows uint8 once p > 128
+            block[diag, diag] = (d + (self.p - 1)) % self.p
             return block[:, ::-1]
 
         pivots = stacked_pivots((coords(t) for t in range(self.pres.n)), dim, self.p)

@@ -15,6 +15,7 @@ from centdet.catalog import (
     save_resolution,
 )
 from centdet.cli import CSV_HEADER, main
+from centdet.pgroup import PcPresentation, PcPresentationError
 from centdet.resolution import build_minimal_resolution
 
 
@@ -242,6 +243,32 @@ def test_cli_pcp_file_input(capsys, tmp_path):
     code, out = run_cli(capsys, "info", path)
     assert code == 0
     assert json.loads(out)["order"] == 4
+
+
+@pytest.mark.parametrize("p", [131, 251])
+def test_cli_cohomology_cyclic_large_prime(capsys, tmp_path, p):
+    # H^*(Z/p; F_p) has dimension 1 in every degree; from p = 131 on, the
+    # radical complement's sums reach 2p - 2, which no longer fits a uint8
+    path = str(tmp_path / f"z{p}.pcp")
+    with open(path, "w") as fh:
+        fh.write(f"p {p}\ngens 1\n")
+    code, out = run_cli(capsys, "cohomology", path, "--degree", "4")
+    assert code == 0
+    assert json.loads(out)["betti"] == [1, 1, 1, 1, 1]
+
+
+def test_cli_rejects_prime_above_251(capsys, tmp_path):
+    # matrices are stored as uint8, which holds the residues of p <= 251 only
+    with pytest.raises(PcPresentationError):
+        PcPresentation(257, 1, [(0,)], {})
+    path = str(tmp_path / "z257.pcp")
+    with open(path, "w") as fh:
+        fh.write("p 257\ngens 1\n")
+    code, out = run_cli(capsys, "cohomology", path, "--degree", "4")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "PcPresentationError",
+                     "message": "p must be at most 251, got 257"}
 
 
 def test_cli_error_is_machine_readable(capsys):

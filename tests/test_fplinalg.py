@@ -240,6 +240,39 @@ def test_rref_generic_matches_textbook_gauss_jordan(p, rows, cols, limit_frac, s
 
 
 @given(
+    p=st.sampled_from([3, 5, 7, 251]),
+    rows=st.integers(0, 60),
+    cols=st.integers(2 * fplinalg._PANEL + 1, 70),
+    limit_frac=st.floats(0, 1),
+    density=st.sampled_from([1.0, 0.1]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=100, deadline=None)
+def test_rref_generic_across_panels_matches_textbook_gauss_jordan(
+        p, rows, cols, limit_frac, density, seed):
+    # at least three panels wide; columns past the limit are an augmented
+    # block; sparse inputs leave rows and columns out of a panel's update
+    rng = np.random.default_rng(seed)
+    arr = low_rank_array(seed, p, rows, cols)
+    arr[rng.random(arr.shape) > density] = 0
+    limit = round(limit_frac * cols)
+    R, pivots = _rref_generic(arr, p, pivot_limit=limit)
+    want_R, want_pivots = gauss_jordan(arr.tolist(), p, limit)
+    assert pivots == want_pivots
+    assert R.dtype == np.uint8
+    assert R.reshape(rows, cols).tolist() == want_R
+    # LinSolver eliminates [M | I] with pivot_limit, then solves and annihilates
+    M = arr.astype(np.uint8)
+    solver = LinSolver(FpMatrix(p, M, check=False))
+    assert solver.pivots == tuple(gauss_jordan(arr.tolist(), p, cols)[1])
+    B = matmul_mod(rng.integers(0, p, size=(5, cols)), M.T, p)
+    assert np.array_equal(matmul_mod(solver.solve_rows(B), M.T, p), B)
+    K = solver.kernel_rows()
+    assert K.shape == (cols - solver.rank, cols)
+    assert not matmul_mod(M, K.T, p).any()
+
+
+@given(
     p=st.sampled_from([2, 3, 5]),
     rows=st.integers(0, 10),
     cols=st.integers(1, 12),
