@@ -232,20 +232,28 @@ def stacked_pivots(blocks, ncols: int, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # public types
 
+def _residues(arr, p: int) -> np.ndarray:
+    """arr reduced mod p, as uint8.  Any other dtype is reduced in int64
+    first, since a cast to uint8 would wrap a negative or >= 256 entry."""
+    a = np.asarray(arr)
+    if a.dtype != np.uint8:
+        return (a.astype(np.int64) % p).astype(np.uint8)
+    if a.size and int(a.max()) >= p:
+        return a % p
+    return a
+
+
 class FpMatrix:
     """Dense matrix over F_p with entries stored as uint8 in [0, p)."""
 
     __slots__ = ("p", "arr")
 
     def __init__(self, p: int, arr, check: bool = True):
-        a = np.asarray(arr, dtype=np.uint8)
+        a = _residues(arr, p) if check else np.asarray(arr, dtype=np.uint8)
         if a.ndim != 2:
             raise ValueError("FpMatrix needs a 2-d array")
-        if check:
-            if not _is_prime(p):
-                raise ValueError(f"p must be prime, got {p}")
-            if a.size and int(a.max()) >= p:
-                a = a % p
+        if check and not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.arr = np.ascontiguousarray(a)
 
@@ -312,7 +320,7 @@ class FpSubspace:
     def from_spanning(cls, p: int, ambient_dim: int, rows) -> "FpSubspace":
         if ambient_dim == 0:  # reshape(-1, 0) is ambiguous; F_p^0 has one subspace
             return cls.zero(p, 0)
-        arr = np.asarray(rows, dtype=np.uint8).reshape(-1, ambient_dim) % p
+        arr = _residues(rows, p).reshape(-1, ambient_dim)
         R, pivots = _rref_array(arr, p)
         return cls(p, ambient_dim, FpMatrix(p, R[: len(pivots)], check=False), pivots)
 

@@ -14,9 +14,12 @@ maximal central elementary abelian subgroup:
   centralizer of every elementary abelian subgroup strictly above C;
   their top Q_A / P_C degrees e'(G), e''(G) drive the detection number
   d0(G) = max over centralizers of e'';
-- the locally finite part and the reduced layers of H*(G) are computed
-  from the categorical equalizer over elementary abelians above C, with
-  inner-automorphism invariance imposed through recorded conjugators.
+- the reduced layers of H*(G) are computed from one categorical
+  equalizer over the elementary abelians V above C, with component
+  H^j(V) (x) P_V H^d(C_G(V)) at V and inner-automorphism invariance
+  imposed through recorded conjugators; the locally finite part in
+  degree d is its j = 0 row, because H^0(V) = F_p and every map
+  induces 1 on it.
 
 Degree bounds are honest: every result that could change past the
 computed range carries a certification flag.
@@ -56,6 +59,7 @@ from .pgroup import (
 from .resolution import (
     BudgetExceededError,
     Cocycle,
+    CohomologyFragment,
     ComoduleMap,
     MinimalResolution,
     cup_product,
@@ -363,7 +367,8 @@ class Analyzer:
                 # the representatives are only exact modulo products of
                 # degree-one classes; the true Bockstein image is pure,
                 # so membership may be tested modulo those products
-                target = subspace_sum(target, self._h1_products_span())
+                target = subspace_sum(
+                    target, CohomologyFragment(self.resC).decomposable_subspace(2))
             sub = solve_preimage(FpMatrix(p, M, check=False), target)
             flag.append(FlagLevel(degree, subspace_sum(sub, flag[0].subspace), M))
             degree *= p
@@ -376,21 +381,6 @@ class Analyzer:
         entries += [degree] * (c - prev)
         entries.sort(reverse=True)
         return GroupType(p, tuple(entries), certified, flag)
-
-    def _h1_products_span(self) -> FpSubspace:
-        """Span of all products of two degree-one classes in H^2(C)."""
-        def make():
-            resC = self.resC
-            c = resC.rank(1)
-            rows = []
-            basis = [Cocycle(1, np.eye(c, dtype=np.uint8)[t]) for t in range(c)]
-            for s in range(c):
-                for t in range(s, c):
-                    rows.append(cup_product(resC, basis[s], basis[t]).vec)
-            if rows:
-                return FpSubspace.from_spanning(self.p, resC.rank(2), np.array(rows))
-            return FpSubspace.zero(self.p, resC.rank(2))
-        return self._memo("h1prod", make)
 
     @property
     def e(self) -> int:
@@ -698,142 +688,109 @@ class Analyzer:
 
     # -- locally finite part and reduced layers ------------------------------------------
 
-    def _object_data(self, obj):
-        key = ("objdata", obj.rep.elems)
-
+    def _object_data(self, obj) -> tuple[Subgroup, ComoduleMap]:
+        """The centralizer K = C_G(V) of the class rep V, and the coaction
+        of V on H*(K) whose primitives P_V make the equalizer's unknowns."""
         def make():
-            G = self.G
             V = obj.rep
-            K = centralizer(G, V)
-            presK, _, to_idxK = subgroup_presentation(G, K)
-            resK = self.ws.resolution(presK, self.N)
+            K = centralizer(self.G, V)
+            presK, _, to_idxK = subgroup_presentation(self.G, K)
             V_in_K = Subgroup(presK, [to_idxK[x] for x in V.elems],
                               [to_idxK[x] for x in V.elems if x != 0])
             presV_K, _, _ = subgroup_presentation(presK, V_in_K)
-            com = ComoduleMap(resK, V_in_K, self.ws.resolution(presV_K, self.N))
-            presV, _, _ = subgroup_presentation(G, V)
-            return {"K": K, "resK": resK, "com": com,
-                    "resV": self.ws.resolution(presV, self.N)}
-        return self._memo(key, make)
+            return K, ComoduleMap(self.ws.resolution(presK, self.N), V_in_K,
+                                  self.ws.resolution(presV_K, self.N))
+        return self._memo(("objdata", obj.rep.elems), make)
 
-    def _conj_hom(self, S_from: Subgroup, S_to: Subgroup, g: int) -> GroupHom:
-        """Hom pres(S_from) -> pres(S_to), y -> g y g^-1 in the parent."""
+    def _conj_matrix(self, S_from: Subgroup, S_to: Subgroup, g: int, k: int) -> np.ndarray:
+        """Degree-k matrix of the map induced by y -> g y g^-1 from
+        pres(S_from) to pres(S_to).  Each map is lifted once and read at
+        every degree; the resolutions grow only to the degree asked for."""
         G = self.G
         presF, embedF, _ = subgroup_presentation(G, S_from)
         presT, _, to_idxT = subgroup_presentation(G, S_to)
-        ginv = G.inv(g)
-        images = []
-        for t in range(presF.n):
-            y = embedF.apply(presF.gen_idx(t))
-            w = G.mult(G.mult(g, y), ginv)
-            images.append(to_idxT[w])
-        return GroupHom(presF, presT, images)
+        resF, resT = self.ws.resolution(presF, k), self.ws.resolution(presT, k)
 
-    def _action_matrix_on(self, S: Subgroup, res_S, w: int, degree: int) -> np.ndarray:
-        """Matrix on H^degree(pres S) of conjugation by w (w normalizes S)."""
-        hom = self._conj_hom(S, S, w)
-        return induced_map(hom, res_S, res_S).matrix(degree)
+        def make():
+            ginv = G.inv(g)
+            images = [to_idxT[G.mult(G.mult(g, embedF.apply(presF.gen_idx(t))), ginv)]
+                      for t in range(presF.n)]
+            return induced_map(GroupHom(presF, presT, images), resF, resT)
+        return self._memo(("conj", S_from.elems, S_to.elems, g), make).matrix(k)
 
     def lf_dims(self) -> GradedDims:
         def make():
-            dims = tuple(self._equalizer_dim(k, None) for k in range(self.N + 1))
+            dims = tuple(self._equalizer_dim(0, k) for k in range(self.N + 1))
             return GradedDims("LF", dims, self.N)
         return self._memo("lf", make)
 
     def bar_rd_dims(self, d: int) -> GradedDims:
-        if d > self.N:
-            raise IndexError("layer degree beyond bound")
+        if not 0 <= d <= self.N:
+            raise IndexError(f"layer degree {d} outside 0..{self.N}")
         dims = tuple(self._equalizer_dim(j, d) for j in range(self.N - d + 1))
         return GradedDims(f"Rbar_{d}", dims, self.N - d)
 
-    def _equalizer_dim(self, k: int, layer: int | None) -> int:
-        """Dimension of the categorical equalizer in degree k.
+    def _equalizer_dim(self, j: int, d: int) -> int:
+        """Dimension of the categorical equalizer in bidegree (j, d).
 
-        layer=None: component at V is P_V H^k(C_G(V))   (locally finite part)
-        layer=d:    component at V is H^k(V) (x) P_V H^d(C_G(V))  (layer d)
-        """
-        cat = self.category
-        G = self.G
-        p = self.p
-        # unknown blocks per object
-        blocks = []
+        Its component at a class rep V, with K = C_G(V), is
+        H^j(V) (x) P_V H^d(K), embedded in H^j(V) (x) H^d(K) as
+        I (x) P for P the primitive basis.  It must be invariant under the
+        Weyl group of V and compatible along every inclusion V1' < V2 with
+        V1' = g V1 g^-1 for the class rep V1.  At j = 0 every map on
+        H^0(V) = F_p is 1, so that row is the locally finite part."""
+        cat, p = self.category, self.p
+        prims: list[np.ndarray] = []
         offsets = [0]
         for obj in cat.objects:
-            data = self._object_data(obj)
-            prim = data["com"].primitive_basis(k if layer is None else layer)
-            if layer is None:
-                emb = prim.basis.arr.T  # (b_k(K), dim)
-            else:
-                bV = data["resV"].rank(k)
-                emb = np.kron(np.eye(bV, dtype=np.uint8), prim.basis.arr.T)
-            blocks.append(emb)
-            offsets.append(offsets[-1] + emb.shape[1])
+            _, com = self._object_data(obj)
+            prims.append(com.primitive_basis(d).basis.arr.T)  # (b_d(K), dim)
+            presV, _, _ = subgroup_presentation(self.G, obj.rep)
+            bV = self.ws.resolution(presV, j).rank(j)
+            offsets.append(offsets[-1] + bV * prims[-1].shape[1])
         total = offsets[-1]
         if total == 0:
             return 0
         rows: list[np.ndarray] = []
 
-        def add_rows(cond_blocks: dict[int, np.ndarray], height: int):
-            row = np.zeros((height, total), dtype=np.uint8)
-            for pos, mat in cond_blocks.items():
-                row[:, offsets[pos]:offsets[pos + 1]] = mat
-            rows.append(row)
+        def require(pos1: int, A1, B1, pos2: int, A2, B2):
+            """Rows saying A1 (x) B1 on the unknowns at pos1 equals A2 (x) B2
+            on those at pos2 (int64, as a product of residues overflows uint8)."""
+            lhs = np.kron(A1.astype(np.int64), B1)
+            row = np.zeros((lhs.shape[0], total), dtype=np.int64)
+            row[:, offsets[pos1]:offsets[pos1 + 1]] = lhs
+            row[:, offsets[pos2]:offsets[pos2 + 1]] -= np.kron(A2.astype(np.int64), B2)
+            rows.append((row % p).astype(np.uint8))
 
-        # stabilizer invariance at each representative
+        # invariance under the Weyl group at each representative
         for pos, obj in enumerate(cat.objects):
-            data = self._object_data(obj)
-            emb = blocks[pos]
-            if emb.shape[1] == 0:
+            P = prims[pos]
+            if P.shape[1] == 0:
                 continue
+            K, _ = self._object_data(obj)
             for w in cat.weyl_reps(obj):
                 if w == 0:
                     continue
-                AK = self._action_matrix_on(
-                    data["K"], data["resK"], w, k if layer is None else layer)
-                if layer is None:
-                    act = AK
-                else:
-                    AV = self._action_matrix_on(obj.rep, data["resV"], w, k)
-                    act = np.kron(AV, AK) % p
-                diff = (matmul_mod(act, emb, p).astype(np.int64) - emb) % p
-                add_rows({pos: diff.astype(np.uint8)}, emb.shape[0])
+                AV = self._conj_matrix(obj.rep, obj.rep, w, j)
+                AK = self._conj_matrix(K, K, w, d)
+                require(pos, AV, matmul_mod(AK, P, p), pos, np.eye(AV.shape[0]), P)
 
         # compatibility along inclusions V1' < V2 (V2 a representative)
         for pos2, obj2 in enumerate(cat.objects):
             V2 = obj2.rep
-            data2 = self._object_data(obj2)
+            K2, _ = self._object_data(obj2)
             v2set = set(V2.elems)
             for elems, (pos1, g) in cat.member_index.items():
                 if elems == V2.elems or not set(elems) <= v2set:
                     continue
-                V1p = Subgroup(G, elems)
+                V1p = Subgroup(self.G, elems)
                 obj1 = cat.objects[pos1]
-                data1 = self._object_data(obj1)
-                # psi: K2 -> K(rep1), y -> g y g^-1, inducing H(K1) -> H(K2)
-                psi = self._conj_hom(data2["K"], data1["K"], g)
-                Mpsi = induced_map(psi, data2["resK"], data1["resK"]).matrix(
-                    k if layer is None else layer)
-                if layer is None:
-                    lhs = matmul_mod(Mpsi, blocks[pos1], p)
-                    rhs = blocks[pos2]
-                    height = lhs.shape[0]
-                    add_rows({pos1: lhs,
-                              pos2: (-rhs.astype(np.int64) % p).astype(np.uint8)},
-                             height)
-                else:
-                    presV1, _, _ = subgroup_presentation(G, V1p)
-                    resV1 = self.ws.resolution(presV1, self.N)
-                    rho = self._conj_hom(V1p, obj1.rep, g)
-                    Mrho = induced_map(rho, resV1, data1["resV"]).matrix(k)
-                    inc = self._conj_hom(V1p, V2, 0)
-                    Minc = induced_map(inc, resV1, data2["resV"]).matrix(k)
-                    lhs = matmul_mod(np.kron(Mrho, Mpsi) % p, blocks[pos1], p)
-                    rhs = matmul_mod(np.kron(Minc, np.eye(
-                        data2["resK"].rank(layer), dtype=np.uint8)) % p,
-                        blocks[pos2], p)
-                    add_rows({pos1: lhs,
-                              pos2: (-rhs.astype(np.int64) % p).astype(np.uint8)},
-                             lhs.shape[0])
+                K1, _ = self._object_data(obj1)
+                # conjugation by g maps V1' onto V1 and K2 into K1
+                Mrho = self._conj_matrix(V1p, obj1.rep, g, j)
+                Mpsi = self._conj_matrix(K2, K1, g, d)
+                Minc = self._conj_matrix(V1p, V2, 0, j)
+                require(pos1, Mrho, matmul_mod(Mpsi, prims[pos1], p), pos2, Minc, prims[pos2])
 
         if not rows:
             return total

@@ -794,24 +794,15 @@ def multiplication_hom(G: PcPresentation, C: Subgroup):
 # the inclusion category of elementary abelians above the central socle
 
 @dataclass
-class QuillenObject:
-    cls: ConjClass
-
-    @property
-    def rep(self) -> Subgroup:
-        return self.cls.rep
-
-
-@dataclass
 class QuillenCategoryAC:
     """Conjugacy data for elementary abelian subgroups containing C(G)."""
 
     G: PcPresentation
     C: Subgroup
-    objects: list[QuillenObject]
+    objects: list[ConjClass]
     member_index: dict  # elems-tuple -> (object position, conjugator)
 
-    def weyl_reps(self, obj: QuillenObject) -> list[int]:
+    def weyl_reps(self, obj: ConjClass) -> list[int]:
         """Coset representatives of C_G(V) in N_G(V) for V the class rep:
         the least element of each coset C_G(V) x."""
         G = self.G
@@ -826,9 +817,8 @@ def quillen_category_AC(G: PcPresentation) -> QuillenCategoryAC:
     subs = elementary_abelian_subgroups(G, containing=C)
     classes = conjugacy_classes(G, subs)
     classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
-    objects = [QuillenObject(c) for c in classes]
     member_index = {}
-    for pos, obj in enumerate(objects):
-        for elems, g in obj.cls.members.items():
+    for pos, obj in enumerate(classes):
+        for elems, g in obj.members.items():
             member_index[elems] = (pos, g)
-    return QuillenCategoryAC(G, C, objects, member_index)
+    return QuillenCategoryAC(G, C, classes, member_index)

@@ -410,6 +410,8 @@ class ChainMap:
 
     def functional_matrix(self, t: int) -> np.ndarray:
         """Matrix of f -> f o (this map) in degree t: shape (src rank, tgt rank)."""
+        if t < 0:
+            raise IndexError(f"negative degree {t}")
         self.extend_to(t)
         rows = self.maps[t]
         return self.tgt.block_sums(rows, self.tgt.rank(t))

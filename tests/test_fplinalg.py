@@ -152,6 +152,18 @@ def test_from_spanning_zero_ambient(rows):
         assert FpSubspace.from_spanning(p, 0, rows) == FpSubspace.zero(p, 0)
 
 
+def test_constructors_reduce_integers_outside_uint8():
+    # a cast to uint8 before the reduction would turn -1 and 256 into 255 and 0
+    for arr in ([[-1, 256]], np.array([[-1, 256]], dtype=np.int64)):
+        assert FpMatrix(3, arr).arr.tolist() == [[2, 1]]
+        sub = FpSubspace.from_spanning(3, 2, arr)
+        assert sub.dim == 1 and sub.basis.arr.tolist() == [[1, 2]]
+    assert FpMatrix(3, np.array([[4, 7]], dtype=np.uint8)).arr.tolist() == [[1, 1]]
+    # reduced uint8 input is kept as it is, without a copy
+    a = np.array([[1, 2], [0, 1]], dtype=np.uint8)
+    assert FpMatrix(3, a).arr is a
+
+
 def test_kronecker():
     i2 = FpMatrix.identity(2, 2)
     i3 = FpMatrix.identity(2, 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from centdet import resolution
 from centdet.catalog import builtin
 from centdet.fplinalg import intersect, matmul_mod
 from centdet.pgroup import (
@@ -460,6 +461,43 @@ def test_lf_sd16():
     pc_cess = a.pc_cess_dims().dims
     for k in range(1, 7):
         assert lf[k] <= pc_cess[k] + (1 if k == 0 else 0)
+
+
+def test_bar_rd_pinned_on_non_p_central_groups():
+    # groups where the Weyl-invariance and inclusion conditions both act
+    sd16 = WS.analyzer(semidihedral(4), 6)
+    assert sd16.lf_dims().dims == (1, 1, 1, 0, 0, 0, 0)
+    assert [sd16.bar_rd_dims(d).dims for d in range(4)] == [
+        (1, 1, 2, 2, 3, 3, 4), (1,) * 6, (1,) * 5, (0,) * 4]
+    d8z4 = WS.analyzer(builtin("D8xZ4").pres, 6)
+    assert d8z4.lf_dims().dims == (1, 1, 0, 0, 0, 0, 0)
+    assert [d8z4.bar_rd_dims(d).dims for d in range(3)] == [
+        (1, 3, 6, 10, 15, 21, 28), (1, 3, 6, 10, 15, 21), (0,) * 5]
+
+
+def test_equalizer_lifts_each_map_once(monkeypatch):
+    built = []
+    init = resolution.ChainMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(resolution.ChainMap, "__init__", counting_init)
+    a = Analyzer(D8, 6, workspace=Workspace())
+    lf = a.lf_dims().dims
+    assert built
+    built.clear()
+    layers = [a.bar_rd_dims(d).dims for d in range(7)]
+    assert [layer[0] for layer in layers] == list(lf)  # LF is the j = 0 row
+    assert built == []
+    a.bar_rd_dims(2)
+    assert built == []
+
+
+def test_bar_rd_rejects_negative_layer():
+    with pytest.raises(IndexError):
+        WS.analyzer(D8, 4).bar_rd_dims(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,20 @@ def build_comodule(G, N):
     return res, resC, comodule_map(res, C, resC)
 
 
+def test_negative_degree_raises():
+    # maps[-1] would silently read the top lifted degree
+    res = build_minimal_resolution(Q8, 3)
+    C = omega1_center(Q8)
+    presC, embedC, _ = subgroup_presentation(Q8, C)
+    resC = build_minimal_resolution(presC, 3)
+    rmap = induced_map(embedC, resC, res)
+    rmap.matrix(3)
+    for read in (rmap.matrix, rmap._chain.functional_matrix,
+                 comodule_map(res, C, resC).primitive_basis):
+        with pytest.raises(IndexError):
+            read(-1)
+
+
 def test_comodule_counit():
     for G in (Q8, D8, cyclic(2, 2)):
         res, resC, cm = build_comodule(G, 5)
