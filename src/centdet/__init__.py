@@ -12,7 +12,6 @@ from .resolution import (
     cup_product,
     induced_map,
     kunneth,
-    restriction_map,
 )
 from .invariants import Analyzer, GroupType, InvariantReport, Workspace, report
 from .catalog import CatalogEntry, builtin, builtin_ids, load_pcp, parse_pcp
@@ -43,6 +42,5 @@ __all__ = [
     "load_pcp",
     "parse_pcp",
     "report",
-    "restriction_map",
 ]
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import numpy as np
 from .pgroup import (
     PcPresentation,
     PcPresentationError,
+    check_order,
     direct_product,
     is_p_central,
     omega1_center,
@@ -299,6 +300,7 @@ def builtin(id: str) -> CatalogEntry:
         if left in _BUILTINS or "x" in left:
             a = builtin(left)
             b = builtin(right)
+            check_order(a.pres.p, a.pres.n + b.pres.n)
             pres = direct_product(a.pres, b.pres)
             expected: dict = {
                 "order": a.pres.order * b.pres.order,
@@ -404,6 +406,8 @@ def parse_pcp(text: str) -> PcPresentation:
             comm_rels[(j - 1, i - 1)] = word
         else:
             raise PcpFormatError(line_no, f"unrecognized directive {parts[0]!r}")
+        if p is not None and n is not None:
+            check_order(p, n)  # before any relation word of length n is built
     if p is None or n is None:
         raise PcpFormatError(0, "missing 'p' or 'gens' header")
     rels = [pow_rels.get(i, (0,) * n) for i in range(n)]

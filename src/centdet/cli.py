@@ -177,11 +177,6 @@ def cmd_table(args, out) -> int:
 # the verification suites
 
 
-def _check(name, cond, lines):
-    lines.append(f"{'PASS' if cond else 'FAIL'}  {name}")
-    return bool(cond)
-
-
 def run_verify(suite: str = "quick", out=None, pcp_64_108: str | None = None,
                budget: int = 20000) -> int:
     """Run the acceptance criteria; one PASS/FAIL line each, 0 iff all pass."""

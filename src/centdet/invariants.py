@@ -13,7 +13,10 @@ maximal central elementary abelian subgroup:
 - central essential classes are those restricting to zero on the
   centralizer of every elementary abelian subgroup strictly above C;
   their top Q_A / P_C degrees e'(G), e''(G) drive the detection number
-  d0(G) = max over centralizers of e'';
+  d0(G) = max over centralizers of e''.  H* and Cess share one Q_A and
+  one P_C routine over a graded subspace of H*.  Cess needs no
+  intersection with A+ . Cess: it is the kernel of restriction, a ring
+  map, so it is an ideal and A+ . Cess already lies in it;
 - the reduced layers of H*(G) are computed from one categorical
   equalizer over the elementary abelians V above C, with component
   H^j(V) (x) P_V H^d(C_G(V)) at V and inner-automorphism invariance
@@ -27,7 +30,7 @@ computed range carries a certification flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +43,7 @@ from .fplinalg import (
     intersect,
     kernel_basis,
     matmul_mod,
+    rref,
     solve_preimage,
     subspace_sum,
 )
@@ -61,6 +65,7 @@ from .resolution import (
     Cocycle,
     CohomologyFragment,
     ComoduleMap,
+    InducedMap,
     MinimalResolution,
     cup_product,
     induced_map,
@@ -185,13 +190,15 @@ class GradedDims:
 
 @dataclass
 class InvariantReport:
+    """The report of one group; the field order is the JSON key order."""
+
     group_id: str
     p: int
     order: int
     rank: int
     center_rank: int
     p_central: bool
-    type_entries: tuple[int, ...] | None
+    type: list[int] | None
     e: int | None
     h: int | None
     d0: int | None
@@ -203,24 +210,7 @@ class InvariantReport:
     certified: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "group_id": self.group_id,
-            "p": self.p,
-            "order": self.order,
-            "rank": self.rank,
-            "center_rank": self.center_rank,
-            "p_central": self.p_central,
-            "type": list(self.type_entries) if self.type_entries is not None else None,
-            "e": self.e,
-            "h": self.h,
-            "d0": self.d0,
-            "d1": self.d1,
-            "e_prime": self.e_prime,
-            "e_double_prime": self.e_double_prime,
-            "cess_nonzero": self.cess_nonzero,
-            "truncation_degree": self.truncation_degree,
-            "certified": dict(self.certified),
-        }
+        return asdict(self)
 
 
 class Analyzer:
@@ -278,11 +268,8 @@ class Analyzer:
 
     # -- restriction image -------------------------------------------------------
 
-    def restriction_to_C(self):
-        def make():
-            presC, embedC, _ = self._c_pres()
-            return induced_map(embedC, self.resC, self.res)
-        return self._memo("resmap", make)
+    def restriction_to_C(self) -> InducedMap:
+        return self._conj_map(self.C, None, 0, self.N)
 
     def res_image(self, k: int) -> FpSubspace:
         def make():
@@ -396,16 +383,17 @@ class Analyzer:
         return self._memo("duflot", self._compute_duflot)
 
     def _flag_adapted_basis(self) -> list[tuple[int, np.ndarray]]:
-        """(level k, vector in H^1(C)) pairs, new directions per flag level."""
-        chosen: list[tuple[int, np.ndarray]] = []
-        span = FpSubspace.zero(self.p, self.center_rank)
-        for k, level in enumerate(self.group_type().flag):
-            for row in level.subspace.basis.arr:
-                if not span.contains(row):
-                    chosen.append((k, row))
-                    span = subspace_sum(span, FpSubspace.from_spanning(
-                        self.p, self.center_rank, row[None, :]))
-        return chosen
+        """(level k, vector in H^1(C)) pairs, new directions per flag level.
+
+        The level bases are stacked in order; a row is new exactly when its
+        column is a pivot column of the transposed stack."""
+        flag = self.group_type().flag
+        levels = [k for k, level in enumerate(flag) for _ in range(level.subspace.dim)]
+        if not levels:
+            return []
+        rows = np.vstack([level.subspace.basis.arr for level in flag])
+        _, pivots, _ = rref(FpMatrix(self.p, rows.T, check=False))
+        return [(levels[i], rows[i]) for i in pivots]
 
     def _compute_duflot(self) -> DuflotData:
         """Lift one polynomial generator per new flag direction x: its
@@ -463,33 +451,45 @@ class Analyzer:
 
     # -- indecomposables and primitives -----------------------------------------------
 
-    def _a_ideal_span(self, k: int, basis_rows_by_degree) -> FpSubspace:
-        """Span of xi * M^{k - |xi|} over the Duflot generators."""
+    def _pieces(self, subs: list[FpSubspace] | None) -> list[FpSubspace]:
+        """The graded subspace subs of H*, all of H* when it is None."""
+        if subs is None:
+            return [FpSubspace.full(self.p, self.res.rank(k)) for k in range(self.N + 1)]
+        return subs
+
+    def _a_ideal_span(self, k: int, pieces: list[FpSubspace]) -> FpSubspace:
+        """Span of xi * pieces[k - |xi|] over the Duflot generators xi."""
         rows = []
         for deg, xi in self.duflot().generators:
             if k - deg < 0:
                 continue
             M = multiplication_matrix(self.res, xi, k - deg)
-            below = basis_rows_by_degree(k - deg)
-            if below is None:
-                rows.extend(M.T)
-            elif below.shape[0]:
+            below = pieces[k - deg].basis.arr
+            if below.shape[0]:
                 rows.extend(matmul_mod(M, below.T, self.p).T)
         if rows:
             return FpSubspace.from_spanning(self.p, self.res.rank(k), np.array(rows))
         return FpSubspace.zero(self.p, self.res.rank(k))
 
-    def qa_dims(self) -> GradedDims:
+    def _qa(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
+        """Q_A dimensions of a graded ideal of H* (None: all of H*), with
+        its freeness over A checked.  An ideal holds A+ times itself, so
+        Q_A in degree k is the ideal modulo that span, with no intersection."""
         def make():
+            pieces = self._pieces(subs)
             dims = []
-            for k in range(self.N + 1):
-                span = self._a_ideal_span(k, lambda kk: None)
-                self._cache[("qa_span", k)] = span
-                dims.append(self.res.rank(k) - span.dim)
-            out = GradedDims("Q_A H*", tuple(dims), self.N)
-            self._check_freeness(tuple(self.res.betti[: self.N + 1]), out.dims, "H*")
-            return out
-        return self._memo("qa", make)
+            for k, piece in enumerate(pieces):
+                span = self._a_ideal_span(k, pieces)
+                if subs is None:  # the P_C-inside-Q_A checks read these spans
+                    self._cache[("qa_span", k)] = span
+                dims.append(piece.dim - span.dim)
+            self._check_freeness([piece.dim for piece in pieces], dims,
+                                 "H*" if subs is None else "Cess")
+            return tuple(dims)
+        return self._memo(("qa", subs is None), make)
+
+    def qa_dims(self) -> GradedDims:
+        return GradedDims("Q_A H*", self._qa(None), self.N)
 
     def _check_freeness(self, total_dims, q_dims, what: str):
         a = self.duflot().a_dims(self.N)
@@ -505,12 +505,15 @@ class Analyzer:
             return ComoduleMap(self.res, self.C, self.resC)
         return self._memo("comodule", make)
 
-    def pc_dims(self) -> GradedDims:
+    def _pc(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
+        """P_C dimensions of a graded subspace of H* (None: all of H*)."""
         def make():
-            dims = tuple(self.comodule().primitive_basis(k).dim
-                         for k in range(self.N + 1))
-            return GradedDims("P_C H*", dims, self.N)
-        return self._memo("pc", make)
+            return tuple(intersect(piece, self.comodule().primitive_basis(k)).dim
+                         for k, piece in enumerate(self._pieces(subs)))
+        return self._memo(("pc", subs is None), make)
+
+    def pc_dims(self) -> GradedDims:
+        return GradedDims("P_C H*", self._pc(None), self.N)
 
     # -- central essential classes ---------------------------------------------------
 
@@ -529,9 +532,7 @@ class Analyzer:
                 if K.elems in seen_centralizers:
                     continue
                 seen_centralizers.add(K.elems)
-                presK, embedK, _ = subgroup_presentation(self.G, K)
-                resK = self.ws.resolution(presK, self.N)
-                rmap = induced_map(embedK, resK, self.res)
+                rmap = self._conj_map(K, None, 0, self.N, keep=False)
                 for k in range(self.N + 1):
                     mats[k].append(rmap.matrix(k))
             out = []
@@ -550,35 +551,19 @@ class Analyzer:
         return GradedDims("Cess", dims, self.N)
 
     def qa_cess_dims(self) -> GradedDims:
-        def make():
-            subs = self.cess_subspaces()
-            if subs is None:
-                return GradedDims("Q_A Cess", self.qa_dims().dims, self.N)
-            dims = []
-            for k in range(self.N + 1):
-                span = self._a_ideal_span(
-                    k, lambda kk: subs[kk].basis.arr
-                )
-                dims.append(subs[k].dim - intersect(subs[k], span).dim
-                            if span.dim else subs[k].dim)
-            out = GradedDims("Q_A Cess", tuple(dims), self.N)
-            self._check_freeness(tuple(s.dim for s in subs), out.dims, "Cess")
-            return out
-        return self._memo("qacess", make)
+        return GradedDims("Q_A Cess", self._qa(self.cess_subspaces()), self.N)
 
     def pc_cess_dims(self) -> GradedDims:
-        def make():
-            subs = self.cess_subspaces()
-            if subs is None:
-                return GradedDims("P_C Cess", self.pc_dims().dims, self.N)
-            dims = tuple(
-                intersect(subs[k], self.comodule().primitive_basis(k)).dim
-                for k in range(self.N + 1)
-            )
-            return GradedDims("P_C Cess", dims, self.N)
-        return self._memo("pccess", make)
+        return GradedDims("P_C Cess", self._pc(self.cess_subspaces()), self.N)
 
     # -- e', e'' -------------------------------------------------------------------------
+
+    def _margin(self, name: str, top: int) -> tuple[int, bool]:
+        """The margin rule: a top degree read inside the bound is certified
+        once N clears it by the largest type entry.  The certificate is
+        heuristic, and the report says so."""
+        self._heuristic.add(name)
+        return top, self.N >= top + max(self.group_type().entries, default=1)
 
     def e_prime(self) -> tuple[int, bool]:
         def make():
@@ -599,11 +584,9 @@ class Analyzer:
                         if 0 <= mirror <= self.N and q.dims[k] != q.dims[mirror]:
                             raise AssertionError("central essential duality fails")
                 return value, certified
-            max_a = max(self.group_type().entries, default=1)
             if top < 0:
                 return -1, False
-            self._heuristic.add("e_prime")
-            return top, self.N >= top + max_a
+            return self._margin("e_prime", top)
         return self._memo("eprime", make)
 
     def e_double_prime(self) -> tuple[int, bool]:
@@ -617,9 +600,7 @@ class Analyzer:
                 return top, True
             if top < 0:
                 return -1, ep == -1 and ep_cert
-            max_a = max(self.group_type().entries, default=1)
-            self._heuristic.add("e_double_prime")
-            return top, self.N >= top + max_a
+            return self._margin("e_double_prime", top)
         return self._memo("edp", make)
 
     # -- detection numbers -------------------------------------------------------------
@@ -678,13 +659,8 @@ class Analyzer:
         return Cocycle(e, P.basis.arr[0])
 
     def is_essential(self, z: Cocycle) -> bool:
-        for M in maximal_subgroups(self.G):
-            presM, embedM, _ = subgroup_presentation(self.G, M)
-            resM = self.ws.resolution(presM, z.degree)
-            rmap = induced_map(embedM, resM, self.res)
-            if rmap.apply(z).vec.any():
-                return False
-        return True
+        return not any(self._conj_map(M, None, 0, z.degree, keep=False).apply(z).vec.any()
+                       for M in maximal_subgroups(self.G))
 
     # -- locally finite part and reduced layers ------------------------------------------
 
@@ -702,21 +678,31 @@ class Analyzer:
                                   self.ws.resolution(presV_K, self.N))
         return self._memo(("objdata", obj.rep.elems), make)
 
-    def _conj_matrix(self, S_from: Subgroup, S_to: Subgroup, g: int, k: int) -> np.ndarray:
-        """Degree-k matrix of the map induced by y -> g y g^-1 from
-        pres(S_from) to pres(S_to).  Each map is lifted once and read at
-        every degree; the resolutions grow only to the degree asked for."""
+    def _conj_map(self, S_from: Subgroup, S_to: Subgroup | None, g: int, k: int,
+                  keep: bool = True) -> InducedMap:
+        """The map induced by y -> g y g^-1 from pres(S_from) to pres(S_to),
+        where S_to = None is G itself, with its own presentation and
+        resolution.  Subgroup resolutions grow only to the degree k asked
+        for.  A kept map is lifted once and read at every degree; a map
+        read only once is not kept, so its lift is freed after use."""
         G = self.G
         presF, embedF, _ = subgroup_presentation(G, S_from)
-        presT, _, to_idxT = subgroup_presentation(G, S_to)
-        resF, resT = self.ws.resolution(presF, k), self.ws.resolution(presT, k)
-
-        def make():
+        resF = self.ws.resolution(presF, k)
+        if S_to is None:
+            presT, to_idxT, resT = G, range(G.order), self.res
+        else:
+            presT, _, to_idxT = subgroup_presentation(G, S_to)
+            resT = self.ws.resolution(presT, k)
+        key = ("conj", S_from.elems, None if S_to is None else S_to.elems, g)
+        got = self._cache.get(key)
+        if got is None:
             ginv = G.inv(g)
             images = [to_idxT[G.mult(G.mult(g, embedF.apply(presF.gen_idx(t))), ginv)]
                       for t in range(presF.n)]
-            return induced_map(GroupHom(presF, presT, images), resF, resT)
-        return self._memo(("conj", S_from.elems, S_to.elems, g), make).matrix(k)
+            got = induced_map(GroupHom(presF, presT, images), resF, resT)
+            if keep:
+                self._cache[key] = got
+        return got
 
     def lf_dims(self) -> GradedDims:
         def make():
@@ -771,8 +757,8 @@ class Analyzer:
             for w in cat.weyl_reps(obj):
                 if w == 0:
                     continue
-                AV = self._conj_matrix(obj.rep, obj.rep, w, j)
-                AK = self._conj_matrix(K, K, w, d)
+                AV = self._conj_map(obj.rep, obj.rep, w, j).matrix(j)
+                AK = self._conj_map(K, K, w, d).matrix(d)
                 require(pos, AV, matmul_mod(AK, P, p), pos, np.eye(AV.shape[0]), P)
 
         # compatibility along inclusions V1' < V2 (V2 a representative)
@@ -787,9 +773,9 @@ class Analyzer:
                 obj1 = cat.objects[pos1]
                 K1, _ = self._object_data(obj1)
                 # conjugation by g maps V1' onto V1 and K2 into K1
-                Mrho = self._conj_matrix(V1p, obj1.rep, g, j)
-                Mpsi = self._conj_matrix(K2, K1, g, d)
-                Minc = self._conj_matrix(V1p, V2, 0, j)
+                Mrho = self._conj_map(V1p, obj1.rep, g, j).matrix(j)
+                Mpsi = self._conj_map(K2, K1, g, d).matrix(d)
+                Minc = self._conj_map(V1p, V2, 0, j).matrix(j)
                 require(pos1, Mrho, matmul_mod(Mpsi, prims[pos1], p), pos2, Minc, prims[pos2])
 
         if not rows:
@@ -800,6 +786,8 @@ class Analyzer:
     # -- the full report ---------------------------------------------------------------------
 
     def report(self, group_id: str | None = None) -> InvariantReport:
+        """One path for every group: e', e'' and d0 short-cut by themselves
+        when G is p-central, and d1 is known only then."""
         gid = group_id or self.label
         t = None
         certified: dict = {}
@@ -809,22 +797,14 @@ class Analyzer:
             t = self.group_type()
             certified["type"] = t.certified
             e_val, h_val = t.e, t.h
+            ep, certified["e_prime"] = self.e_prime()
+            edp, certified["e_double_prime"] = self.e_double_prime()
+            for name in sorted(self._heuristic):
+                certified[f"{name}_heuristic"] = True
+            d0_val, certified["d0"] = self.d0()
             if self.p_central:
-                d0_val, d1_val = t.e, t.e + t.h
-                certified["d0"] = certified["d1"] = t.certified
-                ep = edp = t.e
-                certified["e_prime"] = certified["e_double_prime"] = t.certified
-                cess_nz = True
-            else:
-                ep, epc = self.e_prime()
-                edp, edpc = self.e_double_prime()
-                certified["e_prime"], certified["e_double_prime"] = epc, edpc
-                for name in sorted(self._heuristic):
-                    certified[f"{name}_heuristic"] = True
-                d0_val, d0c = self.d0_general()
-                certified["d0"] = d0c
-                d1_val = None
-                cess_nz = ep >= 0
+                d1_val, certified["d1"] = t.e + t.h, t.certified
+            cess_nz = ep >= 0
         except BudgetExceededError:
             certified["budget_exceeded"] = True
         except DegreeBoundError:
@@ -836,7 +816,7 @@ class Analyzer:
             rank=self.rank,
             center_rank=self.center_rank,
             p_central=self.p_central,
-            type_entries=t.entries if t else None,
+            type=list(t.entries) if t else None,
             e=e_val,
             h=h_val,
             d0=d0_val,

@@ -4,8 +4,9 @@ A presentation has generators g_1..g_n with relations
 ``g_i^p = word over later generators`` and ``[g_j, g_i] = word over
 generators after g_j`` (j > i), so the tail subgroups refine a central
 series and collection terminates structurally.  Groups here are small
-(order <= ~2^10); elements are indexed 0..p^n-1 by their normal-form
-exponent vectors in mixed radix, with 0 the identity.
+(a user group above MAX_ORDER = 2^12 is refused); elements are indexed
+0..p^n-1 by their normal-form exponent vectors in mixed radix, with 0
+the identity.
 
 Consistency is not taken on trust: construction builds the right-
 multiplication permutation action from collection and then verifies
@@ -30,12 +31,25 @@ import numpy as np
 from .fplinalg import MAX_PRIME, FpMatrix, _is_prime, kernel_basis
 
 
+# The largest order a user group may have: the group layer keeps an
+# order x order int32 multiplication table, which is 64 MB at this size.
+MAX_ORDER = 2 ** 12
+
+
 class PcPresentationError(ValueError):
     """Malformed presentation data (bad exponents, supports, or prime)."""
 
 
 class InconsistentPresentationError(PcPresentationError):
     """Collection produced a relation violation: the input was inconsistent."""
+
+
+def check_order(p: int, n: int) -> None:
+    """Refuse a user group of order p^n above MAX_ORDER before it is built."""
+    # for p >= 2, p^13 > 2^12 already, so the exponent is capped there
+    if p ** min(n, MAX_ORDER.bit_length()) > MAX_ORDER:
+        raise PcPresentationError(
+            f"group order {p}^{n} exceeds the supported maximum {MAX_ORDER}")
 
 
 class PcPresentation:

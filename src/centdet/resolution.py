@@ -497,11 +497,6 @@ def induced_map(hom: GroupHom, res_src, res_tgt) -> InducedMap:
     return InducedMap(hom, res_src, res_tgt)
 
 
-def restriction_map(res_G, embed: GroupHom, res_H) -> InducedMap:
-    """H^k(G) -> H^k(H) along a subgroup embedding H -> G."""
-    return induced_map(embed, res_H, res_G)
-
-
 # ---------------------------------------------------------------------------
 # comodule structure over a central elementary abelian subgroup
 

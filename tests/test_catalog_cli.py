@@ -199,6 +199,43 @@ def test_cli_cess(capsys):
     assert data["e_double_prime"] == 2
 
 
+PINNED_CESS = [
+    ("Q8", "", {
+        "group_id": "Q8", "degree_bound": 6, "p_central": True,
+        "cess_dims": [1, 2, 2, 1, 1, 2, 2], "qa_cess_dims": [1, 2, 2, 1, 0, 0, 0],
+        "pc_cess_dims": [1, 2, 2, 1, 0, 0, 0], "e_prime": 3, "e_double_prime": 3,
+        "certified": {"e_prime": True, "e_double_prime": True}}),
+    ("SD16", "", {
+        "group_id": "SD16", "degree_bound": 6, "p_central": False,
+        "cess_dims": [0, 1, 1, 0, 0, 1, 1], "qa_cess_dims": [0, 1, 1, 0, 0, 0, 0],
+        "pc_cess_dims": [0, 1, 1, 0, 0, 0, 0], "e_prime": 2, "e_double_prime": 2,
+        "certified": {"e_prime": True, "e_double_prime": True}}),
+    ("H27", "p 3\ngens 3\ncomm 2 1 = g3^1\n", {
+        "group_id": "H27", "degree_bound": 6, "p_central": False,
+        "cess_dims": [0] * 7, "qa_cess_dims": [0] * 7, "pc_cess_dims": [0] * 7,
+        "e_prime": -1, "e_double_prime": -1,
+        "certified": {"e_prime": True, "e_double_prime": True}}),
+    ("Z9xZ3", "p 3\ngens 3\npow 1 = g2^1\n", {
+        "group_id": "Z9xZ3", "degree_bound": 6, "p_central": True,
+        "cess_dims": [1, 2, 3, 4, 5, 6, 7], "qa_cess_dims": [1, 1, 0, 0, 0, 0, 0],
+        "pc_cess_dims": [1, 1, 0, 0, 0, 0, 0], "e_prime": 1, "e_double_prime": 1,
+        "certified": {"e_prime": True, "e_double_prime": True}}),
+]
+
+
+@pytest.mark.parametrize("gid,pcp,want", PINNED_CESS, ids=[g for g, _, _ in PINNED_CESS])
+def test_cli_cess_pinned(capsys, tmp_path, gid, pcp, want):
+    # a catalog id, or a .pcp file of that name when its text is given
+    group = gid
+    if pcp:
+        group = str(tmp_path / f"{gid}.pcp")
+        with open(group, "w") as fh:
+            fh.write(pcp)
+    code, out = run_cli(capsys, "cess", group, "--degree", "6")
+    assert code == 0
+    assert json.loads(out) == want
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_cli_cess_trivial_group(capsys, tmp_path, p):
     path = str(tmp_path / f"trivial{p}.pcp")
@@ -276,6 +313,29 @@ def test_cli_error_is_machine_readable(capsys):
     assert code == 1
     data = json.loads(out)
     assert "error" in data and "NOPE" in data["error"]["message"]
+
+
+def test_cli_refuses_oversized_pcp(capsys, tmp_path):
+    path = str(tmp_path / "big.pcp")
+    with open(path, "w") as fh:
+        fh.write("p 2\ngens 40\n")
+    code, out = run_cli(capsys, "info", path)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "PcPresentationError" and "2^40" in err["message"]
+
+
+def test_cli_refuses_oversized_product(capsys):
+    # Q64xQ64 (order 2^12) is built; the product with a third factor is not
+    code, out = run_cli(capsys, "info", "Q64xQ64xQ64")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "PcPresentationError" and "2^18" in err["message"]
+
+
+def test_builtin_order_128_product_is_served():
+    entry = builtin("E16xD8")
+    assert entry.pres.order == 128 and entry.expected["rank"] == 6
 
 
 def test_cli_verify_quick(capsys):

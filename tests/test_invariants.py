@@ -3,7 +3,7 @@ import pytest
 
 from centdet import resolution
 from centdet.catalog import builtin
-from centdet.fplinalg import intersect, matmul_mod
+from centdet.fplinalg import FpSubspace, intersect, matmul_mod, subspace_sum
 from centdet.pgroup import (
     PcPresentation,
     direct_product,
@@ -255,6 +255,37 @@ def test_duflot_odd_p_split():
     assert degs == [1, 2, 2]  # x, its Bockstein partner, and y^(p^0)
 
 
+def _greedy_flag_basis(a):
+    """Reference for _flag_adapted_basis: walk the level bases row by row
+    and keep each row that is not in the span of those kept before."""
+    chosen = []
+    span = FpSubspace.zero(a.p, a.center_rank)
+    for k, level in enumerate(a.group_type().flag):
+        for row in level.subspace.basis.arr:
+            if not span.contains(row):
+                chosen.append((k, row))
+                span = subspace_sum(span, FpSubspace.from_spanning(
+                    a.p, a.center_rank, row[None, :]))
+    return chosen
+
+
+@pytest.mark.parametrize("G,N", [
+    (Q8, 8),
+    (builtin("64#187").pres, 8),
+    (H27, 10),
+    (direct_product(cyclic(3, 1), cyclic(3, 2)), 8),
+    (W23, 2),
+    (PcPresentation(2, 0, [], {}), 2),
+])
+def test_flag_adapted_basis_matches_greedy_rows(G, N):
+    a = WS.analyzer(G, N)
+    got, want = a._flag_adapted_basis(), _greedy_flag_basis(a)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(got, want))
+    if a.center_rank == 0:
+        assert got == []
+
+
 # ---------------------------------------------------------------------------
 # Q_A and P_C
 
@@ -326,6 +357,21 @@ def test_cess_sd16():
     pc = a.pc_cess_dims().dims
     for k in range(11):
         assert pc[k] <= q[k]
+
+
+@pytest.mark.parametrize("G,N", [
+    (D8, 6),
+    (semidihedral(4), 8),
+    (builtin("D8xZ4").pres, 6),
+])
+def test_duflot_ideal_of_cess_lies_in_cess(G, N):
+    # Cess is a kernel of ring maps, so Q_A Cess needs no intersection
+    a = WS.analyzer(G, N)
+    subs = a.cess_subspaces()
+    assert subs is not None
+    for k in range(N + 1):
+        span = a._a_ideal_span(k, subs)
+        assert intersect(subs[k], span) == span
 
 
 def test_cess_p_central_convention():
@@ -521,6 +567,45 @@ def test_report_d8():
     assert r["d1"] is None
     assert r["p_central"] is False
     assert r["cess_nonzero"] is False
+
+
+# full reports, as values of the single-branch report they replaced
+PINNED_REPORTS = [
+    (builtin("Q8").pres, "Q8", 8, {
+        "group_id": "Q8", "p": 2, "order": 8, "rank": 1, "center_rank": 1,
+        "p_central": True, "type": [4], "e": 3, "h": 2, "d0": 3, "d1": 5,
+        "e_prime": 3, "e_double_prime": 3, "cess_nonzero": True,
+        "truncation_degree": 8,
+        "certified": {"type": True, "d0": True, "d1": True, "e_prime": True,
+                      "e_double_prime": True}}),
+    (builtin("SD16").pres, "SD16", 8, {
+        "group_id": "SD16", "p": 2, "order": 16, "rank": 2, "center_rank": 1,
+        "p_central": False, "type": [4], "e": 3, "h": 2, "d0": 2, "d1": None,
+        "e_prime": 2, "e_double_prime": 2, "cess_nonzero": True,
+        "truncation_degree": 8,
+        "certified": {"type": True, "e_prime": True, "e_double_prime": True,
+                      "d0": True}}),
+    (builtin("D8xD8").pres, "D8xD8", 4, {
+        "group_id": "D8xD8", "p": 2, "order": 64, "rank": 4, "center_rank": 2,
+        "p_central": False, "type": [2, 2], "e": 2, "h": 1, "d0": 0, "d1": None,
+        "e_prime": -1, "e_double_prime": -1, "cess_nonzero": False,
+        "truncation_degree": 4,
+        "certified": {"type": True, "e_prime": False, "e_double_prime": False,
+                      "d0": False}}),
+    (H27, "H27", 6, {
+        "group_id": "H27", "p": 3, "order": 27, "rank": 2, "center_rank": 1,
+        "p_central": False, "type": [6], "e": 5, "h": 2, "d0": 0, "d1": None,
+        "e_prime": -1, "e_double_prime": -1, "cess_nonzero": False,
+        "truncation_degree": 6,
+        "certified": {"type": True, "e_prime": True, "e_double_prime": True,
+                      "d0": True}}),
+]
+
+
+@pytest.mark.parametrize("G,gid,N,want", PINNED_REPORTS,
+                         ids=[gid for _, gid, _, _ in PINNED_REPORTS])
+def test_report_pinned(G, gid, N, want):
+    assert WS.analyzer(G, N).report(gid).to_json_dict() == want
 
 
 def test_report_trivial_group():

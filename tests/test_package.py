@@ -1,6 +1,7 @@
 """The package's public names: a name deleted from a module must also
-leave ``centdet.__all__``, or ``from centdet import *`` breaks.  And no
-module keeps an import it no longer uses, so a deletion leaves no trace."""
+leave ``centdet.__all__``, or ``from centdet import *`` breaks.  No
+module keeps an import it no longer uses, so a deletion leaves no trace,
+and no function, class or method stays defined that nothing refers to."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import centdet
 
 SRC = Path(centdet.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_all_names_resolve():
@@ -44,3 +46,62 @@ def test_no_module_keeps_an_unused_import():
                  path.read_text(), centdet.__all__ if path.name == "__init__.py" else ())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def definitions(source: str) -> list[str]:
+    """Module-level functions and classes, and the methods of those
+    classes; dunder methods are called implicitly and are left out."""
+    tree = ast.parse(source)
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    names = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body if isinstance(f, defs)
+                      and not (f.name.startswith("__") and f.name.endswith("__"))]
+    return names
+
+
+def references(source: str) -> set[str]:
+    """Every name, attribute and imported name the source mentions, and
+    each dotted part of its string constants (entry-point tables name
+    their targets as strings)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def unreferenced(defining: dict[str, str], referring: list[str]) -> list[str]:
+    """'module.name' for each definition in the defining sources (by
+    module name) that no referring source mentions."""
+    used = set().union(*map(references, referring))
+    return sorted(f"{module}.{name}" for module, source in defining.items()
+                  for name in definitions(source) if name not in used)
+
+
+def test_unreferenced_definitions_are_detected():
+    lib = ("def used():\n    pass\n\ndef dead():\n    pass\n\n"
+           "class K:\n    def __init__(self):\n        pass\n"
+           "    def live(self):\n        pass\n    def stale(self):\n        pass\n")
+    user = "from lib import used, K\nK()\nROWS = [('lib', 'K.live')]\n"
+    assert unreferenced({"lib": lib}, [user]) == ["lib.dead", "lib.stale"]
+    assert unreferenced({"lib": lib}, [user, "x.stale, dead"]) == []
+
+
+def test_every_definition_is_referenced():
+    # __init__'s re-exports through __all__ do not count as a use
+    package = REPO / "src" / "centdet"
+    referring = [path.read_text()
+                 for root in (REPO / "src", REPO / "tests", REPO / "perfbench")
+                 for path in sorted(root.rglob("*.py")) if path != package / "__init__.py"]
+    defining = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unreferenced(defining, referring) == []
