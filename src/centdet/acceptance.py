@@ -285,18 +285,14 @@ def criterion_6(ws: Workspace, corpus=None, N: int = 8):
 def coassociativity_defect(ws: Workspace, pres, k_max: int) -> str | None:
     """Compare (Delta (x) 1) m* with (1 (x) m*) m* degreewise; None if equal."""
     from .fplinalg import matmul_mod
-    from .pgroup import subgroup_presentation, whole_group
-    from .resolution import induced_map
+    from .pgroup import whole_group
+    from .resolution import comodule_map
 
     a = ws.analyzer(pres, k_max + 1)
     cm = a.comodule()
     res, resC = a.res, a.resC
-    presC = resC.pres
-    presCC, embedCC, _ = subgroup_presentation(presC, whole_group(presC))
-    resCC = ws.resolution(presCC, k_max + 1)
-    from .resolution import comodule_map
-    delta = comodule_map(resC, whole_group(presC), resCC)
-    iso = induced_map(embedCC, resCC, resC)
+    # C presents itself, so Delta is read in resC's own coordinates
+    delta = comodule_map(resC, whole_group(resC.pres), resC)
     p = pres.p
     for k in range(k_max + 1):
         for x_idx in range(res.betti[k]):
@@ -319,18 +315,9 @@ def coassociativity_defect(ws: Workspace, pres, k_max: int) -> str | None:
                     if mimg[jj]:
                         key = (i, u, b, y, k - i - b, vg)
                         rhs[key] = (rhs.get(key, 0) + int(img[j]) * int(mimg[jj])) % p
-            rhs2: dict = {}
-            for (aa, w, b, y, j2, v2), cval in rhs.items():
-                if not cval:
-                    continue
-                ew = np.eye(resC.betti[aa], dtype=np.uint8)[w]
-                wcc = matmul_mod(iso.matrix(aa), ew[:, None], p)[:, 0]
-                for w2 in np.flatnonzero(wcc):
-                    key = (aa, int(w2), b, y, j2, v2)
-                    rhs2[key] = (rhs2.get(key, 0) + cval * int(wcc[w2])) % p
             lhs = {kk: vv for kk, vv in lhs.items() if vv}
-            rhs2 = {kk: vv for kk, vv in rhs2.items() if vv}
-            if lhs != rhs2:
+            rhs = {kk: vv for kk, vv in rhs.items() if vv}
+            if lhs != rhs:
                 return f"coassociativity fails in degree {k}"
     return None
 

@@ -59,6 +59,7 @@ from .pgroup import (
     p_rank,
     quillen_category_AC,
     subgroup_presentation,
+    whole_group,
 )
 from .resolution import (
     BudgetExceededError,
@@ -238,8 +239,13 @@ class Analyzer:
         return self.ws.resolution(self.G, self.N)
 
     @property
+    def category(self):
+        """The Quillen category of elementary abelians containing C."""
+        return quillen_category_AC(self.G)
+
+    @property
     def C(self) -> Subgroup:
-        return self._memo("C", lambda: omega1_center(self.G))
+        return self.category.C
 
     @property
     def center_rank(self) -> int:
@@ -247,29 +253,21 @@ class Analyzer:
 
     @property
     def rank(self) -> int:
-        return self._memo("rank", lambda: p_rank(self.G))
+        return p_rank(self.G)
 
     @property
     def p_central(self) -> bool:
-        return self._memo("p_central", lambda: is_p_central(self.G))
-
-    @property
-    def category(self):
-        """The Quillen category of elementary abelians containing C."""
-        return self._memo("cat", lambda: quillen_category_AC(self.G))
-
-    def _c_pres(self):
-        return self._memo("c_pres", lambda: subgroup_presentation(self.G, self.C))
+        return is_p_central(self.G)
 
     @property
     def resC(self) -> MinimalResolution:
-        presC, _, _ = self._c_pres()
+        presC, _, _ = subgroup_presentation(self.G, self.C)
         return self.ws.resolution(presC, self.N)
 
     # -- restriction image -------------------------------------------------------
 
     def restriction_to_C(self) -> InducedMap:
-        return self._conj_map(self.C, None, 0, self.N)
+        return self._conj_map(self.C, whole_group(self.G), 0, self.N)
 
     def res_image(self, k: int) -> FpSubspace:
         def make():
@@ -287,7 +285,7 @@ class Analyzer:
         """For p odd: the restriction matrices H^1(C) -> H^1(U) and
         H^2(C) -> H^2(U), each stacked over the subgroups U of order p in C."""
         def make():
-            presC, _, _ = self._c_pres()
+            presC, _, _ = subgroup_presentation(self.G, self.C)
             R1, R2 = [], []
             for U in elementary_abelian_subgroups(presC):
                 if U.rank != 1:
@@ -501,9 +499,8 @@ class Analyzer:
                 )
 
     def comodule(self) -> ComoduleMap:
-        def make():
-            return ComoduleMap(self.res, self.C, self.resC)
-        return self._memo("comodule", make)
+        """The coaction of C on H*(G): the equalizer's data at V = C."""
+        return self._object_data(self.category.objects[0])[1]
 
     def _pc(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
         """P_C dimensions of a graded subspace of H* (None: all of H*)."""
@@ -532,7 +529,7 @@ class Analyzer:
                 if K.elems in seen_centralizers:
                     continue
                 seen_centralizers.add(K.elems)
-                rmap = self._conj_map(K, None, 0, self.N, keep=False)
+                rmap = self._conj_map(K, whole_group(self.G), 0, self.N, keep=False)
                 for k in range(self.N + 1):
                     mats[k].append(rmap.matrix(k))
             out = []
@@ -623,14 +620,10 @@ class Analyzer:
             best = -1
             certified = True
             for V in self.qualifying_reps():
-                K = centralizer(self.G, V)
-                if K.order == self.G.order:
-                    val, cert = self.e_double_prime()
-                else:
-                    presK, _, _ = subgroup_presentation(self.G, K)
-                    sub = self.ws.analyzer(presK, self.N,
-                                           label=f"{self.label}:centralizer")
-                    val, cert = sub.e_double_prime()
+                presK, _, _ = subgroup_presentation(self.G, centralizer(self.G, V))
+                sub = self if presK is self.G else self.ws.analyzer(
+                    presK, self.N, label=f"{self.label}:centralizer")
+                val, cert = sub.e_double_prime()
                 best = max(best, val)
                 certified = certified and cert
             return best, certified
@@ -659,7 +652,8 @@ class Analyzer:
         return Cocycle(e, P.basis.arr[0])
 
     def is_essential(self, z: Cocycle) -> bool:
-        return not any(self._conj_map(M, None, 0, z.degree, keep=False).apply(z).vec.any()
+        G = whole_group(self.G)
+        return not any(self._conj_map(M, G, 0, z.degree, keep=False).apply(z).vec.any()
                        for M in maximal_subgroups(self.G))
 
     # -- locally finite part and reduced layers ------------------------------------------
@@ -668,32 +662,26 @@ class Analyzer:
         """The centralizer K = C_G(V) of the class rep V, and the coaction
         of V on H*(K) whose primitives P_V make the equalizer's unknowns."""
         def make():
-            V = obj.rep
-            K = centralizer(self.G, V)
+            K = centralizer(self.G, obj.rep)
             presK, _, to_idxK = subgroup_presentation(self.G, K)
-            V_in_K = Subgroup(presK, [to_idxK[x] for x in V.elems],
-                              [to_idxK[x] for x in V.elems if x != 0])
+            V_in_K = Subgroup(presK, [to_idxK[x] for x in obj.rep.elems])
             presV_K, _, _ = subgroup_presentation(presK, V_in_K)
             return K, ComoduleMap(self.ws.resolution(presK, self.N), V_in_K,
                                   self.ws.resolution(presV_K, self.N))
         return self._memo(("objdata", obj.rep.elems), make)
 
-    def _conj_map(self, S_from: Subgroup, S_to: Subgroup | None, g: int, k: int,
+    def _conj_map(self, S_from: Subgroup, S_to: Subgroup, g: int, k: int,
                   keep: bool = True) -> InducedMap:
         """The map induced by y -> g y g^-1 from pres(S_from) to pres(S_to),
-        where S_to = None is G itself, with its own presentation and
-        resolution.  Subgroup resolutions grow only to the degree k asked
-        for.  A kept map is lifted once and read at every degree; a map
-        read only once is not kept, so its lift is freed after use."""
+        where pres(G) is G itself.  Resolutions grow only to the degree k
+        asked for.  A kept map is lifted once and read at every degree; a
+        map read only once is not kept, so its lift is freed after use."""
         G = self.G
         presF, embedF, _ = subgroup_presentation(G, S_from)
         resF = self.ws.resolution(presF, k)
-        if S_to is None:
-            presT, to_idxT, resT = G, range(G.order), self.res
-        else:
-            presT, _, to_idxT = subgroup_presentation(G, S_to)
-            resT = self.ws.resolution(presT, k)
-        key = ("conj", S_from.elems, None if S_to is None else S_to.elems, g)
+        presT, _, to_idxT = subgroup_presentation(G, S_to)
+        resT = self.ws.resolution(presT, k)
+        key = ("conj", S_from.elems, S_to.elems, g)
         got = self._cache.get(key)
         if got is None:
             ginv = G.inv(g)

@@ -18,6 +18,11 @@ derived from the multiplication table: ``commute_table`` (xy = yx) and
 ``order_p_mask`` (x^p = 1).  The element accessors ``comm``,
 ``pth_power`` and ``conj`` remain for collection and for validating
 homomorphisms.
+
+A group's structure is worked out once per presentation and kept on
+it: A_C (``quillen_category_AC``, C = Omega_1 Z(G)), which ``p_rank``
+reads since every maximal elementary abelian E contains C, and each
+``subgroup_presentation``, under which G presents itself.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ class PcPresentation:
         self._order_p_mask: np.ndarray | None = None
         self._left_inv_gather: np.ndarray | None = None
         self._sub_pres_cache: dict = {}
+        self._category: QuillenCategoryAC | None = None
         self._radix = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
 
     # -- structural validation ------------------------------------------------
@@ -465,12 +471,15 @@ def elementary_abelian_subgroups(
         for S in frontier:
             admissible = order_p & commute[:, S.elems].all(axis=1)
             admissible[list(S.elems)] = False
-            for x in np.flatnonzero(admissible).tolist():
+            while admissible.any():
+                x = int(admissible.argmax())
                 powers = [0, x]
                 for _ in range(G.p - 2):
                     powers.append(int(tbl[powers[-1], x]))
                 bigger = Subgroup(G, tbl[np.ix_(S.elems, powers)].ravel(),
                                   list(S.gens or S.elems) + [x])
+                # every y in S<x> \ S gives S<y> = S<x>: build it once
+                admissible[list(bigger.elems)] = False
                 if bigger.elems not in found:
                     found[bigger.elems] = bigger
                     nxt.append(bigger)
@@ -479,8 +488,9 @@ def elementary_abelian_subgroups(
 
 
 def p_rank(G: PcPresentation) -> int:
-    subs = elementary_abelian_subgroups(G)
-    return max(s.rank for s in subs)
+    """The largest rank among the objects of A_C, which holds every
+    maximal elementary abelian subgroup."""
+    return max(obj.rep.rank for obj in quillen_category_AC(G).objects)
 
 
 def maximal_subgroups(G: PcPresentation) -> list[Subgroup]:
@@ -722,19 +732,24 @@ def pc_structure(elems, mult, inv, p):
 
 
 def subgroup_presentation(G: PcPresentation, S: Subgroup):
-    """Presentation of a subgroup plus the validated embedding into G."""
+    """Presentation of a subgroup, the validated embedding into G, and the
+    index in that presentation of each element of S.  G presents itself:
+    for S = G that is G, the identity and the identity index."""
     cached = G._sub_pres_cache.get(S.elems)
     if cached is not None:
         return cached
-    pres, gens_abs, to_idx = pc_structure(
-        list(S.elems), G.mult, G.inv, G.p
-    )
-    embed = GroupHom(pres, G, gens_abs)
-    # embedding must invert the normal-form indexing
-    for x in S.elems:
-        if embed.apply(to_idx[x]) != x:
-            raise PcPresentationError("subgroup embedding mismatch")
-    result = (pres, embed, to_idx)
+    if S.order == G.order:
+        result = (G, identity_hom(G), range(G.order))
+    else:
+        pres, gens_abs, to_idx = pc_structure(
+            list(S.elems), G.mult, G.inv, G.p
+        )
+        embed = GroupHom(pres, G, gens_abs)
+        # embedding must invert the normal-form indexing
+        for x in S.elems:
+            if embed.apply(to_idx[x]) != x:
+                raise PcPresentationError("subgroup embedding mismatch")
+        result = (pres, embed, to_idx)
     G._sub_pres_cache[S.elems] = result
     return result
 
@@ -827,12 +842,16 @@ class QuillenCategoryAC:
 
 
 def quillen_category_AC(G: PcPresentation) -> QuillenCategoryAC:
-    C = omega1_center(G)
-    subs = elementary_abelian_subgroups(G, containing=C)
-    classes = conjugacy_classes(G, subs)
-    classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
-    member_index = {}
-    for pos, obj in enumerate(classes):
-        for elems, g in obj.members.items():
-            member_index[elems] = (pos, g)
-    return QuillenCategoryAC(G, C, classes, member_index)
+    """A_C for C = Omega_1 Z(G), built once per presentation and kept on it;
+    its first object is C itself."""
+    if G._category is None:
+        C = omega1_center(G)
+        subs = elementary_abelian_subgroups(G, containing=C)
+        classes = conjugacy_classes(G, subs)
+        classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
+        member_index = {}
+        for pos, obj in enumerate(classes):
+            for elems, g in obj.members.items():
+                member_index[elems] = (pos, g)
+        G._category = QuillenCategoryAC(G, C, classes, member_index)
+    return G._category

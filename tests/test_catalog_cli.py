@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from centdet import invariants, pgroup
 from centdet.catalog import (
     CatalogError,
     PcpFormatError,
@@ -331,6 +332,34 @@ def test_cli_refuses_oversized_product(capsys):
     assert code == 1
     err = json.loads(out)["error"]
     assert err["type"] == "PcPresentationError" and "2^18" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["info", "E8xD8"],
+                                  ["invariants", "D8xZ4", "--degree", "6"]])
+def test_no_presentation_is_enumerated_twice(capsys, monkeypatch, argv):
+    enumerated = []
+    orig = pgroup.elementary_abelian_subgroups
+
+    def counted(G, containing=None):
+        enumerated.append(G)
+        return orig(G, containing)
+
+    for mod in (pgroup, invariants):
+        monkeypatch.setattr(mod, "elementary_abelian_subgroups", counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0 and enumerated
+    assert len({id(G) for G in enumerated}) == len(enumerated)
+
+
+def test_cli_info_on_largest_admitted_group(capsys, tmp_path):
+    # the elementary abelian group of order 2^12: C = G, so A_C is one object
+    path = str(tmp_path / "e4096.pcp")
+    with open(path, "w") as fh:
+        fh.write("p 2\ngens 12\n")
+    code, out = run_cli(capsys, "info", path)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["rank"], data["center_rank"], data["p_central"]) == (12, 12, True)
 
 
 def test_builtin_order_128_product_is_served():

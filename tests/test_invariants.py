@@ -8,6 +8,7 @@ from centdet.pgroup import (
     PcPresentation,
     direct_product,
     elementary_abelian_subgroups,
+    omega1_center,
     subgroup_presentation,
 )
 from centdet.invariants import (
@@ -142,7 +143,7 @@ def test_order_p_subgroups_of_c_share_the_canonical_presentation(G):
     # the odd-p Bockstein representatives are fixed only up to the scalar
     # that the resolution of each order-p subgroup U of C picks; one
     # presentation for every U makes that scalar common to all of them
-    presC, _, _ = WS.analyzer(G, 2)._c_pres()
+    presC, _, _ = subgroup_presentation(G, omega1_center(G))
     hashes = [subgroup_presentation(presC, U)[0].hash_key()
               for U in elementary_abelian_subgroups(presC) if U.rank == 1]
     assert len(hashes) == (presC.order - 1) // (G.p - 1)
@@ -495,8 +496,14 @@ def test_bar_rd_p_central_tensor_formula():
 
 
 def test_lf_d8_is_scalars():
-    a = WS.analyzer(D8, 6)
+    ws = Workspace()
+    a = ws.analyzer(D8, 6)
     assert a.lf_dims().dims == (1, 0, 0, 0, 0, 0, 0)
+    for d in range(7):
+        a.bar_rd_dims(d)
+    # the component at V = C has centralizer G, which presents itself
+    resolved = [res.pres for res in ws._res.values() if res.pres.order == 8]
+    assert len(resolved) == 1 and resolved[0] is D8
 
 
 def test_lf_sd16():

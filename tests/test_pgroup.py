@@ -9,6 +9,7 @@ from centdet.pgroup import (
     InconsistentPresentationError,
     PcPresentation,
     PcPresentationError,
+    Subgroup,
     center,
     centralizer,
     conjugacy_classes,
@@ -264,6 +265,14 @@ def test_subgroup_presentation_roundtrip():
                     assert to_idx[G.mult(x, y)] == pres.mult(to_idx[x], to_idx[y])
 
 
+@pytest.mark.parametrize("name", ["D8", "SD16"])
+def test_whole_group_presents_itself(name):
+    G = builtin(name).pres
+    pres, embed, to_idx = subgroup_presentation(G, whole_group(G))
+    assert pres is G
+    assert list(embed.table()) == list(to_idx) == list(range(G.order))
+
+
 def test_multiplication_hom():
     C = omega1_center(Q8)
     prod, presC, embedC, m = multiplication_hom(Q8, C)
@@ -471,6 +480,24 @@ def test_elementary_abelian_enumeration_matches_bfs_reference(name):
         assert [(S.elems, S.gens, S.order) for S in got] == \
             [(elems, gens, len(elems)) for elems, gens in expect]
         assert all(S.is_elementary_abelian() for S in got)
+    assert G.p ** p_rank(G) == max(len(elems) for elems, _ in ref.elementary_abelian_subgroups())
+
+
+def test_elementary_abelian_enumeration_builds_each_subgroup_once(monkeypatch):
+    # one construction for the trivial subgroup, then one per cover S < T
+    ref = _reference("D16xD8")
+    subs = [set(elems) for elems, _ in ref.elementary_abelian_subgroups()]
+    covers = sum(len(T) == ref.G.p * len(S) and S < T for S in subs for T in subs)
+    built = []
+    init = Subgroup.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Subgroup, "__init__", counted)
+    assert len(elementary_abelian_subgroups(ref.G)) == len(subs)
+    assert len(built) == 1 + covers
 
 
 @pytest.mark.parametrize("name", REFERENCE_GROUPS)
