@@ -152,28 +152,29 @@ def w32_presentation() -> PcPresentation:
 
 
 class _GF2k:
-    """Tiny GF(2^k) arithmetic on integer bit masks."""
+    """GF(2^k) on integer bit masks, as a product table built once."""
 
     def __init__(self, k: int, modulus: int):
-        self.k = k
-        self.size = 1 << k
-        self.modulus = modulus
+        size = 1 << k
 
-    def mul(self, a: int, b: int) -> int:
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.size:
-                a ^= self.modulus
-        return acc
+        def mul(a: int, b: int) -> int:
+            acc = 0
+            while b:
+                if b & 1:
+                    acc ^= a
+                b >>= 1
+                a <<= 1
+                if a & size:
+                    a ^= modulus
+            return acc
 
-    def pow(self, a: int, e: int) -> int:
-        out = 1
+        self.prod = [[mul(a, b) for b in range(size)] for a in range(size)]
+
+    def powers(self, e: int) -> list[int]:
+        """x^e for every element x, indexed by x."""
+        out = [1] * len(self.prod)
         for _ in range(e):
-            out = self.mul(out, a)
+            out = [self.prod[y][x] for x, y in enumerate(out)]
         return out
 
 
@@ -182,22 +183,23 @@ def su34_sylow_presentation() -> PcPresentation:
     pairs (a, b) in F16 x F16 with b + b^4 = a^5 and product
     (a, b)(a', b') = (a + a', b + b' + a * a'^4)."""
     F = _GF2k(4, 0b10011)  # x^4 + x + 1
+    prod, fourth, fifth = F.prod, F.powers(4), F.powers(5)
     elems = [
         (a, b)
         for a in range(16)
         for b in range(16)
-        if (b ^ F.pow(b, 4)) == F.pow(a, 5)
+        if (b ^ fourth[b]) == fifth[a]
     ]
     assert len(elems) == 64
 
     def mult(x, y):
         a, b = x
         c, d = y
-        return (a ^ c, b ^ d ^ F.mul(a, F.pow(c, 4)))
+        return (a ^ c, b ^ d ^ prod[a][fourth[c]])
 
     def inv(x):
         a, b = x
-        return (a, b ^ F.pow(a, 5))
+        return (a, b ^ fifth[a])
 
     pres, _, _ = pc_structure(elems, mult, inv, 2)
     return pres
@@ -207,16 +209,17 @@ def sz8_sylow_presentation() -> PcPresentation:
     """Sylow 2-subgroup of Sz(8), order 64 (64#153): pairs (a, b) in F8 x F8
     with product (a, b)(a', b') = (a + a', b + b' + a^4 * a')."""
     F = _GF2k(3, 0b1011)  # x^3 + x + 1
+    prod, fourth = F.prod, F.powers(4)
     elems = [(a, b) for a in range(8) for b in range(8)]
 
     def mult(x, y):
         a, b = x
         c, d = y
-        return (a ^ c, b ^ d ^ F.mul(F.pow(a, 4), c))
+        return (a ^ c, b ^ d ^ prod[fourth[a]][c])
 
     def inv(x):
         a, b = x
-        return (a, b ^ F.mul(F.pow(a, 4), a))
+        return (a, b ^ prod[fourth[a]][a])
 
     pres, _, _ = pc_structure(elems, mult, inv, 2)
     return pres
@@ -287,6 +290,17 @@ def builtin_ids() -> list[str]:
     return sorted(_BUILTINS)
 
 
+def _catalog_order(id: str) -> int | None:
+    """The order of a shipped id, or of an 'AxB' product of shipped ids, as
+    the catalog records it, without building a group; None for any other
+    id.  Every shipped entry is a 2-group."""
+    if id in _BUILTINS:
+        return _BUILTINS[id][2]["order"]
+    left, _, right = id.partition("x")
+    rest = _catalog_order(right) if left in _BUILTINS and right else None
+    return None if rest is None else _BUILTINS[left][2]["order"] * rest
+
+
 def builtin(id: str) -> CatalogEntry:
     """A shipped entry (or an 'AxB' direct product of shipped entries),
     with its cheap fingerprint verified before it is served."""
@@ -298,9 +312,11 @@ def builtin(id: str) -> CatalogEntry:
     if "x" in id:
         left, _, right = id.partition("x")
         if left in _BUILTINS or "x" in left:
+            order = _catalog_order(id)
+            if order is not None:  # refused before any factor is built
+                check_order(2, order.bit_length() - 1)
             a = builtin(left)
-            b = builtin(right)
-            check_order(a.pres.p, a.pres.n + b.pres.n)
+            b = builtin(right)  # an unknown factor raises here
             pres = direct_product(a.pres, b.pres)
             expected: dict = {
                 "order": a.pres.order * b.pres.order,

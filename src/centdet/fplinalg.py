@@ -1,16 +1,22 @@
 """Exact dense linear algebra over prime fields.
 
 Everything downstream reduces to the row-reduction kernels in this
-module.  For p = 2, rows are packed into 64-bit words and eliminated
-with whole-row XOR, which is the dominant cost of resolution building.
-Odd primes work on int64 rows in column panels: each panel is reduced
-in a narrow block that also records its row operations, and the
-columns right of it catch up in one integer product per panel (see
-``_rref_generic``).  The panel width is a fixed constant, not a setting:
-the result does not depend on it, the sums in that product stay below
-_PANEL * p^2 for every input, and 16 was the fastest width from 8 to 32
-on the odd-p reports.  All arithmetic is exact mod p, no floating point
-anywhere.
+module.  For p = 2, rows are packed into 64-bit words and eliminated in
+word panels: each panel's pivots are found on one word per row, and the
+rows are brought up to date from byte-indexed XOR tables of the panel's
+pivot rows, once per panel (the method of Four Russians; see
+``_rref_bits``).  Odd primes work on int64 rows in column panels: each
+panel is reduced in a narrow block that also records its row
+operations, and the columns right of it catch up in one integer product
+per panel (see ``_rref_generic``).  The odd-p panel width is a fixed
+constant, not a setting: the result does not depend on it, the sums in
+that product stay below _PANEL * p^2 for every input, and 16 was the
+fastest width from 8 to 32 on the odd-p reports.  All arithmetic is
+exact mod p, no floating point anywhere.
+
+``LinSolver`` factors a matrix once, with its columns reversed, and
+reads both its particular solutions and the canonical RREF basis of its
+kernel from that one elimination.
 
 Conventions: matrices act on column vectors, so ``kernel_basis(m)``
 lives in F_p^cols and ``image_basis(m)`` (the column space) lives in
@@ -111,36 +117,133 @@ def segment_sums(rows: np.ndarray, pick: np.ndarray, coeffs: np.ndarray,
 # ---------------------------------------------------------------------------
 # row reduction kernels
 
+def _word_pivots(x: np.ndarray):
+    """Pivot columns of the rows of the uint64 words x, and for each one the
+    index of a row that can serve as its pivot row.  x is overwritten.
+
+    Each step takes the lowest column still set in some word and clears it
+    from every other word that has it, with the first such word; a column
+    set in no word never becomes set, so only the columns of the initial
+    OR are visited."""
+    cols, rows = [], []
+    present = int(np.bitwise_or.reduce(x))
+    while present:
+        s = (present & -present).bit_length() - 1
+        present &= present - 1
+        hit = (x >> s) & 1
+        h = int(hit.argmax())
+        if hit[h]:
+            x ^= hit * x[h]
+            cols.append(s)
+            rows.append(h)
+    return cols, rows
+
+
+def _reducing_combinations(words: list[int], cols: list[int]) -> list[int]:
+    """T with T[j] the k-bit mask of the words whose sum has bit cols[i] set
+    for i = j only.  The words, restricted to the k columns, must be
+    independent; this is Gauss-Jordan on [words | I] in Python integers."""
+    k = len(cols)
+    aug = [v | 1 << (_WORD + j) for j, v in enumerate(words)]
+    for j, s in enumerate(cols):
+        bit = 1 << s
+        if not aug[j] & bit:
+            i = next(i for i in range(j + 1, k) if aug[i] & bit)
+            aug[i], aug[j] = aug[j], aug[i]
+        pj = aug[j]
+        aug = [v ^ pj if v & bit else v for v in aug]
+        aug[j] = pj
+    return [v >> _WORD for v in aug]
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """The XOR sums of all subsets of the uint64 rows, at the index whose
+    bit t is set iff the subset holds row t (eight doubling steps for
+    eight rows)."""
+    out = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=np.uint64)
+    for t, row in enumerate(rows):
+        out[1 << t:2 << t] = out[:1 << t] ^ row
+    return out
+
+
 def _rref_bits(rows: np.ndarray, ncols: int, pivot_limit: int | None = None):
-    """Gauss-Jordan on packed rows.  Returns (reduced rows, pivot columns).
+    """Gauss-Jordan on packed rows, by word panels.  Returns (reduced rows,
+    pivot columns); ``rows`` is overwritten.
 
     Pivots are only searched within the first ``pivot_limit`` columns;
     row operations always apply to the full packed width, so augmented
     blocks ride along untouched by the pivot search.
+
+    A panel is the 64 columns of one word.  Every row not yet chosen as a
+    pivot row is zero left of the panel, so the panel's pivots, and k <= 64
+    rows to hold them, are found on that one word of those rows.  Reducing
+    the k pivot rows among themselves on their pivot columns gives each
+    reduced row j as a combination T[j] of the k rows as they were.  A
+    row's coefficient for pivot j is its own bit at that pivot's column,
+    so every row with such bits needs the combination sum_j bit_j * T[j]
+    of the k rows added, and pivot row j needs T[j] plus itself.  Those
+    combinations are added from XOR tables of the k rows (all 256 sums of
+    each eight of them), one gather per byte of a combination, to every
+    word from the panel on: the method of Four Russians, as in M4RI
+    (Albrecht-Bard-Hart, ACM TOMS 37, 2010).  Afterwards the rows not
+    chosen are zero in the panel, and rows chosen before are zero at its
+    pivot columns.
+
+    The pivots and the first rank rows left of ``pivot_limit`` are those
+    of column-by-column Gauss-Jordan, since the RREF is unique; the rows
+    below the rank are zero left of the limit.  Which row ends where
+    below the rank, and so what an augmented block records there, may
+    differ from that order of row operations.
     """
-    R = rows.copy()
-    m = R.shape[0]
+    R = rows
+    m, nw = R.shape
     limit = ncols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        if r == m:
+    order: list[int] = []
+    free = np.ones(m, dtype=bool)  # rows not yet chosen as pivot rows
+    for w in range((limit + _WORD - 1) // _WORD):
+        if len(order) == m:
             break
-        w, s = divmod(c, _WORD)
-        mask = np.uint64(1 << s)
-        hits = np.flatnonzero(R[r:, w] & mask)
-        if hits.size == 0:
+        word = R[:, w] & np.uint64((1 << min(_WORD, limit - w * _WORD)) - 1)
+        cand = np.flatnonzero(free & (word != 0))
+        if cand.size == 0:
             continue
-        pr = r + int(hits[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        others = np.flatnonzero(R[:, w] & mask)
-        others = others[others != r]
-        if others.size:
-            R[others] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+        cols, pos = _word_pivots(word[cand])
+        src = cand[pos]
+        k = len(cols)
+        orig = R[src, w:]
+        mask = sum(1 << s for s in cols)
+        T = np.array(_reducing_combinations(
+            (orig[:, 0] & np.uint64(mask)).tolist(), cols), dtype=np.uint64)
+        # the combination each row with bits at the pivot columns needs:
+        # the sum of T[j] over those bits, from one table per byte of them
+        bits = word & np.uint64(mask)
+        upd = np.flatnonzero(bits)
+        t_at = np.zeros((8, 8), dtype=np.uint64)  # T of the pivot at 8b + t
+        t_at.flat[cols] = T
+        byte_sums = _subset_sums(t_at.T)  # [x, b]: over the bits x of byte b
+        row_bytes = bits[upd].view(np.uint8).reshape(-1, 8)  # byte b: bits 8b..8b+7
+        coef = np.zeros(upd.size, dtype=np.uint64)
+        for b in range(8):
+            if mask >> (8 * b) & 255:
+                coef ^= byte_sums[row_bytes[:, b], b]
+        coef[np.searchsorted(upd, src)] = T ^ np.left_shift(
+            np.uint64(1), np.arange(k, dtype=np.uint64))
+        # indexed by one byte of coef: the sums of each eight of the k rows
+        tables = [_subset_sums(orig[b:b + 8]) for b in range(0, k, 8)]
+        coef_bytes = coef.view(np.uint8).reshape(-1, 8)
+        step = max(1, _CHUNK_BYTES // (8 * (nw - w)))
+        for lo in range(0, upd.size, step):
+            rr = upd[lo:lo + step]
+            acc = R[rr, w:]
+            for t, tab in enumerate(tables):
+                acc ^= tab[coef_bytes[lo:lo + step, t]]
+            R[rr, w:] = acc
+        free[src] = False
+        pivots.extend(w * _WORD + s for s in cols)
+        order.extend(src.tolist())
+    order.extend(np.flatnonzero(free).tolist())
+    return R[order], pivots
 
 
 def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
@@ -394,13 +497,20 @@ def _free_column_rows(R: np.ndarray, pivots, n: int, p: int) -> np.ndarray:
     return rows
 
 
+def _kernel_rows(R: np.ndarray, rev_pivots, n: int, p: int) -> np.ndarray:
+    """Canonical RREF basis of {x : M x = 0}, given the RREF R of M[:, ::-1]
+    and its pivots: the free-column rows of R with their columns, and
+    their order, reversed.  Each has its leading 1 at a free column of M
+    and its other entries only at columns right of it that lead no other
+    row, so the rows are already in RREF."""
+    return np.ascontiguousarray(_free_column_rows(R, rev_pivots, n, p)[::-1, ::-1])
+
+
 def kernel_basis(m: FpMatrix) -> FpSubspace:
     """Null space {x : m x = 0} as a canonical RREF subspace of F_p^cols."""
-    R, pivots = _rref_array(m.arr, m.p)
-    rows = _free_column_rows(R, pivots, m.cols, m.p)
-    if not len(rows):
-        return FpSubspace.zero(m.p, m.cols)
-    return FpSubspace.from_spanning(m.p, m.cols, rows)
+    R, rev_pivots = _rref_array(m.arr[:, ::-1], m.p)
+    rows = _kernel_rows(R, rev_pivots, m.cols, m.p)
+    return FpSubspace(m.p, m.cols, FpMatrix(m.p, rows, check=False))
 
 
 def image_basis(m: FpMatrix) -> FpSubspace:
@@ -533,11 +643,17 @@ class IncrementalSpan:
 
 
 class LinSolver:
-    """Gauss-Jordan factorization of M supporting many solves of M x = b.
+    """Gauss-Jordan factorization of M supporting many solves of M x = b
+    and giving the kernel of M, from one elimination.
 
-    Row-reduces [M | I] once; each later solve is a single mod-p
-    product of the right-hand sides with the recorded row-operation
-    matrix E (for p = 2: packed AND + popcount parity).
+    Row-reduces [M' | I] once, where M' = M[:, ::-1] is M with its
+    columns reversed.  Each later solve is a single mod-p product of the
+    right-hand sides with the recorded row-operation matrix E (for
+    p = 2: packed AND + popcount parity): row i of E b is the solution's
+    entry at pivots[i].  ``pivots`` are the pivot columns of M' as
+    columns of M, so counted from the right.  The canonical RREF basis
+    of the kernel of M is read off the RREF of M' (``_kernel_rows``), so
+    no second elimination is needed.
     """
 
     def __init__(self, mat: FpMatrix):
@@ -546,21 +662,23 @@ class LinSolver:
         self.cols_n = mat.cols
         m, n = mat.rows, mat.cols
         if self.p == 2:
-            D = _pack_rows(mat.arr)
-            E = _pack_rows(np.eye(m, dtype=np.uint8))
-            aug = np.hstack([D, E])
-            red, pivots = _rref_bits(aug, n + m, pivot_limit=n)
-            self._wD = D.shape[1]
-            self._R = red[:, : self._wD]
-            self._E = np.ascontiguousarray(red[:, self._wD:])
+            D = _pack_rows(mat.arr[:, ::-1])
+            wD = D.shape[1]
+            aug = np.zeros((m, wD + (m + _WORD - 1) // _WORD), dtype=np.uint64)
+            aug[:, :wD] = D
+            diag = np.arange(m)
+            aug[diag, wD + diag // _WORD] = np.left_shift(
+                np.uint64(1), (diag % _WORD).astype(np.uint64))
+            red, pivots = _rref_bits(aug, wD * _WORD + m, pivot_limit=n)
         else:
-            aug = np.hstack([mat.arr, np.eye(m, dtype=np.uint8)])
+            wD = n
+            aug = np.hstack([mat.arr[:, ::-1], np.eye(m, dtype=np.uint8)])
             red, pivots = _rref_generic(aug, self.p, pivot_limit=n)
-            self._R = red[:, :n]
-            self._E = np.ascontiguousarray(red[:, n:])
-        self.pivots = tuple(pivots)
+        del aug
         self.rank = len(pivots)
-        self._kernel_rows: np.ndarray | None = None
+        self.pivots = tuple(n - 1 - c for c in pivots)
+        self._R = red[: self.rank, :wD].copy()
+        self._E = np.ascontiguousarray(red[:, wD:])
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         """A particular solution of M x = b, or None if inconsistent."""
@@ -592,15 +710,13 @@ class LinSolver:
         return x
 
     def kernel_rows(self) -> np.ndarray:
-        """Canonical RREF basis of {x : M x = 0} as a uint8 array."""
-        if self._kernel_rows is None:
-            R = self._R[: self.rank]
-            if self.p == 2:
-                R = _unpack_rows(R, self.cols_n)
-            rows = _free_column_rows(R, self.pivots, self.cols_n, self.p)
-            red, piv = _rref_array(rows, self.p)
-            self._kernel_rows = red[: len(piv)]
-        return self._kernel_rows
+        """Canonical RREF basis of {x : M x = 0} as a uint8 array.
+
+        Read afresh on each call, not kept: a resolution reads it once, to
+        pick the next degree's generators, and it is as large as M."""
+        n = self.cols_n
+        R = self._R if self.p != 2 else _unpack_rows(self._R, n)
+        return _kernel_rows(R, [n - 1 - c for c in self.pivots], n, self.p)
 
     def nullity(self) -> int:
         return self.cols_n - self.rank

@@ -79,7 +79,6 @@ class MinimalResolution:
         self.budget = budget
         self.betti: list[int] = [1]
         self._gen_images: list[np.ndarray | None] = [None]
-        self._expanded: dict[int, np.ndarray] = {}
         self._solvers: dict[int, LinSolver] = {}
         self._cup_lifts: dict = {}
 
@@ -154,10 +153,10 @@ class MinimalResolution:
     # -- expanded matrices and solvers -------------------------------------------
 
     def expanded_diff(self, i: int) -> np.ndarray:
-        """Full matrix of d_i: F_i -> F_{i-1}, shape (b_{i-1}|G|, b_i|G|)."""
-        cached = self._expanded.get(i)
-        if cached is not None:
-            return cached
+        """Full matrix of d_i: F_i -> F_{i-1}, shape (b_{i-1}|G|, b_i|G|).
+
+        Built afresh on each call and not kept: the solver of d_i is built
+        from it once, and only the checks of ``complex_fault`` read it again."""
         b_i, b_prev = self.betti[i], self.betti[i - 1]
         order = self.order
         if b_i * order > self.budget:
@@ -170,7 +169,6 @@ class MinimalResolution:
             D[:, j * order:(j + 1) * order] = (
                 arr.transpose(1, 0, 2).reshape(order, b_prev * order).T
             )
-        self._expanded[i] = D
         return D
 
     def solver(self, i: int) -> LinSolver:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from centdet import invariants, pgroup
+from centdet import catalog, invariants, pgroup
 from centdet.catalog import (
     CatalogError,
     PcpFormatError,
@@ -14,6 +14,8 @@ from centdet.catalog import (
     load_resolution,
     parse_pcp,
     save_resolution,
+    su34_sylow_presentation,
+    sz8_sylow_presentation,
 )
 from centdet.cli import CSV_HEADER, main
 from centdet.pgroup import PcPresentation, PcPresentationError
@@ -38,6 +40,23 @@ def test_builtin_products():
     e2 = builtin("Q8xZ2xZ2")
     assert e2.pres.order == 32
     assert e2.expected["d0"] == 3
+
+
+def test_finite_field_groups_keep_their_presentations():
+    # built from the F16 and F8 product tables, the same presentations as
+    # from field arithmetic done product by product
+    assert su34_sylow_presentation().hash_key() == "c45ac8fad90c186a"
+    assert sz8_sylow_presentation().hash_key() == "8791d96fbbed079e"
+
+
+def test_oversized_product_builds_no_factor(monkeypatch):
+    with pytest.raises(CatalogError):
+        builtin("Q8xZ7")  # a product with an unknown factor is unknown
+    built = []
+    monkeypatch.setattr(catalog, "quaternion_presentation", built.append)
+    with pytest.raises(PcPresentationError, match=r"2\^18"):
+        builtin("Q64xQ64xQ64")
+    assert built == []
 
 
 def test_q8_pcp_parse():
@@ -327,7 +346,7 @@ def test_cli_refuses_oversized_pcp(capsys, tmp_path):
 
 
 def test_cli_refuses_oversized_product(capsys):
-    # Q64xQ64 (order 2^12) is built; the product with a third factor is not
+    # refused from the catalog orders, before Q64 or Q64xQ64 is built
     code, out = run_cli(capsys, "info", "Q64xQ64xQ64")
     assert code == 1
     err = json.loads(out)["error"]

@@ -273,15 +273,83 @@ def test_rref_generic_across_panels_matches_textbook_gauss_jordan(
     assert pivots == want_pivots
     assert R.dtype == np.uint8
     assert R.reshape(rows, cols).tolist() == want_R
-    # LinSolver eliminates [M | I] with pivot_limit, then solves and annihilates
+    # LinSolver eliminates [M' | I] with pivot_limit, M' the columns of M
+    # reversed, then solves and annihilates; its pivots are those of M'
     M = arr.astype(np.uint8)
     solver = LinSolver(FpMatrix(p, M, check=False))
-    assert solver.pivots == tuple(gauss_jordan(arr.tolist(), p, cols)[1])
+    reversed_pivots = gauss_jordan(arr[:, ::-1].tolist(), p, cols)[1]
+    assert solver.pivots == tuple(cols - 1 - c for c in reversed_pivots)
     B = matmul_mod(rng.integers(0, p, size=(5, cols)), M.T, p)
     assert np.array_equal(matmul_mod(solver.solve_rows(B), M.T, p), B)
     K = solver.kernel_rows()
     assert K.shape == (cols - solver.rank, cols)
     assert not matmul_mod(M, K.T, p).any()
+
+
+@given(
+    rows=st.integers(0, 40),
+    cols=st.integers(2 * fplinalg._WORD + 1, 200),
+    limit_frac=st.floats(0, 1),
+    density=st.sampled_from([1.0, 0.1]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_rref_bits_across_panels_matches_textbook_gauss_jordan(
+        rows, cols, limit_frac, density, seed):
+    # at least three word panels; columns past the limit are an augmented
+    # block, and below the rank only zeros left of the limit are canonical
+    rng = np.random.default_rng(seed)
+    arr = low_rank_array(seed, 2, rows, cols)
+    arr[rng.random(arr.shape) > density] = 0
+    limit = round(limit_frac * cols)
+    R, pivots = _rref_bits(_pack_rows(arr.astype(np.uint8)), cols, pivot_limit=limit)
+    R = _unpack_rows(R, cols)
+    want_R, want_pivots = gauss_jordan(arr.tolist(), 2, limit)
+    rank = len(want_pivots)
+    assert pivots == want_pivots
+    assert R[:rank, :limit].tolist() == [row[:limit] for row in want_R[:rank]]
+    assert not R[rank:, :limit].any()
+    # [D | I] with the limit at D's width: E records the row operations
+    D = arr[:, :limit].astype(np.uint8)
+    aug = np.hstack([D, np.eye(rows, dtype=np.uint8)])
+    red, aug_pivots = _rref_bits(_pack_rows(aug), limit + rows, pivot_limit=limit)
+    red = _unpack_rows(red, limit + rows)
+    E = red[:, limit:]
+    assert aug_pivots == gauss_jordan(D.tolist(), 2, limit)[1]
+    assert np.array_equal(matmul_mod(E, D, 2), red[:, :limit])
+    assert len(gauss_jordan(E.tolist(), 2, rows)[1]) == rows
+
+
+def textbook_kernel(M: np.ndarray, p: int) -> list:
+    """RREF basis of the kernel of M: Gauss-Jordan on M, one row per free
+    column, then Gauss-Jordan again on those rows."""
+    cols = M.shape[1]
+    R, pivots = gauss_jordan(M.tolist(), p, cols)
+    rows = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -R[i][f] % p
+        rows.append(v)
+    return gauss_jordan(rows, p, cols)[0]
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    rows=st.integers(0, 30),
+    cols=st.integers(1, 2 * fplinalg._WORD + 40),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_solver_kernel_rows_match_textbook_kernel(p, rows, cols, seed):
+    # read off the one elimination of the reversed matrix, no second one
+    M = low_rank_array(seed, p, rows, cols).astype(np.uint8)
+    K = LinSolver(FpMatrix(p, M, check=False)).kernel_rows()
+    assert K.dtype == np.uint8
+    want = textbook_kernel(M, p)
+    assert K.tolist() == want
+    assert kernel_basis(FpMatrix(p, M, check=False)).basis.arr.tolist() == want
 
 
 @given(

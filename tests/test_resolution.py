@@ -95,6 +95,21 @@ def test_betti_odd_p():
     res2.verify()
 
 
+def test_complex_fault_reads_the_generators_as_they_are():
+    # no solver keeps its differential, so the d o d check sees generator
+    # images that changed after the solvers were built
+    res = build_minimal_resolution(D8, 4)
+    for i in range(1, 4):
+        res.solver(i)
+    assert res.complex_fault() is None
+    gens = res._gen_images[2].copy()
+    gens[0] = (gens[0] + gens[1]) % 2  # still minimal, still in ker d_1
+    res._gen_images[2] = gens
+    assert res.complex_fault() == "d_2 o d_3 != 0"
+    with pytest.raises(AssertionError, match="d_2 o d_3"):
+        res.verify()
+
+
 def greedy_generators(G, res, i):
     """Degree i generators picked one kernel row at a time: row j of the
     kernel basis K is kept iff it is not in rad*K plus the rows before it.
@@ -491,17 +506,12 @@ def test_comodule_primitives_of_self():
 
 
 def test_comodule_coassociativity_z4():
-    # (Delta_C (x) 1) m* = (1 (x) m*) m* in fully unpacked coordinates
+    # (Delta_C (x) 1) m* = (1 (x) m*) m* in fully unpacked coordinates; C
+    # presents itself, so Delta is read on resC in resC's own coordinates
     G = cyclic(2, 2)
     N = 5
     res, resC, cm = build_comodule(G, N)
-    presC = resC.pres
-    CC = whole_group(presC)
-    presCC, embedCC, to_idxCC = subgroup_presentation(presC, CC)
-    resCC = build_minimal_resolution(presCC, N)
-    delta = comodule_map(resC, CC, resCC)
-    # base change from presC coordinates to presCC coordinates
-    iso = induced_map(embedCC, resCC, resC)
+    delta = comodule_map(resC, whole_group(resC.pres), resC)
     p = 2
     for k in range(N):
         for x_idx in range(res.betti[k]):
@@ -526,19 +536,10 @@ def test_comodule_coassociativity_z4():
                     if mimg[jj]:
                         key = (i, u, b, y, k - i - b, vg)
                         rhs[key] = (rhs.get(key, 0) + int(img[j]) * int(mimg[jj])) % p
-            # translate the rhs first factor into presCC coordinates
-            rhs2 = {}
-            for (a, w, b, y, j2, v2), cval in rhs.items():
-                if not cval:
-                    continue
-                ew = np.eye(resC.betti[a], dtype=np.uint8)[w]
-                wcc = matmul_mod(iso.matrix(a), ew[:, None], p)[:, 0]
-                for w2 in np.flatnonzero(wcc):
-                    key = (a, int(w2), b, y, j2, v2)
-                    rhs2[key] = (rhs2.get(key, 0) + cval * int(wcc[w2])) % p
             lhs = {kk: vv for kk, vv in lhs.items() if vv}
-            rhs2 = {kk: vv for kk, vv in rhs2.items() if vv}
-            assert lhs == rhs2
+            rhs = {kk: vv for kk, vv in rhs.items() if vv}
+            assert lhs
+            assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
