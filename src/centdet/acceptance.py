@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import builtin, load_pcp
 from .fplinalg import FpMatrix, intersect, kernel_basis, rref
 from .invariants import Workspace
-from .resolution import Cocycle, cup_product
+from .resolution import Cocycle, cup_product, product_span
 
 TABLE1_AND_Q64 = {
     "Z4": ([2], 1, 2),
@@ -95,7 +95,7 @@ def criterion_3(ws: Workspace):
         a = ws.analyzer(builtin(gid).pres, 10, label=gid)
         t = a.group_type()
         ep, epc = a.e_prime()
-        d0, d0c = a.d0_general()
+        d0, d0c = a.d0()
         got = dict(type=list(t.entries), e=t.e, e_prime=ep, d0=d0,
                    rank=a.rank, center_rank=a.center_rank)
         want = {k: row[k] for k in got}
@@ -201,10 +201,10 @@ def criterion_6(ws: Workspace, corpus=None, N: int = 8):
         p_dims = a.pc_dims().dims
         if any(p_dims[k] > q[k] for k in range(N + 1)):
             msgs.append(f"{gid}: P_C exceeds Q_A")
+        gens = [xi for _, xi in a.duflot().generators]
         for k in range(1, N + 1):
-            span = a._cache.get(("qa_span", k))
-            if span is not None and intersect(
-                    a.comodule().primitive_basis(k), span).dim:
+            span = product_span(res, k, gens)
+            if intersect(a.comodule().primitive_basis(k), span).dim:
                 msgs.append(f"{gid}: P_C meets the Duflot ideal")
                 break
         a.qa_cess_dims()  # Cess freeness is hard-asserted inside
@@ -368,7 +368,7 @@ def criterion_9(ws: Workspace, pcp_path: str):
         msgs.append(f"qa cess {q[:8]}")
     ep, _ = a.e_prime()
     edp, _ = a.e_double_prime()
-    d0, _ = a.d0_general()
+    d0, _ = a.d0()
     if (ep, edp, d0) != (7, 7, 7):
         msgs.append(f"e'/e''/d0 {(ep, edp, d0)}")
     return not msgs, ("; ".join(msgs) if msgs else "ok")

@@ -290,58 +290,57 @@ def builtin_ids() -> list[str]:
     return sorted(_BUILTINS)
 
 
-def _catalog_order(id: str) -> int | None:
-    """The order of a shipped id, or of an 'AxB' product of shipped ids, as
-    the catalog records it, without building a group; None for any other
-    id.  Every shipped entry is a 2-group."""
-    if id in _BUILTINS:
-        return _BUILTINS[id][2]["order"]
-    left, _, right = id.partition("x")
-    rest = _catalog_order(right) if left in _BUILTINS and right else None
-    return None if rest is None else _BUILTINS[left][2]["order"] * rest
+def _product_entry(a: CatalogEntry, b: CatalogEntry) -> CatalogEntry:
+    """The entry of a x b, its expected values combined from the factors',
+    with its cheap fingerprint verified."""
+    expected: dict = {
+        "order": a.pres.order * b.pres.order,
+        "center_rank": a.expected.get("center_rank", 0)
+        + b.expected.get("center_rank", 0),
+        "rank": a.expected.get("rank", 0) + b.expected.get("rank", 0),
+        "p_central": a.expected.get("p_central", False)
+        and b.expected.get("p_central", False),
+    }
+    if "type" in a.expected and "type" in b.expected:
+        expected["type"] = sorted(
+            a.expected["type"] + b.expected["type"], reverse=True
+        )
+        expected["e"] = a.expected["e"] + b.expected["e"]
+    if "d0" in a.expected and "d0" in b.expected:
+        expected["d0"] = a.expected["d0"] + b.expected["d0"]
+    if expected["p_central"] and "d1" in a.expected and "d1" in b.expected:
+        expected["d1"] = max(
+            a.expected["d1"] + b.expected["d0"],
+            a.expected["d0"] + b.expected["d1"],
+        )
+    entry = CatalogEntry(f"{a.id}x{b.id}", direct_product(a.pres, b.pres),
+                         expected, f"{a.notes} x {b.notes}")
+    entry.check_fingerprint()
+    return entry
 
 
 def builtin(id: str) -> CatalogEntry:
-    """A shipped entry (or an 'AxB' direct product of shipped entries),
-    with its cheap fingerprint verified before it is served."""
-    if id in _BUILTINS:
-        eid, builder, expected, notes = _BUILTINS[id]
-        entry = CatalogEntry(id, builder(), dict(expected), notes)
-        entry.check_fingerprint()
-        return entry
-    if "x" in id:
-        left, _, right = id.partition("x")
-        if left in _BUILTINS or "x" in left:
-            order = _catalog_order(id)
-            if order is not None:  # refused before any factor is built
-                check_order(2, order.bit_length() - 1)
-            a = builtin(left)
-            b = builtin(right)  # an unknown factor raises here
-            pres = direct_product(a.pres, b.pres)
-            expected: dict = {
-                "order": a.pres.order * b.pres.order,
-                "center_rank": a.expected.get("center_rank", 0)
-                + b.expected.get("center_rank", 0),
-                "rank": a.expected.get("rank", 0) + b.expected.get("rank", 0),
-                "p_central": a.expected.get("p_central", False)
-                and b.expected.get("p_central", False),
-            }
-            if "type" in a.expected and "type" in b.expected:
-                expected["type"] = sorted(
-                    a.expected["type"] + b.expected["type"], reverse=True
-                )
-                expected["e"] = a.expected["e"] + b.expected["e"]
-            if "d0" in a.expected and "d0" in b.expected:
-                expected["d0"] = a.expected["d0"] + b.expected["d0"]
-            if expected["p_central"] and "d1" in a.expected and "d1" in b.expected:
-                expected["d1"] = max(
-                    a.expected["d1"] + b.expected["d0"],
-                    a.expected["d0"] + b.expected["d1"],
-                )
-            entry = CatalogEntry(id, pres, expected, f"{a.notes} x {b.notes}")
-            entry.check_fingerprint()
-            return entry
-    raise CatalogError(f"unknown catalog id: {id!r}")
+    """A shipped entry, or an 'AxB...' direct product of shipped entries.
+
+    The id is refused before any group is built when a factor is not
+    shipped or the product's recorded order is too large.  Each factor,
+    and each suffix product, has its cheap fingerprint verified."""
+    names = id.split("x")
+    if not all(name in _BUILTINS for name in names):
+        raise CatalogError(f"unknown catalog id: {id!r}")
+    order = 1
+    for name in names:  # every shipped entry is a 2-group
+        order *= _BUILTINS[name][2]["order"]
+    check_order(2, order.bit_length() - 1)
+    entries = []
+    for name in names:
+        _, builder, expected, notes = _BUILTINS[name]
+        entries.append(CatalogEntry(name, builder(), dict(expected), notes))
+        entries[-1].check_fingerprint()
+    entry = entries.pop()
+    while entries:
+        entry = _product_entry(entries.pop(), entry)
+    return entry
 
 
 # ---------------------------------------------------------------------------

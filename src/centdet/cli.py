@@ -18,7 +18,7 @@ from .catalog import (
 )
 from .invariants import DegreeBoundError, Workspace
 from .pgroup import PcPresentation
-from .resolution import BudgetExceededError, CohomologyFragment
+from .resolution import BudgetExceededError, CohomologyFragment, MinimalResolution
 
 CSV_HEADER = "order,id,type,e,h,d0,d1,e_prime,e_dprime,p_central,certified"
 
@@ -67,15 +67,11 @@ def cmd_info(args, out) -> int:
 def cmd_cohomology(args, out) -> int:
     entry = resolve_group(args.group)
     N = degree_bound(args.command, args.degree, entry.pres)
-    ws = Workspace(budget=args.budget)
     directory = args.cache or cache_dir()
-    cached_top = None
-    if directory:
-        cached = load_resolution(entry.pres, directory, budget=args.budget)
-        if cached is not None:
-            cached_top = cached.top_degree
-            ws._res[entry.pres.hash_key()] = cached  # extended below if short
-    res = ws.resolution(entry.pres, N)
+    cached = load_resolution(entry.pres, directory, budget=args.budget) if directory else None
+    cached_top = None if cached is None else cached.top_degree
+    res = cached if cached is not None else MinimalResolution(entry.pres, budget=args.budget)
+    res.extend_to(N)  # a cached resolution that is short grows here
     if directory and (cached_top is None or res.top_degree > cached_top):
         save_resolution(res, directory)
     frag = CohomologyFragment(res)
@@ -142,10 +138,13 @@ def _csv_row(rep: dict) -> str:
     ])
 
 
-def _table_worker(name: str, degree: int | None, budget: int) -> dict:
+def _table_row(name: str, degree: int | None, budget: int,
+               ws: Workspace | None = None) -> dict:
+    """The report of one table row; a pool worker, passing no ws, gets a
+    fresh Workspace, and the sequential rows share one."""
     entry = resolve_group(name)
     N = degree_bound("table", degree, entry.pres)
-    return _report(entry, N, Workspace(budget=budget))
+    return _report(entry, N, ws or Workspace(budget=budget))
 
 
 def cmd_table(args, out) -> int:
@@ -153,17 +152,13 @@ def cmd_table(args, out) -> int:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(
-                _table_worker, args.groups,
+                _table_row, args.groups,
                 [args.degree] * len(args.groups),
                 [args.budget] * len(args.groups),
             ))
     else:
         ws = Workspace(budget=args.budget)
-        rows = []
-        for gid in args.groups:
-            entry = resolve_group(gid)
-            N = degree_bound("table", args.degree, entry.pres)
-            rows.append(_report(entry, N, ws))
+        rows = [_table_row(gid, args.degree, args.budget, ws) for gid in args.groups]
     lines = [CSV_HEADER] + [_csv_row(r) for r in rows]
     text = "\n".join(lines) + "\n"
     if args.csv:

@@ -13,8 +13,11 @@ maximal central elementary abelian subgroup:
 - central essential classes are those restricting to zero on the
   centralizer of every elementary abelian subgroup strictly above C;
   their top Q_A / P_C degrees e'(G), e''(G) drive the detection number
-  d0(G) = max over centralizers of e''.  H* and Cess share one Q_A and
-  one P_C routine over a graded subspace of H*.  Cess needs no
+  d0(G) = max over centralizers of e'', one recursion for every G: when
+  G is p-central, C is the only object of A_C and C_G(C) = G, so it
+  reads e''(G) = e(G).  H* and Cess share one Q_A and one P_C routine
+  over a graded subspace of H*, and Cess and the essential classes one
+  kernel of restrictions to a family of subgroups.  Cess needs no
   intersection with A+ . Cess: it is the kernel of restriction, a ring
   map, so it is an ideal and A+ . Cess already lies in it;
 - the reduced layers of H*(G) are computed from one categorical
@@ -52,7 +55,6 @@ from .pgroup import (
     PcPresentation,
     Subgroup,
     centralizer,
-    elementary_abelian_subgroups,
     is_p_central,
     maximal_subgroups,
     omega1_center,
@@ -70,7 +72,7 @@ from .resolution import (
     MinimalResolution,
     cup_product,
     induced_map,
-    multiplication_matrix,
+    product_span,
 )
 
 
@@ -145,15 +147,7 @@ class GroupType:
         if a1 == 2:
             return 1
         # a1 = 2 p^k with k >= 1
-        return 2 * a1 // (2 * self.p)
-
-
-def e_of(t: GroupType) -> int:
-    return t.e
-
-
-def h_of(t: GroupType) -> int:
-    return t.h
+        return a1 // self.p
 
 
 @dataclass
@@ -283,15 +277,18 @@ class Analyzer:
 
     def _rank_one_data(self) -> tuple[np.ndarray, np.ndarray]:
         """For p odd: the restriction matrices H^1(C) -> H^1(U) and
-        H^2(C) -> H^2(U), each stacked over the subgroups U of order p in C."""
+        H^2(C) -> H^2(U), each stacked over the subgroups U of order p in C.
+        Which generator presents U scales its two rows alike, so neither the
+        row order nor that choice changes a solution read off them."""
         def make():
-            presC, _, _ = subgroup_presentation(self.G, self.C)
             R1, R2 = [], []
-            for U in elementary_abelian_subgroups(presC):
-                if U.rank != 1:
+            seen = set()
+            for x in self.C.elems[1:]:
+                U = Subgroup.generate(self.G, [x])
+                if U.elems in seen:
                     continue
-                presU, embedU, _ = subgroup_presentation(presC, U)
-                rmap = induced_map(embedU, self.ws.resolution(presU, 2), self.resC)
+                seen.add(U.elems)
+                rmap = self._conj_map(U, self.C, 0, 2, keep=False)
                 R1.append(rmap.matrix(1))
                 R2.append(rmap.matrix(2))
             return np.vstack(R1), np.vstack(R2)
@@ -417,8 +414,7 @@ class Analyzer:
                 add(2, self._split_bockstein_target(x))
         data = DuflotData(gens, targets, t.entries)
         # the subalgebra on the lifts must match the image dimensions
-        im_dims = [self.res_image(k).dim for k in range(self.N + 1)]
-        if im_dims != data.a_dims(self.N):
+        if list(self.restriction_image_dims().dims) != data.a_dims(self.N):
             raise AssertionError("Duflot subalgebra does not match the image")
         return data
 
@@ -455,32 +451,15 @@ class Analyzer:
             return [FpSubspace.full(self.p, self.res.rank(k)) for k in range(self.N + 1)]
         return subs
 
-    def _a_ideal_span(self, k: int, pieces: list[FpSubspace]) -> FpSubspace:
-        """Span of xi * pieces[k - |xi|] over the Duflot generators xi."""
-        rows = []
-        for deg, xi in self.duflot().generators:
-            if k - deg < 0:
-                continue
-            M = multiplication_matrix(self.res, xi, k - deg)
-            below = pieces[k - deg].basis.arr
-            if below.shape[0]:
-                rows.extend(matmul_mod(M, below.T, self.p).T)
-        if rows:
-            return FpSubspace.from_spanning(self.p, self.res.rank(k), np.array(rows))
-        return FpSubspace.zero(self.p, self.res.rank(k))
-
     def _qa(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
         """Q_A dimensions of a graded ideal of H* (None: all of H*), with
         its freeness over A checked.  An ideal holds A+ times itself, so
         Q_A in degree k is the ideal modulo that span, with no intersection."""
         def make():
             pieces = self._pieces(subs)
-            dims = []
-            for k, piece in enumerate(pieces):
-                span = self._a_ideal_span(k, pieces)
-                if subs is None:  # the P_C-inside-Q_A checks read these spans
-                    self._cache[("qa_span", k)] = span
-                dims.append(piece.dim - span.dim)
+            gens = [xi for _, xi in self.duflot().generators]
+            dims = [piece.dim - product_span(self.res, k, gens, subs).dim
+                    for k, piece in enumerate(pieces)]
             self._check_freeness([piece.dim for piece in pieces], dims,
                                  "H*" if subs is None else "Cess")
             return tuple(dims)
@@ -514,6 +493,18 @@ class Analyzer:
 
     # -- central essential classes ---------------------------------------------------
 
+    def _restriction_kernels(self, family: list[Subgroup], top: int) -> list[FpSubspace]:
+        """Per degree 0..top, the classes of H* that restrict to zero on
+        every subgroup in family.  The maps are lifted one at a time, and
+        each is dropped once its matrices are read."""
+        resG = self.ws.resolution(self.G, top)
+        mats = [[np.zeros((0, resG.rank(k)), dtype=np.uint8)] for k in range(top + 1)]
+        for S in family:
+            rmap = self._conj_map(S, whole_group(self.G), 0, top, keep=False)
+            for k in range(top + 1):
+                mats[k].append(rmap.matrix(k))
+        return [kernel_basis(FpMatrix(self.p, np.vstack(m), check=False)) for m in mats]
+
     def cess_subspaces(self) -> list[FpSubspace] | None:
         """Per-degree kernels of restriction to the strict centralizers,
         or None when there is no subgroup strictly above C (the product
@@ -522,21 +513,11 @@ class Analyzer:
             strict = [o for o in self.category.objects if o.rep.order > self.C.order]
             if not strict:
                 return None
-            mats: dict[int, list[np.ndarray]] = {k: [] for k in range(self.N + 1)}
-            seen_centralizers = set()
+            family = {}
             for obj in strict:
                 K = centralizer(self.G, obj.rep)
-                if K.elems in seen_centralizers:
-                    continue
-                seen_centralizers.add(K.elems)
-                rmap = self._conj_map(K, whole_group(self.G), 0, self.N, keep=False)
-                for k in range(self.N + 1):
-                    mats[k].append(rmap.matrix(k))
-            out = []
-            for k in range(self.N + 1):
-                stacked = np.vstack(mats[k])
-                out.append(kernel_basis(FpMatrix(self.p, stacked, check=False)))
-            return out
+                family.setdefault(K.elems, K)
+            return self._restriction_kernels(list(family.values()), self.N)
         return self._memo("cess", make)
 
     def cess_dims(self) -> GradedDims:
@@ -615,7 +596,10 @@ class Analyzer:
                     if omega1_center(self.G, centralizer(self.G, o.rep)) == o.rep]
         return self._memo("qreps", make)
 
-    def d0_general(self) -> tuple[int, bool]:
+    def d0(self) -> tuple[int, bool]:
+        """The largest e'' over the centralizers C_G(V) of the qualifying V.
+        For p-central G, A_C is C alone and C_G(C) = G, so this is e''(G),
+        that is e with the type certificate."""
         def make():
             best = -1
             certified = True
@@ -628,11 +612,6 @@ class Analyzer:
                 certified = certified and cert
             return best, certified
         return self._memo("d0", make)
-
-    def d0(self) -> tuple[int, bool]:
-        if self.p_central:
-            return self.e, self.group_type().certified
-        return self.d0_general()
 
     # -- top primitive class -----------------------------------------------------------
 
@@ -652,9 +631,9 @@ class Analyzer:
         return Cocycle(e, P.basis.arr[0])
 
     def is_essential(self, z: Cocycle) -> bool:
-        G = whole_group(self.G)
-        return not any(self._conj_map(M, G, 0, z.degree, keep=False).apply(z).vec.any()
-                       for M in maximal_subgroups(self.G))
+        """Whether z restricts to zero on every maximal subgroup."""
+        kernels = self._restriction_kernels(maximal_subgroups(self.G), z.degree)
+        return kernels[z.degree].contains(z.vec)
 
     # -- locally finite part and reduced layers ------------------------------------------
 

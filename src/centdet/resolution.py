@@ -453,6 +453,26 @@ def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
     return cm.functional_matrix(m)
 
 
+def product_span(res, k: int, factors: list[Cocycle],
+                 below: list[FpSubspace] | None = None) -> FpSubspace:
+    """Span in H^k of the products g.x over the classes g in factors and
+    the x in below[k - |g|], or in all of H^(k - |g|) when below is None."""
+    rows = []
+    for g in factors:
+        if g.degree > k:
+            continue
+        M = multiplication_matrix(res, g, k - g.degree)
+        if below is None:
+            rows.extend(M.T)  # column u is (basis_u of H^(k - |g|)) * g
+            continue
+        B = below[k - g.degree].basis.arr
+        if B.shape[0]:
+            rows.extend(matmul_mod(M, B.T, res.p).T)
+    if rows:
+        return FpSubspace.from_spanning(res.p, res.rank(k), np.array(rows))
+    return FpSubspace.zero(res.p, res.rank(k))
+
+
 # ---------------------------------------------------------------------------
 # induced maps on cohomology
 
@@ -577,15 +597,8 @@ class CohomologyFragment:
         f.g = +-g.f; classes above degree k/2 are never lifted."""
         got = self._decomp.get(k)
         if got is None:
-            rows = []
-            for i in range(1, k // 2 + 1):
-                for g in self.basis(i):
-                    M = multiplication_matrix(self.res, g, k - i)
-                    rows.extend(M.T)  # column u is (basis_u of H^{k-i}) * g
-            if rows:
-                got = FpSubspace.from_spanning(self.p, self.res.rank(k), np.array(rows))
-            else:
-                got = FpSubspace.zero(self.p, self.res.rank(k))
+            factors = [g for i in range(1, k // 2 + 1) for g in self.basis(i)]
+            got = product_span(self.res, k, factors)
             self._decomp[k] = got
         return got
 

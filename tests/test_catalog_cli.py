@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from centdet import catalog, invariants, pgroup
+from centdet import catalog, pgroup
 from centdet.catalog import (
     CatalogError,
     PcpFormatError,
@@ -18,7 +18,7 @@ from centdet.catalog import (
     sz8_sylow_presentation,
 )
 from centdet.cli import CSV_HEADER, main
-from centdet.pgroup import PcPresentation, PcPresentationError
+from centdet.pgroup import PcPresentation, PcPresentationError, direct_product
 from centdet.resolution import build_minimal_resolution
 
 
@@ -40,6 +40,20 @@ def test_builtin_products():
     e2 = builtin("Q8xZ2xZ2")
     assert e2.pres.order == 32
     assert e2.expected["d0"] == 3
+
+
+def test_builtin_product_is_the_right_nested_direct_product():
+    nested = direct_product(builtin("D8").pres,
+                            direct_product(builtin("Z4").pres, builtin("Z2").pres))
+    assert builtin("D8xZ4xZ2").pres.hash_key() == nested.hash_key()
+
+
+def test_builtin_refuses_an_unknown_middle_factor_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "dihedral_presentation", built.append)
+    with pytest.raises(CatalogError):
+        builtin("D8xFOOxZ2")
+    assert built == []
 
 
 def test_finite_field_groups_keep_their_presentations():
@@ -363,8 +377,7 @@ def test_no_presentation_is_enumerated_twice(capsys, monkeypatch, argv):
         enumerated.append(G)
         return orig(G, containing)
 
-    for mod in (pgroup, invariants):
-        monkeypatch.setattr(mod, "elementary_abelian_subgroups", counted)
+    monkeypatch.setattr(pgroup, "elementary_abelian_subgroups", counted)
     code, _ = run_cli(capsys, *argv)
     assert code == 0 and enumerated
     assert len({id(G) for G in enumerated}) == len(enumerated)

@@ -6,8 +6,8 @@ from centdet.catalog import builtin
 from centdet.fplinalg import FpSubspace, intersect, matmul_mod, subspace_sum
 from centdet.pgroup import (
     PcPresentation,
+    Subgroup,
     direct_product,
-    elementary_abelian_subgroups,
     omega1_center,
     subgroup_presentation,
 )
@@ -15,10 +15,8 @@ from centdet.invariants import (
     Analyzer,
     GroupType,
     Workspace,
-    e_of,
-    h_of,
 )
-from centdet.resolution import Cocycle, MinimalResolution, cup_product
+from centdet.resolution import Cocycle, MinimalResolution, cup_product, product_span
 
 WS = Workspace()
 
@@ -143,11 +141,11 @@ def test_order_p_subgroups_of_c_share_the_canonical_presentation(G):
     # the odd-p Bockstein representatives are fixed only up to the scalar
     # that the resolution of each order-p subgroup U of C picks; one
     # presentation for every U makes that scalar common to all of them
-    presC, _, _ = subgroup_presentation(G, omega1_center(G))
-    hashes = [subgroup_presentation(presC, U)[0].hash_key()
-              for U in elementary_abelian_subgroups(presC) if U.rank == 1]
-    assert len(hashes) == (presC.order - 1) // (G.p - 1)
-    assert set(hashes) == {cyclic(G.p, 1).hash_key()}
+    C = omega1_center(G)
+    subs = {Subgroup.generate(G, [x]).elems for x in C.elems[1:]}
+    assert len(subs) == (C.order - 1) // (G.p - 1)
+    hashes = {subgroup_presentation(G, Subgroup(G, U))[0].hash_key() for U in subs}
+    assert hashes == {cyclic(G.p, 1).hash_key()}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -160,17 +158,13 @@ def test_canonical_cyclic_resolution(p):
 
 
 def test_e_h_values():
-    assert e_of(GroupType(2, (8, 8), True)) == 14
-    assert h_of(GroupType(2, (8, 8), True)) == 4
-    assert e_of(GroupType(2, (4, 2), True)) == 4
-    assert h_of(GroupType(2, (4, 2), True)) == 2
-    assert e_of(GroupType(2, (1, 1, 1), True)) == 0
-    assert h_of(GroupType(2, (1, 1, 1), True)) == 0
-    assert e_of(GroupType(2, (4, 4, 4), True)) == 9
-    assert h_of(GroupType(2, (4, 4, 4), True)) == 2
+    for entries, e, h in (((8, 8), 14, 4), ((4, 2), 4, 2), ((1, 1, 1), 0, 0),
+                          ((4, 4, 4), 9, 2)):
+        t = GroupType(2, entries, True)
+        assert (t.e, t.h) == (e, h)
     # odd p: a1 = 2p^k has h = 2p^(k-1); a1 = 2 has h = 1
-    assert h_of(GroupType(3, (6, 2), True)) == 2
-    assert h_of(GroupType(3, (2, 1), True)) == 1
+    assert GroupType(3, (6, 2), True).h == 2
+    assert GroupType(3, (2, 1), True).h == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +308,9 @@ def test_pc_inside_qa():
         for k in range(N + 1):
             assert p_dims[k] <= q_dims[k]
         # the composite P -> Q is monic: P meets the ideal span trivially
+        gens = [xi for _, xi in a.duflot().generators]
         for k in range(1, N + 1):
-            span = a._cache.get(("qa_span", k))
+            span = product_span(a.res, k, gens)
             P = a.comodule().primitive_basis(k)
             assert intersect(P, span).dim == 0
 
@@ -370,8 +365,9 @@ def test_duflot_ideal_of_cess_lies_in_cess(G, N):
     a = WS.analyzer(G, N)
     subs = a.cess_subspaces()
     assert subs is not None
+    gens = [xi for _, xi in a.duflot().generators]
     for k in range(N + 1):
-        span = a._a_ideal_span(k, subs)
+        span = product_span(a.res, k, gens, subs)
         assert intersect(subs[k], span) == span
 
 
@@ -407,15 +403,19 @@ def test_d0_d1_not_defined_for_non_p_central():
         WS.analyzer(D8, 6).d0_d1_p_central()
 
 
-def test_d0_general_p_central_matches_e():
+def test_d0_p_central_matches_e():
     for G, N in ((Q8, 8), (W32, 8)):
         a = WS.analyzer(G, N)
-        val, cert = a.d0_general()
-        assert (val, cert) == (a.e, True)
+        assert a.d0() == (a.e, True)
+    # below the bound that certifies the type, d0 is e, uncertified
+    for G, N in ((Q8, 2), (builtin("64#187").pres, 4)):
+        a = WS.analyzer(G, N)
+        assert not a.group_type().certified
+        assert a.d0() == (a.e, False)
 
 
 def test_d0_d8():
-    assert WS.analyzer(D8, 8).d0_general() == (0, True)
+    assert WS.analyzer(D8, 8).d0() == (0, True)
 
 
 def test_d0_product_law():
@@ -423,7 +423,7 @@ def test_d0_product_law():
     P = direct_product(Q8, cyclic(2, 2))
     a = WS.analyzer(P, 8)
     assert a.d0_d1_p_central() == (4, 6)
-    val, cert = a.d0_general()
+    val, cert = a.d0()
     assert val == 4 and cert
 
 
@@ -466,6 +466,9 @@ def test_top_class_w32_essential():
     z = a.top_primitive_class()
     assert z.degree == 3
     assert a.is_essential(z)
+    # a nonzero degree-one class is a homomorphism onto F_p: it vanishes on
+    # its kernel, and on no other of the three maximal subgroups
+    assert not a.is_essential(Cocycle(1, np.eye(a.res.rank(1), dtype=np.uint8)[0]))
 
 
 def test_top_class_rejects_elementary_abelian():
@@ -673,7 +676,7 @@ def test_extraspecial_27_exponent_3():
     assert t.entries == (6,) and t.certified
     assert t.e == 5
     assert a.e_prime() == (-1, True)
-    assert a.d0_general() == (0, True)
+    assert a.d0() == (0, True)
 
 
 def test_q8_squared_product_laws():
