@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import builtin, load_pcp
 from .fplinalg import FpMatrix, intersect, kernel_basis, rref
 from .invariants import Workspace
-from .resolution import Cocycle, cup_product, product_span
+from .resolution import Cocycle, CohomologyFragment, cup_product, product_span
 
 TABLE1_AND_Q64 = {
     "Z4": ([2], 1, 2),
@@ -40,6 +40,16 @@ TABLE3_NAMED = {
     "SD32": dict(type=[4], e=3, e_prime=2, d0=2, rank=2, center_rank=1, depth=1),
 }
 
+# degrees of the ring generators of H*(G; F_2), from the textbook
+# presentations (SD16: Evens-Priddy)
+RING_GENERATOR_DEGREES = {
+    "Z4": [1, 2],
+    "E4": [1, 1],
+    "D8": [1, 1, 2],
+    "Q8": [1, 1, 4],
+    "SD16": [1, 1, 3, 4],
+}
+
 QUICK_CORPUS = [
     "Z4", "Z8", "Z16", "E4", "E8",
     "Q8", "Q16", "Q32", "D8", "D16", "D32", "SD16", "SD32",
@@ -57,6 +67,12 @@ def _series_quotient_expansion(numerator, gen_degrees, N):
         for k in range(a, N + 1):
             out[k] += out[k - a]
     return out
+
+
+def _generator_degrees(res, N: int) -> list[int]:
+    """Degrees of the ring generators of H*(G) through degree N, ascending."""
+    counts = CohomologyFragment(res).generator_counts(N)
+    return [k for k, c in enumerate(counts) for _ in range(c)]
 
 
 def criterion_1(ws: Workspace):
@@ -139,7 +155,8 @@ def criterion_4(ws: Workspace):
 
 
 def criterion_5(ws: Workspace):
-    """Product laws on Q8 x Z4, plus the Betti convolution through N=8."""
+    """Product laws on Q8 x Z4, plus the Betti convolution and the ring
+    generator degrees through N=8."""
     t0 = time.time()
     entry = builtin("Q8xZ4")
     a = ws.analyzer(entry.pres, 8, label="Q8xZ4")
@@ -155,6 +172,10 @@ def criterion_5(ws: Workspace):
             for k in range(9)]
     if a.res.betti[:9] != conv:
         msgs.append(f"betti convolution {a.res.betti[:9]} != {conv}")
+    # Kunneth for indecomposables: Q(A x B) = Q(A) + Q(B)
+    gens = _generator_degrees(a.res, 8)
+    if gens != sorted(_generator_degrees(resq, 8) + _generator_degrees(res4, 8)):
+        msgs.append(f"generator degrees {gens} are not those of Q8 and Z4")
     elapsed = time.time() - t0
     return not msgs and elapsed < 120.0, ("; ".join(msgs) if msgs else f"ok, {elapsed:.1f}s")
 
@@ -196,6 +217,10 @@ def criterion_6(ws: Workspace, corpus=None, N: int = 8):
             rhs = cup_product(res, f, cup_product(res, g, h))
             if not np.array_equal(lhs.vec, rhs.vec):
                 msgs.append(f"{gid}: cup not associative")
+        if gid in RING_GENERATOR_DEGREES:
+            got = _generator_degrees(res, N)
+            if got != RING_GENERATOR_DEGREES[gid]:
+                msgs.append(f"{gid}: ring generators in degrees {got}")
         # freeness identities (hard-asserted inside) and P_C inside Q_A
         q = a.qa_dims().dims
         p_dims = a.pc_dims().dims

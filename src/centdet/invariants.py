@@ -445,23 +445,16 @@ class Analyzer:
 
     # -- indecomposables and primitives -----------------------------------------------
 
-    def _pieces(self, subs: list[FpSubspace] | None) -> list[FpSubspace]:
-        """The graded subspace subs of H*, all of H* when it is None."""
-        if subs is None:
-            return [FpSubspace.full(self.p, self.res.rank(k)) for k in range(self.N + 1)]
-        return subs
-
     def _qa(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
         """Q_A dimensions of a graded ideal of H* (None: all of H*), with
         its freeness over A checked.  An ideal holds A+ times itself, so
         Q_A in degree k is the ideal modulo that span, with no intersection."""
         def make():
-            pieces = self._pieces(subs)
+            totals = self.res.betti[: self.N + 1] if subs is None else [s.dim for s in subs]
             gens = [xi for _, xi in self.duflot().generators]
-            dims = [piece.dim - product_span(self.res, k, gens, subs).dim
-                    for k, piece in enumerate(pieces)]
-            self._check_freeness([piece.dim for piece in pieces], dims,
-                                 "H*" if subs is None else "Cess")
+            dims = [total - product_span(self.res, k, gens, subs).dim
+                    for k, total in enumerate(totals)]
+            self._check_freeness(totals, dims, "H*" if subs is None else "Cess")
             return tuple(dims)
         return self._memo(("qa", subs is None), make)
 
@@ -484,8 +477,10 @@ class Analyzer:
     def _pc(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
         """P_C dimensions of a graded subspace of H* (None: all of H*)."""
         def make():
-            return tuple(intersect(piece, self.comodule().primitive_basis(k)).dim
-                         for k, piece in enumerate(self._pieces(subs)))
+            prim = self.comodule().primitive_basis
+            if subs is None:
+                return tuple(prim(k).dim for k in range(self.N + 1))
+            return tuple(intersect(piece, prim(k)).dim for k, piece in enumerate(subs))
         return self._memo(("pc", subs is None), make)
 
     def pc_dims(self) -> GradedDims:

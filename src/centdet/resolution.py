@@ -584,20 +584,31 @@ class CohomologyFragment:
         return list(self.res.betti)
 
     def basis(self, k: int) -> list[Cocycle]:
-        return [Cocycle(k, np.eye(self.res.rank(k), dtype=np.uint8)[j])
-                for j in range(self.res.rank(k))]
+        return [Cocycle(k, row) for row in np.eye(self.res.rank(k), dtype=np.uint8)]
 
     def product(self, f: Cocycle, g: Cocycle) -> Cocycle:
         return cup_product(self.res, f, g)
 
-    def decomposable_subspace(self, k: int) -> FpSubspace:
-        """Span of all products of positive-degree classes in degree k.
+    def _generators(self, i: int) -> list[Cocycle]:
+        """Ring generators chosen in degree i: the unit classes of H^i at
+        the non-pivot columns of the RREF basis of D_i, which span a
+        complement of the decomposables D_i."""
+        pivots = {int(np.argmax(row != 0)) for row in self.decomposable_subspace(i).basis.arr}
+        return [g for u, g in enumerate(self.basis(i)) if u not in pivots]
 
-        Only the products f.g with deg g <= k/2 are formed, since
-        f.g = +-g.f; classes above degree k/2 are never lifted."""
+    def decomposable_subspace(self, k: int) -> FpSubspace:
+        """Span D_k of all products of positive-degree classes in degree k.
+
+        D_k = sum of g.H^(k - |g|) over the chosen generators g with
+        |g| <= k/2, so only those are lifted.  Proof: graded
+        commutativity orders any product x.y in degree k so that
+        1 <= |y| <= k/2, and the sign changes no span.  The generators of
+        each degree span a complement of its decomposables, so y is a
+        polynomial in generators of degree <= |y|: y = sum g.z_g, and
+        x.y = sum +-g.(x.z_g) lies in g.H^(k - |g|)."""
         got = self._decomp.get(k)
         if got is None:
-            factors = [g for i in range(1, k // 2 + 1) for g in self.basis(i)]
+            factors = [g for i in range(1, k // 2 + 1) for g in self._generators(i)]
             got = product_span(self.res, k, factors)
             self._decomp[k] = got
         return got

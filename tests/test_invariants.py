@@ -324,6 +324,19 @@ def test_pc_top_for_p_central():
         assert all(d == 0 for d in dims[e + 1:])
 
 
+@pytest.mark.parametrize("name,N,dims", [
+    # no subgroup strictly above C: Cess is all of H*
+    ("Q8xZ4", 6, [(1, 3, 4, 3, 1, 0, 0)] * 4),
+    ("SD16", 8, [(1, 2, 2, 2, 2, 2, 2, 2, 2), (1, 2, 2, 1, 1, 1, 1, 1, 1),
+                 (0, 1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0, 0, 0)]),
+])
+def test_qa_pc_dims_of_h_and_cess(name, N, dims):
+    a = WS.analyzer(builtin(name).pres, N)
+    assert (a.cess_subspaces() is None) == (name == "Q8xZ4")
+    got = [a.qa_dims().dims, a.pc_dims().dims, a.qa_cess_dims().dims, a.pc_cess_dims().dims]
+    assert got == dims
+
+
 def test_pc_w32_degreewise():
     # primitives: 1; x, y; nothing in degree 2; the top class
     assert WS.analyzer(W32, 6).pc_dims().dims[:4] == (1, 2, 0, 1)

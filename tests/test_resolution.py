@@ -660,13 +660,37 @@ def test_fragment_generators():
 @pytest.mark.parametrize("name", ["Q8", "D8xZ4", "E27"])
 def test_decomposables_match_all_explicit_products(name):
     G = builtin(name).pres if name == "D8xZ4" else {"Q8": Q8, "E27": E27}[name]
-    res = build_minimal_resolution(G, 6)
+    # Q8 to degree 9, so that its degree-4 generator acts at k = 8 and 9
+    N = 9 if name == "Q8" else 6
+    res = build_minimal_resolution(G, N)
     frag = CohomologyFragment(res)
-    for k in range(2, 7):
+    for k in range(2, N + 1):
         products = [cup_product(res, f, g).vec
                     for i in range(1, k) for f in frag.basis(i) for g in frag.basis(k - i)]
         want = FpSubspace.from_spanning(res.p, res.rank(k), np.array(products))
         assert frag.decomposable_subspace(k) == want, k
+    if name == "Q8":
+        assert len(frag._generators(4)) == 1
+
+
+@pytest.mark.parametrize("G,N,counts", [
+    (builtin("64#187").pres, 10, [0, 4, 0, 0, 4, 0, 8, 0, 2, 6, 0]),
+    (E27, 10, [0, 2, 4, 2, 0, 0, 1, 0, 0, 0, 0]),
+], ids=["64#187", "E27"])
+def test_generator_counts_with_high_degree_generators(G, N, counts):
+    frag = CohomologyFragment(build_minimal_resolution(G, N))
+    assert frag.generator_counts(N) == counts
+
+
+def test_decomposables_lift_only_the_chosen_generators():
+    res = build_minimal_resolution(builtin("32#18").pres, 10)
+    frag = CohomologyFragment(res)
+    counts = frag.generator_counts(10)
+    # one cup chain map per generator of degree <= 5: 2 + 5, not the 41
+    # basis classes of degrees 1..5
+    assert len(res._cup_lifts) == sum(counts[1:6]) == 7
+    chosen = [g.key() for i in range(1, 6) for g in frag._generators(i)]
+    assert sorted(res._cup_lifts) == sorted(chosen)
 
 
 def test_fragment_generators_w32():
