@@ -6,12 +6,12 @@ from .resolution import (
     BudgetExceededError,
     Cocycle,
     CohomologyFragment,
+    ComoduleMap,
+    InducedMap,
     MinimalResolution,
+    TensorResolution,
     build_minimal_resolution,
-    comodule_map,
     cup_product,
-    induced_map,
-    kunneth,
 )
 from .invariants import Analyzer, GroupType, InvariantReport, Workspace, report
 from .catalog import CatalogEntry, builtin, builtin_ids, load_pcp, parse_pcp
@@ -22,23 +22,23 @@ __all__ = [
     "CatalogEntry",
     "Cocycle",
     "CohomologyFragment",
+    "ComoduleMap",
     "FpMatrix",
     "FpSubspace",
     "GroupHom",
     "GroupType",
+    "InducedMap",
     "InvariantReport",
     "LinSolver",
     "MinimalResolution",
     "PcPresentation",
     "Subgroup",
+    "TensorResolution",
     "Workspace",
     "build_minimal_resolution",
     "builtin",
     "builtin_ids",
-    "comodule_map",
     "cup_product",
-    "induced_map",
-    "kunneth",
     "load_pcp",
     "parse_pcp",
     "report",

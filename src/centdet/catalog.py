@@ -228,14 +228,14 @@ def sz8_sylow_presentation() -> PcPresentation:
 # ---------------------------------------------------------------------------
 # the shipped catalog
 
-def _entry(id, builder, notes="", **expected):
-    return (id, builder, expected, notes)
+def _entry(builder, notes="", **expected):
+    return (builder, expected, notes)
 
 
 _BUILTINS = {}
 for _k in range(1, 7):
     _BUILTINS[f"Z{2 ** _k}"] = _entry(
-        f"Z{2 ** _k}", (lambda kk: (lambda: cyclic_presentation(2, kk)))(_k),
+        (lambda kk: (lambda: cyclic_presentation(2, kk)))(_k),
         notes=f"cyclic of order {2 ** _k}",
         order=2 ** _k, center_rank=1, rank=1, p_central=True,
         type=[1] if _k == 1 else [2], e=0 if _k == 1 else 1,
@@ -243,44 +243,46 @@ for _k in range(1, 7):
     )
 for _k in range(2, 5):
     _BUILTINS[f"E{2 ** _k}"] = _entry(
-        f"E{2 ** _k}", (lambda kk: (lambda: elementary_abelian_presentation(2, kk)))(_k),
+        (lambda kk: (lambda: elementary_abelian_presentation(2, kk)))(_k),
         notes=f"elementary abelian of rank {_k}",
         order=2 ** _k, center_rank=_k, rank=_k, p_central=True,
         type=[1] * _k, e=0, d0=0, d1=0,
     )
-for _o, _depth in ((8, 2), (16, 1), (32, 2)):
+# depth is that of H*(G; F_2): dihedral 2-groups have Cohen-Macaulay
+# cohomology of depth 2, the semidihedral ones depth 1
+for _o in (8, 16, 32):
     _BUILTINS[f"D{_o}"] = _entry(
-        f"D{_o}", (lambda oo: (lambda: dihedral_presentation(oo)))(_o),
+        (lambda oo: (lambda: dihedral_presentation(oo)))(_o),
         notes=f"dihedral of order {_o}",
         order=_o, center_rank=1, rank=2, p_central=False,
-        type=[2], e=1, e_prime=-1, d0=0, depth=_depth,
+        type=[2], e=1, e_prime=-1, d0=0, depth=2,
     )
 for _o in (8, 16, 32, 64):
     _BUILTINS[f"Q{_o}"] = _entry(
-        f"Q{_o}", (lambda oo: (lambda: quaternion_presentation(oo)))(_o),
+        (lambda oo: (lambda: quaternion_presentation(oo)))(_o),
         notes=f"generalized quaternion of order {_o}",
         order=_o, center_rank=1, rank=1, p_central=True,
         type=[4], e=3, d0=3, d1=5,
     )
 for _o in (16, 32):
     _BUILTINS[f"SD{_o}"] = _entry(
-        f"SD{_o}", (lambda oo: (lambda: semidihedral_presentation(oo)))(_o),
+        (lambda oo: (lambda: semidihedral_presentation(oo)))(_o),
         notes=f"semidihedral of order {_o}",
         order=_o, center_rank=1, rank=2, p_central=False,
         type=[4], e=3, e_prime=2, d0=2, depth=1,
     )
 _BUILTINS["32#18"] = _entry(
-    "32#18", w32_presentation, notes="universal 2-central group over (Z/2)^2",
+    w32_presentation, notes="universal 2-central group over (Z/2)^2",
     order=32, center_rank=3, rank=3, p_central=True,
     type=[2, 2, 2], e=3, d0=3, d1=4,
 )
 _BUILTINS["64#187"] = _entry(
-    "64#187", su34_sylow_presentation, notes="2-Sylow of SU(3,4)",
+    su34_sylow_presentation, notes="2-Sylow of SU(3,4)",
     order=64, center_rank=2, rank=2, p_central=True,
     type=[8, 8], e=14, d0=14, d1=18,
 )
 _BUILTINS["64#153"] = _entry(
-    "64#153", sz8_sylow_presentation, notes="2-Sylow of Sz(8)",
+    sz8_sylow_presentation, notes="2-Sylow of Sz(8)",
     order=64, center_rank=3, rank=3, p_central=True,
     type=[4, 4, 4], e=9, d0=9, d1=11,
 )
@@ -330,11 +332,11 @@ def builtin(id: str) -> CatalogEntry:
         raise CatalogError(f"unknown catalog id: {id!r}")
     order = 1
     for name in names:  # every shipped entry is a 2-group
-        order *= _BUILTINS[name][2]["order"]
+        order *= _BUILTINS[name][1]["order"]
     check_order(2, order.bit_length() - 1)
     entries = []
     for name in names:
-        _, builder, expected, notes = _BUILTINS[name]
+        builder, expected, notes = _BUILTINS[name]
         entries.append(CatalogEntry(name, builder(), dict(expected), notes))
         entries[-1].check_fingerprint()
     entry = entries.pop()

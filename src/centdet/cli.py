@@ -109,9 +109,9 @@ def cmd_cess(args, out) -> int:
         "group_id": entry.id,
         "degree_bound": N,
         "p_central": a.p_central,
-        "cess_dims": list(a.cess_dims().dims),
-        "qa_cess_dims": list(a.qa_cess_dims().dims),
-        "pc_cess_dims": list(a.pc_cess_dims().dims),
+        "cess_dims": list(a.cess_dims()),
+        "qa_cess_dims": list(a.qa_cess_dims()),
+        "pc_cess_dims": list(a.pc_cess_dims()),
         "e_prime": ep,
         "e_double_prime": edp,
         "certified": {"e_prime": epc, "e_double_prime": edpc},

@@ -457,7 +457,7 @@ class FpSubspace:
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Residue of vec after reduction by the RREF basis."""
-        v = np.asarray(vec, dtype=np.uint8).astype(np.int64) % self.p
+        v = _residues(vec, self.p).astype(np.int64)
         B = self.basis.arr
         for i, c in enumerate(self._pivots):
             coef = v[c]

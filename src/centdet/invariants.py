@@ -71,7 +71,6 @@ from .resolution import (
     InducedMap,
     MinimalResolution,
     cup_product,
-    induced_map,
     product_span,
 )
 
@@ -130,10 +129,6 @@ class GroupType:
     flag: list[FlagLevel] = field(default_factory=list)  # the levels walked
 
     @property
-    def c(self) -> int:
-        return len(self.entries)
-
-    @property
     def e(self) -> int:
         return sum(a - 1 for a in self.entries)
 
@@ -169,18 +164,13 @@ class DuflotData:
         return dims
 
 
-@dataclass
-class GradedDims:
-    role: str
-    dims: tuple[int, ...]
-    N: int
-
-    def top_nonzero(self) -> int:
-        top = -1
-        for k, d in enumerate(self.dims):
-            if d:
-                top = k
-        return top
+def top_nonzero(dims: tuple[int, ...]) -> int:
+    """The last degree with a nonzero dimension, or -1 when there is none."""
+    top = -1
+    for k, d in enumerate(dims):
+        if d:
+            top = k
+    return top
 
 
 @dataclass
@@ -269,9 +259,8 @@ class Analyzer:
             return image_basis(FpMatrix(self.p, M, check=False))
         return self._memo(("im", k), make)
 
-    def restriction_image_dims(self) -> GradedDims:
-        dims = tuple(self.res_image(k).dim for k in range(self.N + 1))
-        return GradedDims("im i*", dims, self.N)
+    def restriction_image_dims(self) -> tuple[int, ...]:
+        return tuple(self.res_image(k).dim for k in range(self.N + 1))
 
     # -- type -----------------------------------------------------------------------
 
@@ -414,7 +403,7 @@ class Analyzer:
                 add(2, self._split_bockstein_target(x))
         data = DuflotData(gens, targets, t.entries)
         # the subalgebra on the lifts must match the image dimensions
-        if list(self.restriction_image_dims().dims) != data.a_dims(self.N):
+        if list(self.restriction_image_dims()) != data.a_dims(self.N):
             raise AssertionError("Duflot subalgebra does not match the image")
         return data
 
@@ -458,8 +447,8 @@ class Analyzer:
             return tuple(dims)
         return self._memo(("qa", subs is None), make)
 
-    def qa_dims(self) -> GradedDims:
-        return GradedDims("Q_A H*", self._qa(None), self.N)
+    def qa_dims(self) -> tuple[int, ...]:
+        return self._qa(None)
 
     def _check_freeness(self, total_dims, q_dims, what: str):
         a = self.duflot().a_dims(self.N)
@@ -483,8 +472,8 @@ class Analyzer:
             return tuple(intersect(piece, prim(k)).dim for k, piece in enumerate(subs))
         return self._memo(("pc", subs is None), make)
 
-    def pc_dims(self) -> GradedDims:
-        return GradedDims("P_C H*", self._pc(None), self.N)
+    def pc_dims(self) -> tuple[int, ...]:
+        return self._pc(None)
 
     # -- central essential classes ---------------------------------------------------
 
@@ -515,19 +504,17 @@ class Analyzer:
             return self._restriction_kernels(list(family.values()), self.N)
         return self._memo("cess", make)
 
-    def cess_dims(self) -> GradedDims:
+    def cess_dims(self) -> tuple[int, ...]:
         subs = self.cess_subspaces()
         if subs is None:
-            dims = tuple(self.res.betti[: self.N + 1])
-        else:
-            dims = tuple(s.dim for s in subs)
-        return GradedDims("Cess", dims, self.N)
+            return tuple(self.res.betti[: self.N + 1])
+        return tuple(s.dim for s in subs)
 
-    def qa_cess_dims(self) -> GradedDims:
-        return GradedDims("Q_A Cess", self._qa(self.cess_subspaces()), self.N)
+    def qa_cess_dims(self) -> tuple[int, ...]:
+        return self._qa(self.cess_subspaces())
 
-    def pc_cess_dims(self) -> GradedDims:
-        return GradedDims("P_C Cess", self._pc(self.cess_subspaces()), self.N)
+    def pc_cess_dims(self) -> tuple[int, ...]:
+        return self._pc(self.cess_subspaces())
 
     # -- e', e'' -------------------------------------------------------------------------
 
@@ -543,18 +530,18 @@ class Analyzer:
             if self.p_central:
                 return self.e, self.group_type().certified
             q = self.qa_cess_dims()
-            top = q.top_nonzero()
+            top = top_nonzero(q)
             if self.rank - self.center_rank == 1:
                 # duality certificate: first nonzero degree determines the top
                 if top < 0:
                     return -1, self.N >= self.e
-                m = next(k for k, d in enumerate(q.dims) if d)
+                m = next(k for k, d in enumerate(q) if d)
                 value = self.e - m
                 certified = self.N >= value
                 if certified:
                     for k in range(min(self.N, self.e) + 1):
                         mirror = self.e - k
-                        if 0 <= mirror <= self.N and q.dims[k] != q.dims[mirror]:
+                        if 0 <= mirror <= self.N and q[k] != q[mirror]:
                             raise AssertionError("central essential duality fails")
                 return value, certified
             if top < 0:
@@ -566,8 +553,7 @@ class Analyzer:
         def make():
             if self.p_central:
                 return self.e, self.group_type().certified
-            pdims = self.pc_cess_dims()
-            top = pdims.top_nonzero()
+            top = top_nonzero(self.pc_cess_dims())
             ep, ep_cert = self.e_prime()
             if top == ep and ep_cert:
                 return top, True
@@ -661,22 +647,20 @@ class Analyzer:
             ginv = G.inv(g)
             images = [to_idxT[G.mult(G.mult(g, embedF.apply(presF.gen_idx(t))), ginv)]
                       for t in range(presF.n)]
-            got = induced_map(GroupHom(presF, presT, images), resF, resT)
+            got = InducedMap(GroupHom(presF, presT, images), resF, resT)
             if keep:
                 self._cache[key] = got
         return got
 
-    def lf_dims(self) -> GradedDims:
+    def lf_dims(self) -> tuple[int, ...]:
         def make():
-            dims = tuple(self._equalizer_dim(0, k) for k in range(self.N + 1))
-            return GradedDims("LF", dims, self.N)
+            return tuple(self._equalizer_dim(0, k) for k in range(self.N + 1))
         return self._memo("lf", make)
 
-    def bar_rd_dims(self, d: int) -> GradedDims:
+    def bar_rd_dims(self, d: int) -> tuple[int, ...]:
         if not 0 <= d <= self.N:
             raise IndexError(f"layer degree {d} outside 0..{self.N}")
-        dims = tuple(self._equalizer_dim(j, d) for j in range(self.N - d + 1))
-        return GradedDims(f"Rbar_{d}", dims, self.N - d)
+        return tuple(self._equalizer_dim(j, d) for j in range(self.N - d + 1))
 
     def _equalizer_dim(self, j: int, d: int) -> int:
         """Dimension of the categorical equalizer in bidegree (j, d).

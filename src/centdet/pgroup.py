@@ -10,14 +10,16 @@ the identity.
 
 Consistency is not taken on trust: construction builds the right-
 multiplication permutation action from collection and then verifies
-every defining relation as a permutation identity on all of G.
+every defining relation as a permutation identity on all of G.  A
+homomorphism's generator images pass the same check (``_relation_fault``),
+multiplied by ``mult`` in the target.
 
 The subgroup predicates (center, centralizer, normalizer, Omega_1 of a
 center, the elementary abelian enumeration) read two memoized arrays
 derived from the multiplication table: ``commute_table`` (xy = yx) and
-``order_p_mask`` (x^p = 1).  The element accessors ``comm``,
-``pth_power`` and ``conj`` remain for collection and for validating
-homomorphisms.
+``order_p_mask`` (x^p = 1).  Of the element accessors, ``pth_power``
+remains for ``element_order``, ``conj`` for conjugate subgroups, and
+``comm`` for the tests' count of central elements by enumeration.
 
 A group's structure is worked out once per presentation and kept on
 it: A_C (``quillen_category_AC``, C = Omega_1 Z(G)), which ``p_rank``
@@ -57,10 +59,39 @@ def check_order(p: int, n: int) -> None:
             f"group order {p}^{n} exceeds the supported maximum {MAX_ORDER}")
 
 
+def _relation_fault(S, gens, mult, one) -> str | None:
+    """The first defining relation of the presentation S that the
+    elements gens, one per generator of S, violate, or None.
+
+    The relations are g_i^p = w_i and g_j g_i = g_i g_j w_ji (j > i),
+    each word w the product of the generator powers it lists, in order;
+    mult(x, y) is the product xy where gens live and one its identity."""
+    def times_word(x, word):
+        for t, e in enumerate(word):
+            for _ in range(e):
+                x = mult(x, gens[t])
+        return x
+
+    for i, g in enumerate(gens):
+        x = one
+        for _ in range(S.p):
+            x = mult(x, g)
+        if not np.array_equal(x, times_word(one, S.power_rels[i])):
+            return f"power relation of g{i + 1}"
+    zero = (0,) * S.n
+    for j in range(S.n):
+        for i in range(j):
+            lhs = mult(gens[j], gens[i])
+            rhs = times_word(mult(gens[i], gens[j]), S.comm_rels.get((j, i), zero))
+            if not np.array_equal(lhs, rhs):
+                return f"commutator relation [g{j + 1},g{i + 1}]"
+    return None
+
+
 class PcPresentation:
     """Consistent power-commutator presentation of a group of order p^n."""
 
-    def __init__(self, p: int, n: int, power_rels, comm_rels, check: bool = True):
+    def __init__(self, p: int, n: int, power_rels, comm_rels):
         if not _is_prime(p):
             raise PcPresentationError(f"p must be prime, got {p}")
         if p > MAX_PRIME:
@@ -85,8 +116,11 @@ class PcPresentation:
         }
         self._right_gen = self._build_right_gen()
         self._mg_memo.clear()
-        if check:
-            self._verify_relations()
+        # g_t acts as the permutation x -> x g_t, so xy is the gather y[x]
+        fault = _relation_fault(self, self._right_gen, lambda x, y: y[x],
+                                np.arange(self.order, dtype=np.int32))
+        if fault is not None:
+            raise InconsistentPresentationError(f"{fault} fails under collection")
         self._mult_table: np.ndarray | None = None
         self._inv_table: np.ndarray | None = None
         self._commute_table: np.ndarray | None = None
@@ -94,7 +128,6 @@ class PcPresentation:
         self._left_inv_gather: np.ndarray | None = None
         self._sub_pres_cache: dict = {}
         self._category: QuillenCategoryAC | None = None
-        self._radix = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
 
     # -- structural validation ------------------------------------------------
 
@@ -185,38 +218,6 @@ class PcPresentation:
             for i, e in enumerate(all_exps):
                 col[i] = self.idx_of(self._mult_gen(e, t))
         return table
-
-    def _verify_relations(self):
-        order, n, p = self.order, self.n, self.p
-        base = np.arange(order, dtype=np.int32)
-
-        def apply_word(perm, word):
-            out = perm
-            for t in range(n):
-                for _ in range(word[t]):
-                    out = self._right_gen[t][out]
-            return out
-
-        for i in range(n):
-            lhs = base
-            for _ in range(p):
-                lhs = self._right_gen[i][lhs]
-            rhs = apply_word(base, self.power_rels[i])
-            if not np.array_equal(lhs, rhs):
-                raise InconsistentPresentationError(
-                    f"power relation of g{i + 1} fails under collection"
-                )
-        zero = (0,) * n
-        for j in range(n):
-            for i in range(j):
-                # g_j g_i = g_i g_j [g_j, g_i]
-                lhs = self._right_gen[i][self._right_gen[j][base]]
-                rhs = self._right_gen[j][self._right_gen[i][base]]
-                rhs = apply_word(rhs, self.comm_rels.get((j, i), zero))
-                if not np.array_equal(lhs, rhs):
-                    raise InconsistentPresentationError(
-                        f"commutator relation [g{j + 1},g{i + 1}] fails under collection"
-                    )
 
     # -- element arithmetic ------------------------------------------------------
 
@@ -324,12 +325,6 @@ class PcPresentation:
             x = self.pth_power(x)
             k *= self.p
         return k
-
-    def power(self, a: int, e: int) -> int:
-        x = 0
-        for _ in range(e):
-            x = self.mult(x, a)
-        return x
 
     def hash_key(self) -> str:
         payload = repr((self.p, self.n, self.power_rels, sorted(self.comm_rels.items())))
@@ -576,31 +571,9 @@ class GroupHom:
         if len(self.gen_images) != src.n:
             raise PcPresentationError("need one image per source generator")
         self._table: np.ndarray | None = None
-        self._validate()
-
-    def _validate(self):
-        S, T = self.src, self.tgt
-        img = self.gen_images
-
-        def img_of_word(w):
-            x = 0
-            for t in range(S.n):
-                for _ in range(w[t]):
-                    x = T.mult(x, img[t])
-            return x
-
-        for i in range(S.n):
-            lhs = T.power(img[i], S.p)
-            if lhs != img_of_word(S.power_rels[i]):
-                raise PcPresentationError(f"image violates power relation of g{i + 1}")
-        zero = (0,) * S.n
-        for j in range(S.n):
-            for i in range(j):
-                lhs = T.comm(img[j], img[i])
-                if lhs != img_of_word(S.comm_rels.get((j, i), zero)):
-                    raise PcPresentationError(
-                        f"image violates commutator relation [g{j + 1},g{i + 1}]"
-                    )
+        fault = _relation_fault(src, self.gen_images, tgt.mult, 0)
+        if fault is not None:
+            raise PcPresentationError(f"image violates {fault}")
 
     def apply(self, x: int) -> int:
         if self._table is not None:

@@ -208,9 +208,6 @@ class MinimalResolution:
             if self.solver(i).nullity() != self.solver(i + 1).rank:
                 raise AssertionError(f"resolution not exact at degree {i}")
 
-    def hilbert_fragment(self) -> tuple[int, ...]:
-        return tuple(self.betti)
-
 
 def build_minimal_resolution(
     pres: PcPresentation, N: int, budget: int = 20000
@@ -221,18 +218,14 @@ def build_minimal_resolution(
     return MinimalResolution(pres, budget=budget).extend_to(N)
 
 
-def betti(res, i: int) -> int:
-    if i > res.top_degree:
-        raise IndexError(f"degree {i} beyond computed bound {res.top_degree}")
-    return res.betti[i]
-
-
 class TensorResolution(MinimalResolution):
     """Tensor product of two minimal resolutions, over the product group.
 
     Minimal again since both factors are; generator (i, u, v) of total
-    degree k maps to (d e_u) x e_v + (-1)^i e_u x (d e_v).  Rows are
-    kept sparse; dense matrices are materialized only within budget.
+    degree k maps to (d e_u) x e_v + (-1)^i e_u x (d e_v).  The pair
+    indexing realizes H*(A) (x) H*(B) = H*(A x B) on dual generators.
+    Rows are kept sparse; dense matrices are materialized only within
+    budget.
     """
 
     def __init__(self, resA: MinimalResolution, resB: MinimalResolution,
@@ -297,7 +290,7 @@ class TensorResolution(MinimalResolution):
             nz = np.flatnonzero(beta)
             v_prime, b = nz // self.orderB, nz % self.orderB
             pos = self.pair_pos(k - 1, (i, u, v_prime))
-            sign = 1 if (i % 2 == 0 or self.p == 2) else self.p - 1
+            sign = 1 if i % 2 == 0 else self.p - 1
             coords.append(pos * self.order + b)
             vals.append((beta[nz].astype(np.int64) * sign % self.p).astype(np.uint8))
         if coords:
@@ -312,13 +305,6 @@ class TensorResolution(MinimalResolution):
         coords, vals = self.gen_image_sparse(k, j)
         row[coords] = vals
         return row
-
-
-def kunneth(resA: MinimalResolution, resB: MinimalResolution,
-            prod: PcPresentation | None = None, budget: int = 20000) -> TensorResolution:
-    """Tensor resolution of the product group, with the pair indexing
-    realizing H*(A) (x) H*(B) = H*(A x B) on dual generators."""
-    return TensorResolution(resA, resB, prod, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +323,14 @@ class ChainMap:
     """
 
     def __init__(self, src_res, tgt_res, phi_table: np.ndarray, shift: int,
-                 base_rows: np.ndarray, _second: bool = False):
+                 base_rows: np.ndarray):
         self.src = src_res
         self.tgt = tgt_res
         self.phi = phi_table
         self.shift = shift
         self.maps: list[np.ndarray] = [base_rows]
-        # add the first kernel row to every solution, so a test can check that
-        # the answer on cohomology does not depend on the particular solutions
-        self._second = _second
 
     def extend_to(self, t_max: int):
-        p = self.tgt.p
         while len(self.maps) <= t_max:
             t = len(self.maps)
             src_deg = self.shift + t
@@ -361,9 +343,6 @@ class ChainMap:
                 if x is None:
                     raise AssertionError("chain-map lift system inconsistent")
                 rows[lo:hi] = x
-            ker = solver.kernel_rows() if self._second else ()
-            if len(ker):
-                rows = ((rows.astype(np.int64) + ker[0]) % p).astype(np.uint8)
             self.maps.append(rows)
         return self
 
@@ -418,11 +397,11 @@ class ChainMap:
 # ---------------------------------------------------------------------------
 # cup products
 
-def _cocycle_chain(res, g: Cocycle, second: bool = False) -> ChainMap:
+def _cocycle_chain(res, g: Cocycle) -> ChainMap:
     base = np.zeros((res.rank(g.degree), res.order), dtype=np.uint8)
     base[:, 0] = g.vec  # g_j times the identity basis vector of F_0
     phi = np.arange(res.order, dtype=np.int32)
-    return ChainMap(res, res, phi, g.degree, base, second)
+    return ChainMap(res, res, phi, g.degree, base)
 
 
 def _cocycle_lift(res, g: Cocycle, t_max: int) -> ChainMap:
@@ -434,15 +413,12 @@ def _cocycle_lift(res, g: Cocycle, t_max: int) -> ChainMap:
     return cm.extend_to(t_max)
 
 
-def cup_product(res, f: Cocycle, g: Cocycle, alt_lift: bool = False) -> Cocycle:
-    """Product in H*(G) by lifting g to a chain map and composing with f.
-
-    ``alt_lift`` lifts afresh, uncached, with different particular solutions."""
+def cup_product(res, f: Cocycle, g: Cocycle) -> Cocycle:
+    """Product in H*(G) by lifting g to a chain map and composing with f."""
     m, n = f.degree, g.degree
     if m + n > res.top_degree:
         raise IndexError("product degree exceeds resolution bound")
-    cm = _cocycle_chain(res, g, second=True) if alt_lift else _cocycle_lift(res, g, m)
-    M = cm.functional_matrix(m)
+    M = _cocycle_lift(res, g, m).functional_matrix(m)
     vec = matmul_mod(M, f.vec[:, None], res.p)[:, 0]
     return Cocycle(m + n, vec)
 
@@ -485,6 +461,10 @@ class InducedMap:
     """
 
     def __init__(self, hom: GroupHom, res_src, res_tgt):
+        # hash equality suffices: equal relations give identical collection tables
+        if (hom.src.hash_key() != res_src.pres.hash_key()
+                or hom.tgt.hash_key() != res_tgt.pres.hash_key()):
+            raise ValueError("resolutions do not match the homomorphism")
         self.hom = hom
         self.res_src = res_src
         self.res_tgt = res_tgt
@@ -505,14 +485,6 @@ class InducedMap:
     def apply(self, f: Cocycle) -> Cocycle:
         M = self.matrix(f.degree)
         return Cocycle(f.degree, matmul_mod(M, f.vec[:, None], self.res_src.p)[:, 0])
-
-
-def induced_map(hom: GroupHom, res_src, res_tgt) -> InducedMap:
-    # hash equality suffices: equal relations give identical collection tables
-    if (hom.src.hash_key() != res_src.pres.hash_key()
-            or hom.tgt.hash_key() != res_tgt.pres.hash_key()):
-        raise ValueError("resolutions do not match the homomorphism")
-    return InducedMap(hom, res_src, res_tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +508,7 @@ class ComoduleMap:
         if presC.hash_key() != res_C.pres.hash_key():
             raise ValueError("res_C must resolve the canonical subgroup presentation")
         self.embedC = embedC
-        self.kun = kunneth(res_C, res_G, prod, budget=res_G.budget)
+        self.kun = TensorResolution(res_C, res_G, prod, budget=res_G.budget)
         self.mhom = mhom
         self._induced = InducedMap(mhom, self.kun, res_G)
         self._prim: dict[int, FpSubspace] = {}
@@ -563,11 +535,6 @@ class ComoduleMap:
         return got
 
 
-def comodule_map(res_G: MinimalResolution, C: Subgroup,
-                 res_C: MinimalResolution) -> ComoduleMap:
-    return ComoduleMap(res_G, C, res_C)
-
-
 # ---------------------------------------------------------------------------
 # ring fragment
 
@@ -579,15 +546,8 @@ class CohomologyFragment:
         self.p = res.p
         self._decomp: dict[int, FpSubspace] = {}
 
-    @property
-    def betti(self) -> list[int]:
-        return list(self.res.betti)
-
     def basis(self, k: int) -> list[Cocycle]:
         return [Cocycle(k, row) for row in np.eye(self.res.rank(k), dtype=np.uint8)]
-
-    def product(self, f: Cocycle, g: Cocycle) -> Cocycle:
-        return cup_product(self.res, f, g)
 
     def _generators(self, i: int) -> list[Cocycle]:
         """Ring generators chosen in degree i: the unit classes of H^i at

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from centdet import acceptance
+from centdet.catalog import builtin, builtin_ids
 from centdet.invariants import Workspace
 
 WS = Workspace()
@@ -47,6 +48,17 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_depth_consistency():
     _run("criterion 7 (depth consistency)", acceptance.criterion_7, WS)
+
+
+def test_every_recorded_depth_obeys_criterion_7():
+    # Cess != 0, that is e' >= 0, iff the depth of H*(G) is the socle rank
+    for gid in builtin_ids():
+        entry = builtin(gid)
+        if "depth" not in entry.expected:
+            continue
+        ep, certified = WS.analyzer(entry.pres, 10, label=gid).e_prime()
+        assert certified, gid
+        assert (ep >= 0) == (entry.expected["depth"] == entry.expected["center_rank"]), gid
 
 
 @pytest.mark.stretch
@@ -107,6 +119,6 @@ def test_locally_finite_part_of_reconstructed_64_108():
     B = [1, 2, 2, 1, 0, 0, 0, 0, 0]
     By = [sum(B[k - j] for j in range(4) if 0 <= k - j <= 8) for k in range(9)]
     expect = tuple(B[k] + (By[k - 1] if k >= 1 else 0) for k in range(9))
-    got = a.lf_dims().dims
+    got = a.lf_dims()
     print(f"{'PASS' if got == expect else 'FAIL'}  LF layers: {got}")
     assert got == expect

@@ -164,6 +164,12 @@ def test_constructors_reduce_integers_outside_uint8():
     assert FpMatrix(3, a).arr is a
 
 
+def test_subspace_reduce_and_contains_read_integers_outside_uint8():
+    sub = FpSubspace.from_spanning(3, 2, [[1, 2]])
+    assert sub.contains(np.array([-1, 1]))  # [-1, 1] = 2 * [1, 2] mod 3
+    assert sub.reduce(np.array([257, 0])).tolist() == sub.reduce(np.array([2, 0])).tolist() == [0, 2]
+
+
 def test_kronecker():
     i2 = FpMatrix.identity(2, 2)
     i3 = FpMatrix.identity(2, 3)

@@ -50,7 +50,8 @@ def test_no_module_keeps_an_unused_import():
 
 def definitions(source: str) -> list[str]:
     """Module-level functions and classes, and the methods of those
-    classes; dunder methods are called implicitly and are left out."""
+    classes as 'Class.method'; dunder methods are called implicitly and
+    are left out."""
     tree = ast.parse(source)
     defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     names = []
@@ -58,43 +59,49 @@ def definitions(source: str) -> list[str]:
         if isinstance(node, defs):
             names.append(node.name)
         if isinstance(node, ast.ClassDef):
-            names += [f.name for f in node.body if isinstance(f, defs)
+            names += [f"{node.name}.{f.name}" for f in node.body if isinstance(f, defs)
                       and not (f.name.startswith("__") and f.name.endswith("__"))]
     return names
 
 
-def references(source: str) -> set[str]:
-    """Every name, attribute and imported name the source mentions, and
-    each dotted part of its string constants (entry-point tables name
-    their targets as strings)."""
-    found = set()
+def references(source: str) -> tuple[set[str], set[str]]:
+    """The bare and imported names the source mentions, and its
+    attributes with each dotted part of its string constants (entry-point
+    tables name their targets as strings)."""
+    names, members = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            names.add(node.id)
         elif isinstance(node, ast.alias):
-            found.add(node.name.rsplit(".", 1)[-1])
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update(node.value.split("."))
-    return found
+            members.update(node.value.split("."))
+    return names, members
 
 
 def unreferenced(defining: dict[str, str], referring: list[str]) -> list[str]:
     """'module.name' for each definition in the defining sources (by
-    module name) that no referring source mentions."""
-    used = set().union(*map(references, referring))
+    module name) that no referring source mentions.  A method counts as
+    used only through an attribute or a string, so a local variable of
+    the same name does not hide it."""
+    found = [references(source) for source in referring]
+    members = set().union(*(m for _, m in found))
+    used = members.union(*(n for n, _ in found))
     return sorted(f"{module}.{name}" for module, source in defining.items()
-                  for name in definitions(source) if name not in used)
+                  for name in definitions(source)
+                  if name.rpartition(".")[2] not in (members if "." in name else used))
 
 
 def test_unreferenced_definitions_are_detected():
     lib = ("def used():\n    pass\n\ndef dead():\n    pass\n\n"
            "class K:\n    def __init__(self):\n        pass\n"
-           "    def live(self):\n        pass\n    def stale(self):\n        pass\n")
-    user = "from lib import used, K\nK()\nROWS = [('lib', 'K.live')]\n"
-    assert unreferenced({"lib": lib}, [user]) == ["lib.dead", "lib.stale"]
-    assert unreferenced({"lib": lib}, [user, "x.stale, dead"]) == []
+           "    def live(self):\n        pass\n    def stale(self):\n        pass\n"
+           "    def shadowed(self):\n        pass\n")
+    user = "from lib import used, K\nK()\nROWS = [('lib', 'K.live')]\nshadowed = 1\n"
+    assert unreferenced({"lib": lib}, [user]) == ["lib.K.shadowed", "lib.K.stale", "lib.dead"]
+    assert unreferenced({"lib": lib}, [user, "x.stale, x.shadowed, dead"]) == []
 
 
 def test_every_definition_is_referenced():

@@ -331,6 +331,29 @@ def test_group_hom_validation():
         GroupHom(cyclic(2, 2), elem_abelian(2, 1), [0, 1][:2])
 
 
+@pytest.mark.parametrize("build,error,message", [
+    # g1^2 = g2 cannot hold while g1 does not commute with g2
+    (lambda: PcPresentation(2, 3, [(0, 1, 0), (0,) * 3, (0,) * 3], {(1, 0): (0, 0, 1)}),
+     InconsistentPresentationError, "power relation of g1 fails under collection"),
+    # conjugation by g3 sends g2 -> g2 g4 -> g2 g5, so [g3, g2] is not g4
+    (lambda: PcPresentation(2, 5, [(0,) * 5] * 5,
+                            {(2, 1): (0, 0, 0, 1, 0), (3, 2): (0, 0, 0, 0, 1)}),
+     InconsistentPresentationError, "commutator relation [g3,g2] fails under collection"),
+    # the generator of Z/4 goes to 1, its square g2 to an involution
+    (lambda: GroupHom(cyclic(2, 2), elem_abelian(2, 1), [0, 1]),
+     PcPresentationError, "image violates power relation of g1"),
+    # an abelian image cannot carry [g2, g1] = g3 to a nontrivial element
+    (lambda: GroupHom(PcPresentation(3, 3, [(0,) * 3] * 3, {(1, 0): (0, 0, 1)}),
+                      elem_abelian(3, 3), elem_abelian(3, 3).generators()),
+     PcPresentationError, "image violates commutator relation [g2,g1]"),
+], ids=["presentation-power", "presentation-commutator", "hom-power", "hom-commutator"])
+def test_relation_failures_name_the_relation(build, error, message):
+    with pytest.raises(PcPresentationError) as info:
+        build()
+    assert info.type is error
+    assert str(info.value) == message
+
+
 def test_p_central_iff_rank_equals_socle_rank():
     for G in (Q8, D8, V4, cyclic(2, 3), quaternion(4), dihedral(4),
               elem_abelian(3, 2), cyclic(3, 2)):
