@@ -142,8 +142,9 @@ def criterion_4(ws: Workspace):
 
 
 def criterion_5(ws: Workspace):
-    """Product laws on Q8 x Z4, plus the Betti convolution and the ring
-    generator degrees through N=8."""
+    """Product laws on Q8 x Z4, plus the Betti convolution, the ring
+    generator degrees through N=8, and the primitives read off the
+    factors against the coaction lifted on the product at N=4."""
     t0 = time.time()
     entry = builtin("Q8xZ4")
     a = ws.analyzer(entry.pres, 8, label="Q8xZ4")
@@ -163,6 +164,11 @@ def criterion_5(ws: Workspace):
     gens = _generator_degrees(a.res, 8)
     if gens != sorted(_generator_degrees(resq, 8) + _generator_degrees(res4, 8)):
         msgs.append(f"generator degrees {gens} are not those of Q8 and Z4")
+    # P_C of a product is read off its factors; the lifted coaction checks it
+    b = ws.analyzer(entry.pres, 4, label="Q8xZ4")
+    lifted = tuple(b.comodule().primitive_basis(k).dim for k in range(5))
+    if b.pc_dims() != lifted:
+        msgs.append(f"primitive dims {b.pc_dims()} != lifted {lifted}")
     elapsed = time.time() - t0
     return not msgs and elapsed < 120.0, ("; ".join(msgs) if msgs else f"ok, {elapsed:.1f}s")
 
@@ -216,7 +222,7 @@ def criterion_6(ws: Workspace, corpus=None, N: int = 8):
         gens = [xi for _, xi in a.duflot().generators]
         for k in range(1, N + 1):
             span = product_span(res, k, gens)
-            if intersect(a.comodule().primitive_basis(k), span).dim:
+            if intersect(a.pc_basis(k), span).dim:
                 msgs.append(f"{gid}: P_C meets the Duflot ideal")
                 break
         a.qa_cess_dims()  # Cess freeness is hard-asserted inside

@@ -70,6 +70,7 @@ from .resolution import (
     ComoduleMap,
     InducedMap,
     MinimalResolution,
+    TensorResolution,
     cup_product,
     product_span,
 )
@@ -84,7 +85,10 @@ class Workspace:
 
     Resolutions are keyed by the presentation hash, so isomorphic
     presentations with identical relations (every rank-r elementary
-    abelian, say) share one resolution.
+    abelian, say) share one resolution.  A presentation that records
+    its factors A and B (``direct_product``) is served as the tensor
+    product of the factors' cached resolutions, with no kernel or
+    radical complement of its own.
     """
 
     def __init__(self, budget: int = 20000):
@@ -96,7 +100,12 @@ class Workspace:
         key = pres.hash_key()
         res = self._res.get(key)
         if res is None:
-            res = MinimalResolution(pres, budget=self.budget)
+            if pres.factors is None:
+                res = MinimalResolution(pres, budget=self.budget)
+            else:
+                A, B = pres.factors
+                res = TensorResolution(self.resolution(A, 0), self.resolution(B, 0),
+                                       pres, budget=self.budget)
             self._res[key] = res
         res.extend_to(N)
         return res
@@ -463,13 +472,46 @@ class Analyzer:
         """The coaction of C on H*(G): the equalizer's data at V = C."""
         return self._object_data(self.category.objects[0])[1]
 
+    def pc_basis(self, k: int) -> FpSubspace:
+        """P_C H^k(G), the C-coaction primitives: the one reader of them.
+
+        A resolution served from factors A and B reads them off the
+        factors' readers, in its (i, u, v) pair coordinates:
+
+            P_C H^k(A x B) = sum over i of P_{C_A} H^i(A) (x) P_{C_B} H^(k-i)(B),
+
+        so the coaction of C on the product is never lifted.  Proof:
+        Omega_1 Z(A x B) = Omega_1 Z(A) x Omega_1 Z(B), so C = C_A x C_B;
+        under Kunneth the coaction of C is Delta_A (x) Delta_B; over a
+        field the primitives of a tensor product of comodules are the
+        tensor product of the primitives.  The Koszul signs scale whole
+        (i, u, v) blocks, so they change no span.  The factors are read
+        from the served resolution, not from G, since a presentation
+        shares the resolution of any other with its hash.  Any other
+        resolution lifts the coaction (``comodule``)."""
+        def make():
+            res = self.res
+            if not isinstance(res, TensorResolution):
+                return self.comodule().primitive_basis(k)
+            fA = self.ws.analyzer(res.resA.pres, self.N, label=f"{self.label}:factor")
+            fB = self.ws.analyzer(res.resB.pres, self.N, label=f"{self.label}:factor")
+            width = res.rank(k)
+            rows = []
+            for i in range(k + 1):
+                block = np.kron(fA.pc_basis(i).basis.arr.astype(np.int64),
+                                fB.pc_basis(k - i).basis.arr)
+                lo = res.pair_pos(k, (i, 0, 0))
+                rows.append(np.pad(block, ((0, 0), (lo, width - lo - block.shape[1]))))
+            return FpSubspace.from_spanning(self.p, width, np.vstack(rows))
+        return self._memo(("pc_basis", k), make)
+
     def _pc(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
         """P_C dimensions of a graded subspace of H* (None: all of H*)."""
         def make():
-            prim = self.comodule().primitive_basis
             if subs is None:
-                return tuple(prim(k).dim for k in range(self.N + 1))
-            return tuple(intersect(piece, prim(k)).dim for k, piece in enumerate(subs))
+                return tuple(self.pc_basis(k).dim for k in range(self.N + 1))
+            return tuple(intersect(piece, self.pc_basis(k)).dim
+                         for k, piece in enumerate(subs))
         return self._memo(("pc", subs is None), make)
 
     def pc_dims(self) -> tuple[int, ...]:
@@ -604,7 +646,7 @@ class Analyzer:
             raise ValueError("needs e(G) > 0")
         if e > self.N:
             raise IndexError("degree bound too small for the top class")
-        P = self.comodule().primitive_basis(e)
+        P = self.pc_basis(e)
         if P.dim != 1:
             raise AssertionError(
                 f"top primitive space has dimension {P.dim}, expected 1"

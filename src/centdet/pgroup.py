@@ -128,6 +128,7 @@ class PcPresentation:
         self._left_inv_gather: np.ndarray | None = None
         self._sub_pres_cache: dict = {}
         self._category: QuillenCategoryAC | None = None
+        self.factors: tuple[PcPresentation, PcPresentation] | None = None
 
     # -- structural validation ------------------------------------------------
 
@@ -760,7 +761,11 @@ def quotient_by_central(G: PcPresentation, Z: Subgroup):
 
 
 def direct_product(G: PcPresentation, H: PcPresentation) -> PcPresentation:
-    """Concatenated presentation of G x H; element (a, b) has index a*|H| + b."""
+    """Concatenated presentation of G x H; element (a, b) has index a*|H| + b.
+
+    The result records (G, H) as its ``factors``, from which a Workspace
+    serves its resolution; the hash ignores them, so a presentation with
+    the same relations and no recorded factors shares that resolution."""
     if G.p != H.p:
         raise PcPresentationError("factors must share the prime")
     n = G.n + H.n
@@ -774,7 +779,9 @@ def direct_product(G: PcPresentation, H: PcPresentation) -> PcPresentation:
         comm_rels[(j, i)] = tuple(w) + (0,) * H.n
     for (j, i), w in H.comm_rels.items():
         comm_rels[(j + G.n, i + G.n)] = (0,) * G.n + tuple(w)
-    return PcPresentation(G.p, n, power_rels, comm_rels)
+    prod = PcPresentation(G.p, n, power_rels, comm_rels)
+    prod.factors = (G, H)
+    return prod
 
 
 def multiplication_hom(G: PcPresentation, C: Subgroup):

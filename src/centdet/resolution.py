@@ -24,6 +24,7 @@ factorization of the target differential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,12 +225,13 @@ class TensorResolution(MinimalResolution):
     Minimal again since both factors are; generator (i, u, v) of total
     degree k maps to (d e_u) x e_v + (-1)^i e_u x (d e_v).  The pair
     indexing realizes H*(A) (x) H*(B) = H*(A x B) on dual generators.
-    Rows are kept sparse; dense matrices are materialized only within
-    budget.
+    Rows are kept sparse.  The budget is that of a from-scratch build:
+    degree k is refused once b_k |G| exceeds it, whether or not a dense
+    matrix of that degree is ever materialized.
     """
 
     def __init__(self, resA: MinimalResolution, resB: MinimalResolution,
-                 prod: PcPresentation | None = None, budget: int = 20000):
+                 prod: PcPresentation | None = None, budget: float = 20000):
         super().__init__(prod if prod is not None else direct_product(resA.pres, resB.pres),
                          budget)
         self.resA = resA
@@ -238,17 +240,22 @@ class TensorResolution(MinimalResolution):
         self.orderB = resB.order
         self._pairs: dict[int, list[tuple[int, int, int]]] = {}
         self._sparse: dict = {}
-        self.extend_to(min(resA.top_degree, resB.top_degree))
+        try:
+            self.extend_to(min(resA.top_degree, resB.top_degree))
+        except BudgetExceededError:
+            pass  # the factors reach past the budget; extend_to refuses when asked
 
     def extend_to(self, N: int) -> "TensorResolution":
         """Extend both factors to N; the Betti numbers are their convolution."""
-        if N > self.top_degree:
-            self.resA.extend_to(N)
-            self.resB.extend_to(N)
-            self.betti = [
-                sum(self.resA.betti[i] * self.resB.betti[k - i] for i in range(k + 1))
-                for k in range(N + 1)
-            ]
+        while self.top_degree < N:
+            k = self.top_degree + 1
+            bA, bB = _betti_through(self.resA, k), _betti_through(self.resB, k)
+            needed = sum(bA[i] * bB[k - i] for i in range(k + 1)) * self.order
+            if needed > self.budget:
+                raise BudgetExceededError(k, needed, self.budget)
+            self.resA.extend_to(k)  # refuses only for a factor of a smaller budget
+            self.resB.extend_to(k)
+            self.betti.append(needed // self.order)
         return self
 
     def pairs(self, k: int) -> list[tuple[int, int, int]]:
@@ -305,6 +312,14 @@ class TensorResolution(MinimalResolution):
         coords, vals = self.gen_image_sparse(k, j)
         row[coords] = vals
         return row
+
+
+def _betti_through(res: MinimalResolution, k: int) -> list[int]:
+    """b_0..b_k of res, with b_k read off the refusal when it is over budget."""
+    try:
+        return res.extend_to(k).betti[: k + 1]
+    except BudgetExceededError as exc:
+        return res.betti[:k] + [exc.needed // res.order]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +523,8 @@ class ComoduleMap:
         if presC.hash_key() != res_C.pres.hash_key():
             raise ValueError("res_C must resolve the canonical subgroup presentation")
         self.embedC = embedC
-        self.kun = TensorResolution(res_C, res_G, prod, budget=res_G.budget)
+        # the coaction's source is never densified, so no budget applies
+        self.kun = TensorResolution(res_C, res_G, prod, budget=math.inf)
         self.mhom = mhom
         self._induced = InducedMap(mhom, self.kun, res_G)
         self._prim: dict[int, FpSubspace] = {}

@@ -1,0 +1,224 @@
+"""Direct products served from their factors.
+
+A presentation made by ``direct_product`` is resolved as the tensor
+product of its factors' resolutions, and its C-coaction primitives are
+read off the factors' (Kunneth).  These tests compare that route with
+independent derivations: a from-scratch resolution of the same
+relations, the coaction lifted on the served resolution, and the
+reports of copies of each product that record no factors.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from centdet import cli, resolution
+from centdet.catalog import CatalogEntry, builtin
+from centdet.invariants import Workspace
+from centdet.pgroup import (
+    PcPresentation,
+    direct_product,
+    omega1_center,
+    pc_structure,
+    subgroup_presentation,
+)
+from centdet.resolution import (
+    BudgetExceededError,
+    ComoduleMap,
+    MinimalResolution,
+    TensorResolution,
+)
+
+Z3 = PcPresentation(3, 1, [(0,)], {})
+# extraspecial of order 27 and exponent 3
+H27 = PcPresentation(3, 3, [(0, 0, 0)] * 3, {(1, 0): (0, 0, 1)})
+
+SERVED = [
+    ("D8xZ4", builtin("D8xZ4").pres, 6),
+    # both factors have primitive bases that are not identities (D8 in
+    # degrees >= 2), so the Kunneth blocks are no symmetric kron
+    ("D8xD8", builtin("D8xD8").pres, 3),
+    ("Q8xZ2", builtin("Q8xZ2").pres, 6),
+    ("SD16xZ2", builtin("SD16xZ2").pres, 6),
+    ("Z3xZ3", direct_product(Z3, Z3), 4),
+    ("H27xZ3", direct_product(H27, Z3), 4),
+]
+
+
+def plain_copy(G: PcPresentation) -> PcPresentation:
+    """The same relations, with no recorded factors."""
+    return PcPresentation(G.p, G.n, G.power_rels, G.comm_rels)
+
+
+def relabelled_copy(G: PcPresentation, seed: int) -> PcPresentation:
+    """The presentation pc_structure picks from a seeded shuffle of G."""
+    elems = list(range(G.order))
+    random.Random(seed).shuffle(elems)
+    pres, _, _ = pc_structure(elems, G.mult, G.inv, G.p)
+    return pres
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gid,G,N", SERVED, ids=[g for g, _, _ in SERVED])
+def test_served_betti_match_a_from_scratch_resolution(gid, G, N):
+    res = Workspace().resolution(G, N)
+    assert isinstance(res, TensorResolution)
+    assert res.betti == MinimalResolution(plain_copy(G)).extend_to(N).betti
+
+
+@pytest.mark.parametrize("gid,G,N", SERVED, ids=[g for g, _, _ in SERVED])
+def test_kunneth_primitives_match_the_lifted_coaction(gid, G, N):
+    ws = Workspace()
+    a = ws.analyzer(G, N)
+    C = omega1_center(G)
+    presC, _, _ = subgroup_presentation(G, C)
+    lifted = ComoduleMap(a.res, C, ws.resolution(presC, N))
+    for k in range(N + 1):
+        got, want = a.pc_basis(k).basis.arr, lifted.primitive_basis(k).basis.arr
+        assert got.shape == want.shape and np.array_equal(got, want), k
+
+
+# ---------------------------------------------------------------------------
+# the same output from copies that record no factors
+
+
+INVARIANCE = [
+    ("D8xZ4", builtin("D8xZ4").pres, 8),
+    ("Q8xZ4", builtin("Q8xZ4").pres, 6),
+    ("SD16xZ2", builtin("SD16xZ2").pres, 6),
+    ("H27xZ3", direct_product(H27, Z3), 4),
+]
+
+
+@pytest.mark.parametrize("gid,G,N", INVARIANCE, ids=[g for g, _, _ in INVARIANCE])
+def test_products_report_like_their_unfactored_copies(capsys, monkeypatch, gid, G, N):
+    # the two commands on one copy share a Workspace, which halves the
+    # from-scratch work; at N = 4 the type of H27 is not certified, so its
+    # cess output is the same DegreeBoundError for every copy
+    outputs = []
+    for pres in (G, plain_copy(G), relabelled_copy(G, seed=1)):
+        ws = Workspace()
+        monkeypatch.setattr(cli, "resolve_group", lambda name, pres=pres: CatalogEntry(name, pres))
+        monkeypatch.setattr(cli, "Workspace", lambda budget, ws=ws: ws)
+        outputs.append([run_cli(capsys, command, gid, "--degree", str(N))
+                        for command in ("invariants", "cess")])
+    assert outputs[0][0][0] == 0
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+# ---------------------------------------------------------------------------
+# the budget of a served product is that of a from-scratch build
+
+
+# `invariants D8xZ4 --degree 10` before products were served from factors
+D8XZ4_REPORT = {
+    "group_id": "D8xZ4", "p": 2, "order": 32, "rank": 3, "center_rank": 2,
+    "p_central": False, "type": [2, 2], "e": 2, "h": 1, "d0": 1, "d1": None,
+    "e_prime": -1, "e_double_prime": -1, "cess_nonzero": False,
+    "truncation_degree": 10,
+    "certified": {"type": True, "e_prime": True, "e_double_prime": True, "d0": True},
+}
+D8XZ4_REFUSED = {
+    **D8XZ4_REPORT, "type": None, "e": None, "h": None, "d0": None,
+    "e_prime": None, "e_double_prime": None, "cess_nonzero": None,
+    "certified": {"budget_exceeded": True},
+}
+
+
+@pytest.mark.parametrize("budget,want", [(500, D8XZ4_REFUSED), (2000, D8XZ4_REFUSED),
+                                         (3000, D8XZ4_REPORT)])
+def test_served_product_report_under_a_budget(capsys, budget, want):
+    code, out = run_cli(capsys, "--budget", str(budget), "invariants", "D8xZ4",
+                        "--degree", "10")
+    assert code == 0
+    assert json.loads(out) == want
+
+
+def test_served_product_refuses_with_the_from_scratch_message(capsys):
+    # b_10(D8 x Z4) = 66, and 66 * 32 = 2112 columns
+    code, out = run_cli(capsys, "--budget", "2000", "cess", "D8xZ4", "--degree", "10")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "BudgetExceededError",
+        "message": "resolution degree 10 needs 2112 columns, budget is 2000"}
+
+
+@pytest.mark.parametrize("budget", [15, 100, 500, 2000])
+def test_served_product_refuses_at_the_from_scratch_degree(budget):
+    # at budget 15 the factor D8 is itself over budget in degree 1
+    G = builtin("D8xZ4").pres
+    with pytest.raises(BudgetExceededError) as scratch:
+        MinimalResolution(plain_copy(G), budget=budget).extend_to(10)
+    with pytest.raises(BudgetExceededError) as served:
+        Workspace(budget=budget).resolution(G, 10)
+    assert (served.value.degree, served.value.needed) == (
+        scratch.value.degree, scratch.value.needed)
+
+
+def test_deeper_factors_do_not_refuse_a_shallower_product():
+    ws = Workspace(budget=2000)
+    ws.resolution(builtin("D8").pres, 12)
+    ws.resolution(builtin("Z4").pres, 12)
+    G = builtin("D8xZ4").pres
+    assert ws.resolution(G, 6).betti == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
+    with pytest.raises(BudgetExceededError, match="degree 10 needs 2112"):
+        ws.resolution(G, 10)
+
+
+def test_the_coaction_source_is_not_refused():
+    # C x G has order 128 and is over the budget in degree 6, though never densified
+    ws = Workspace(budget=2000)
+    a = ws.analyzer(builtin("D8xZ4").pres, 6)
+    assert a.comodule().kun.rank(6) * 128 > 2000
+    assert a.comodule().primitive_basis(6) == a.pc_basis(6)
+
+
+# ---------------------------------------------------------------------------
+# the mechanism
+
+
+def test_served_report_lifts_no_coaction_over_the_product(capsys, monkeypatch):
+    resolved, coacted = [], []
+    complement = resolution.MinimalResolution._radical_complement
+    comodule_init = resolution.ComoduleMap.__init__
+
+    def counted_complement(self, kernel_rows):
+        resolved.append(self.order)
+        return complement(self, kernel_rows)
+
+    def counted_init(self, res_G, C, res_C):
+        coacted.append(res_G.order)
+        comodule_init(self, res_G, C, res_C)
+
+    monkeypatch.setattr(resolution.MinimalResolution, "_radical_complement", counted_complement)
+    monkeypatch.setattr(resolution.ComoduleMap, "__init__", counted_init)
+    code, _ = run_cli(capsys, "invariants", "D8xZ4", "--degree", "6")
+    assert code == 0
+    assert 8 in resolved and 32 not in resolved  # D8 is built, D8 x Z4 is not
+    assert 8 in coacted and 32 not in coacted
+
+
+def test_primitives_follow_the_shared_resolution_not_the_presentation():
+    G = builtin("D8xZ4").pres
+    # an unfactored copy resolved first: the product's analyzer lifts
+    ws = Workspace()
+    ws.resolution(plain_copy(G), 6)
+    a = ws.analyzer(G, 6)
+    assert not isinstance(a.res, TensorResolution)
+    for k in range(7):
+        assert a.pc_basis(k) == a.comodule().primitive_basis(k)
+    # the product served first: an unfactored copy reads Kunneth
+    ws = Workspace()
+    ws.resolution(G, 6)
+    b = ws.analyzer(plain_copy(G), 6)
+    assert b.G.factors is None and isinstance(b.res, TensorResolution)
+    for k in range(7):
+        assert b.pc_basis(k) == b.comodule().primitive_basis(k)
+    assert a.pc_dims() == b.pc_dims() == (1, 3, 4, 4, 4, 4, 4)
