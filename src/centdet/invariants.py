@@ -55,6 +55,7 @@ from .pgroup import (
     PcPresentation,
     Subgroup,
     centralizer,
+    direct_product,
     is_p_central,
     maximal_subgroups,
     omega1_center,
@@ -68,8 +69,10 @@ from .resolution import (
     Cocycle,
     CohomologyFragment,
     ComoduleMap,
+    CrossProduct,
     InducedMap,
     MinimalResolution,
+    TensorInducedMap,
     TensorResolution,
     cup_product,
     product_span,
@@ -88,7 +91,8 @@ class Workspace:
     abelian, say) share one resolution.  A presentation that records
     its factors A and B (``direct_product``) is served as the tensor
     product of the factors' cached resolutions, with no kernel or
-    radical complement of its own.
+    radical complement of its own; its analyzer then reads every map
+    it needs off the factors' analyzers (``Analyzer._factors``).
     """
 
     def __init__(self, budget: int = 20000):
@@ -257,10 +261,74 @@ class Analyzer:
         presC, _, _ = subgroup_presentation(self.G, self.C)
         return self.ws.resolution(presC, self.N)
 
+    # -- a product served from its factors ------------------------------------------
+
+    def _factors(self) -> tuple["Analyzer", "Analyzer"] | None:
+        """The analyzers of A and B when the resolution is served from the
+        factors of G = A x B, else None.  The factors are read from the
+        served TensorResolution, not from G, since a presentation shares
+        the resolution of any other with its hash; equal relations give
+        equal element indices, (a, b) at a |B| + b.  The resolution is
+        not extended here, so a budget refusal comes from the first
+        resolution a route extends, as on the lifted route."""
+        res = self.ws.resolution(self.G, 0)
+        if not isinstance(res, TensorResolution):
+            return None
+        return tuple(self.ws.analyzer(r.pres, self.N, label=f"{self.label}:factor")
+                     for r in (res.resA, res.resB))
+
+    def _split(self, S: Subgroup) -> list[tuple["Analyzer", Subgroup]] | None:
+        """[(analyzer of A, S_A), (analyzer of B, S_B)] when the resolution
+        is served from the factors and S = S_A x S_B, for S_A and S_B the
+        projections of S; None otherwise."""
+        factors = self._factors()
+        if factors is None:
+            return None
+        fA, fB = factors
+        elems = np.asarray(S.elems)
+        SA, SB = Subgroup(fA.G, elems // fB.G.order), Subgroup(fB.G, elems % fB.G.order)
+        return [(fA, SA), (fB, SB)] if SA.order * SB.order == S.order else None
+
     # -- restriction image -------------------------------------------------------
 
-    def restriction_to_C(self) -> InducedMap:
-        return self._conj_map(self.C, whole_group(self.G), 0, self.N)
+    def restriction_to_C(self) -> InducedMap | TensorInducedMap:
+        """res*: H*(G) -> H*(C), in the coordinates of the shared resolution
+        of C's canonical presentation.
+
+        On a served resolution it is read off the factors: C = C_A x C_B,
+        so res* is r_A (x) r_B on each block H^i(A) (x) H^(k-i)(B)
+        (``TensorInducedMap``), in the pair coordinates of
+        TensorResolution(res C_A, res C_B).  One comparison lift kappa,
+        the map induced by the isomorphism psi from C's presentation onto
+        C_A x C_B, takes those coordinates to the shared resolution; as
+        psi composed with the inclusion of C_A x C_B is the inclusion of
+        C, kappa o (r_A (x) r_B) is res*.  C itself is not served as a
+        tensor: its hash is that of every elementary abelian of its rank.
+        When C is G, both factors are their own C and res* is the
+        identity, with no kappa.  Any other resolution lifts res*."""
+        factors = self._factors()
+        if factors is None:
+            return self._conj_map(self.C, whole_group(self.G), 0, self.N)
+        return self._memo("res_C", lambda: self._factor_restriction_to_C(*factors))
+
+    def _factor_restriction_to_C(self, fA: "Analyzer", fB: "Analyzer") -> TensorInducedMap:
+        # C before G, the lifted route's order, so a budget refusal names the same degree
+        resC, res = self.resC, self.res
+        maps = [None if f.C.order == f.G.order else f.restriction_to_C() for f in (fA, fB)]
+        if self.C.order == self.G.order:
+            return TensorInducedMap(res, *maps)
+        presC, embedC, _ = subgroup_presentation(self.G, self.C)
+        (presCA, _, idxA), (presCB, _, idxB) = (
+            subgroup_presentation(f.G, f.C) for f in (fA, fB))
+        P = direct_product(presCA, presCB)
+        nB = res.resB.order
+        images = []
+        for t in range(presC.n):
+            a, b = divmod(embedC.apply(presC.gen_idx(t)), nB)
+            images.append(idxA[a] * presCB.order + idxB[b])
+        kun = TensorResolution(fA.resC, fB.resC, P, budget=self.ws.budget).extend_to(self.N)
+        kappa = InducedMap(GroupHom(presC, P, images), resC, kun)
+        return TensorInducedMap(res, *maps, then=kappa)
 
     def res_image(self, k: int) -> FpSubspace:
         def make():
@@ -397,24 +465,46 @@ class Analyzer:
         if not t.certified:
             raise DegreeBoundError(
                 f"the type of {self.label} is not certified at degree bound {self.N}")
-        gens: list[tuple[int, Cocycle]] = []
-        targets: list[tuple[int, np.ndarray]] = []
+        factors = self._factors()
+        if factors is not None:
+            data = self._factor_duflot(t, *factors)
+        else:
+            gens: list[tuple[int, Cocycle]] = []
+            targets: list[tuple[int, np.ndarray]] = []
 
-        def add(degree: int, target: np.ndarray):
-            gens.append((degree, self._lift_from_image(degree, target)))
-            targets.append((degree, target))
+            def add(degree: int, target: np.ndarray):
+                gens.append((degree, self._lift_from_image(degree, target)))
+                targets.append((degree, target))
 
-        for k, x in self._flag_adapted_basis():
-            degree, _, M = t.flag[k]
-            if self.p == 2 or k != 1:
-                add(degree, matmul_mod(M, x[:, None], self.p)[:, 0])
-            if self.p != 2 and k <= 1:
-                add(2, self._split_bockstein_target(x))
-        data = DuflotData(gens, targets, t.entries)
+            for k, x in self._flag_adapted_basis():
+                degree, _, M = t.flag[k]
+                if self.p == 2 or k != 1:
+                    add(degree, matmul_mod(M, x[:, None], self.p)[:, 0])
+                if self.p != 2 and k <= 1:
+                    add(2, self._split_bockstein_target(x))
+            data = DuflotData(gens, targets, t.entries)
         # the subalgebra on the lifts must match the image dimensions
         if list(self.restriction_image_dims()) != data.a_dims(self.N):
             raise AssertionError("Duflot subalgebra does not match the image")
         return data
+
+    def _factor_duflot(self, t: GroupType, fA: "Analyzer", fB: "Analyzer") -> DuflotData:
+        """Duflot generators of a served product: the pure tensors a x 1 and
+        1 x b over the factors' Duflot generators a and b, so multiplying
+        by them lifts nothing over the product (``CrossProduct``).
+
+        The restriction image of A x B in H*(C_A) (x) H*(C_B) is the tensor
+        product of the factors' images, a polynomial algebra on the
+        images of the a x 1 and 1 x b, and its type is the union of the
+        factors' types, so t.entries gives the same degrees.  Q_A of a
+        free module depends only on those degrees; freeness stays checked
+        (``_check_freeness``)."""
+        res = self.res
+        unit = Cocycle(0, np.ones(1, dtype=np.uint8))
+        gens = ([(d, CrossProduct(res, a, unit)) for d, a in fA.duflot().generators]
+                + [(d, CrossProduct(res, unit, b)) for d, b in fB.duflot().generators])
+        rmap = self.restriction_to_C()
+        return DuflotData(gens, [(d, rmap.apply(g).vec) for d, g in gens], t.entries)
 
     def _split_bockstein_target(self, x: np.ndarray) -> np.ndarray:
         """A Bockstein partner of x that lies inside the degree-2 image."""
@@ -490,11 +580,11 @@ class Analyzer:
         shares the resolution of any other with its hash.  Any other
         resolution lifts the coaction (``comodule``)."""
         def make():
-            res = self.res
-            if not isinstance(res, TensorResolution):
+            factors = self._factors()
+            if factors is None:
                 return self.comodule().primitive_basis(k)
-            fA = self.ws.analyzer(res.resA.pres, self.N, label=f"{self.label}:factor")
-            fB = self.ws.analyzer(res.resB.pres, self.N, label=f"{self.label}:factor")
+            fA, fB = factors
+            res = self.res
             width = res.rank(k)
             rows = []
             for i in range(k + 1):
@@ -519,14 +609,33 @@ class Analyzer:
 
     # -- central essential classes ---------------------------------------------------
 
+    def _restriction(self, S: Subgroup, top: int) -> InducedMap | TensorInducedMap:
+        """res*: H*(G) -> H*(S), read in degrees <= top.
+
+        On a served resolution, a subgroup S = S_A x S_B restricts by
+        r_A (x) r_B (``TensorInducedMap``), with r_A the identity when
+        S_A = A; every centralizer C_G(U) = C_A(U_A) x C_B(U_B) is such a
+        product, since (a, b) commutes with (u, v) iff a commutes with u
+        and b with v.  Its rows are in the pair coordinates of S_A x S_B,
+        not those of a resolution of S.  Any other S is lifted, and the
+        lift is not kept."""
+        split = self._split(S)
+        if split is None:
+            return self._conj_map(S, whole_group(self.G), 0, top, keep=False)
+        return TensorInducedMap(self.ws.resolution(self.G, top), *(
+            None if Sx.order == f.G.order else f._conj_map(Sx, whole_group(f.G), 0, top)
+            for f, Sx in split))
+
     def _restriction_kernels(self, family: list[Subgroup], top: int) -> list[FpSubspace]:
         """Per degree 0..top, the classes of H* that restrict to zero on
-        every subgroup in family.  The maps are lifted one at a time, and
-        each is dropped once its matrices are read."""
+        every subgroup in family.  The maps are made one at a time, and
+        each is dropped once its matrices are read.  Only the kernel is
+        read, so a served map's pair coordinates on H*(S) serve: an
+        isomorphism of the target changes no kernel."""
         resG = self.ws.resolution(self.G, top)
         mats = [[np.zeros((0, resG.rank(k)), dtype=np.uint8)] for k in range(top + 1)]
         for S in family:
-            rmap = self._conj_map(S, whole_group(self.G), 0, top, keep=False)
+            rmap = self._restriction(S, top)
             for k in range(top + 1):
                 mats[k].append(rmap.matrix(k))
         return [kernel_basis(FpMatrix(self.p, np.vstack(m), check=False)) for m in mats]
@@ -627,7 +736,7 @@ class Analyzer:
             best = -1
             certified = True
             for V in self.qualifying_reps():
-                presK, _, _ = subgroup_presentation(self.G, centralizer(self.G, V))
+                presK = self._centralizer_presentation(centralizer(self.G, V))
                 sub = self if presK is self.G else self.ws.analyzer(
                     presK, self.N, label=f"{self.label}:centralizer")
                 val, cert = sub.e_double_prime()
@@ -635,6 +744,16 @@ class Analyzer:
                 certified = certified and cert
             return best, certified
         return self._memo("d0", make)
+
+    def _centralizer_presentation(self, K: Subgroup) -> PcPresentation:
+        """The presentation of a centralizer K, G itself when K is G.  On a
+        served resolution, K = K_A x K_B (``_restriction``) is
+        presented by ``direct_product`` of the factors' subgroup
+        presentations, so that it is served from its factors too."""
+        split = self._split(K)
+        if split is None or K.order == self.G.order:
+            return subgroup_presentation(self.G, K)[0]
+        return direct_product(*(subgroup_presentation(f.G, Kx)[0] for f, Kx in split))
 
     # -- top primitive class -----------------------------------------------------------
 

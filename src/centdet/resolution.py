@@ -438,8 +438,49 @@ def cup_product(res, f: Cocycle, g: Cocycle) -> Cocycle:
     return Cocycle(m + n, vec)
 
 
+class CrossProduct(Cocycle):
+    """The cross product a x b in H*(A x B), for a in H*(A) and b in H*(B),
+    in the (i, u, v) pair coordinates of a TensorResolution: a_u b_v on
+    the generator (|a|, u, v).  It keeps its factors, so multiplication
+    by it is read off theirs (``multiplication_matrix``)."""
+
+    def __init__(self, res: "TensorResolution", a: Cocycle, b: Cocycle):
+        k = a.degree + b.degree
+        vec = np.zeros(res.rank(k), dtype=np.uint8)
+        lo = res.pair_pos(k, (a.degree, 0, 0))
+        vec[lo:lo + a.vec.size * b.vec.size] = np.kron(a.vec.astype(np.int64), b.vec) % res.p
+        super().__init__(k, vec)
+        self.factors = (a, b)
+
+
 def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
-    """Matrix of (cup with g): H^m -> H^{m+|g|}, columns over the H^m basis."""
+    """Matrix of (cup with g): H^m -> H^{m+|g|}, columns over the H^m basis.
+
+    A class of degree 0 is a scalar.  A cross product a x b on a
+    TensorResolution is read off the factors with no lift over the
+    product: its block from H^i(A) (x) H^j(B) to H^(i+|a|)(A) (x)
+    H^(j+|b|)(B) is (-1)^(|a| j) kron(M_A(a, i), M_B(b, j)).  Proof: the
+    cup product lifts g to a chain map G_g with d G_g = G_g d, so
+    x.g = x o G_g.  If G_a, G_b lift a and b, then
+    T(x (x) y) = (-1)^(|a||y|) G_a x (x) G_b y commutes with the
+    tensor differential d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy, and
+    it is (-1)^(|a||b|) a x b in degree |a| + |b|, so G_g is
+    (-1)^(|a||b|) T.  Hence (x' x y').(a x b) = (-1)^(|a||y'|)
+    (x'.a) x (y'.b) on dual generators, which is the block above."""
+    if g.degree == 0:
+        return (int(g.vec[0]) * np.eye(res.rank(m), dtype=np.uint8)) % res.p
+    if isinstance(g, CrossProduct):
+        a, b = g.factors
+        M = np.zeros((res.rank(m + g.degree), res.rank(m)), dtype=np.uint8)
+        for i in range(m + 1):
+            block = np.kron(multiplication_matrix(res.resA, a, i).astype(np.int64),
+                            multiplication_matrix(res.resB, b, m - i))
+            if a.degree * (m - i) % 2:
+                block = -block
+            r = res.pair_pos(m + g.degree, (i + a.degree, 0, 0))
+            c = res.pair_pos(m, (i, 0, 0))
+            M[r:r + block.shape[0], c:c + block.shape[1]] = block % res.p
+        return M
     cm = _cocycle_lift(res, g, m)
     return cm.functional_matrix(m)
 
@@ -447,17 +488,19 @@ def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
 def product_span(res, k: int, factors: list[Cocycle],
                  below: list[FpSubspace] | None = None) -> FpSubspace:
     """Span in H^k of the products g.x over the classes g in factors and
-    the x in below[k - |g|], or in all of H^(k - |g|) when below is None."""
+    the x in below[k - |g|], or in all of H^(k - |g|) when below is None.
+    A factor whose below[k - |g|] is zero spans nothing and is not lifted."""
     rows = []
     for g in factors:
         if g.degree > k:
             continue
-        M = multiplication_matrix(res, g, k - g.degree)
         if below is None:
+            M = multiplication_matrix(res, g, k - g.degree)
             rows.extend(M.T)  # column u is (basis_u of H^(k - |g|)) * g
             continue
         B = below[k - g.degree].basis.arr
         if B.shape[0]:
+            M = multiplication_matrix(res, g, k - g.degree)
             rows.extend(matmul_mod(M, B.T, res.p).T)
     if rows:
         return FpSubspace.from_spanning(res.p, res.rank(k), np.array(rows))
@@ -500,6 +543,57 @@ class InducedMap:
     def apply(self, f: Cocycle) -> Cocycle:
         M = self.matrix(f.degree)
         return Cocycle(f.degree, matmul_mod(M, f.vec[:, None], self.res_src.p)[:, 0])
+
+
+class TensorInducedMap:
+    """(phi_A x phi_B)*: H^k(T_A x T_B) -> H^k(S_A x S_B), read off the
+    factor maps phi_A*, phi_B* with no lift over the product.
+
+    ``res`` is the TensorResolution of T_A x T_B, and ``mapA``, ``mapB``
+    are maps with a ``matrix(k)`` (None: the identity).  In degree k the
+    matrix is block-diagonal over i, with the block
+    kron(phi_A*^i, phi_B*^(k-i)) on H^i (x) H^(k-i), so its rows are the
+    pair coordinates of TensorResolution(res S_A, res S_B).  Proof: if
+    f_A, f_B lift phi_A, phi_B, then f_A (x) f_B is a chain map of degree
+    0 covering phi_A x phi_B, with no Koszul sign, and its functional
+    matrix on e_u (x) e_v is the product of the factors' entries.
+    ``then`` is a comparison map out of those pair coordinates (an
+    InducedMap with the tensor resolution of S_A x S_B as its target),
+    composed on the left."""
+
+    def __init__(self, res: "TensorResolution", mapA, mapB, then: InducedMap | None = None):
+        self.res = res
+        self.maps = (mapA, mapB)
+        self.then = then
+        self._matrices: dict[int, np.ndarray] = {}
+
+    def _factor_matrix(self, side: int, k: int) -> np.ndarray:
+        fmap = self.maps[side]
+        if fmap is None:
+            return np.eye((self.res.resA, self.res.resB)[side].rank(k), dtype=np.uint8)
+        return fmap.matrix(k)
+
+    def matrix(self, k: int) -> np.ndarray:
+        """Shape (rank_k of S_A x S_B, rank_k of T_A x T_B), like InducedMap."""
+        got = self._matrices.get(k)
+        if got is None:
+            blocks = [np.kron(self._factor_matrix(0, i).astype(np.int64),
+                              self._factor_matrix(1, k - i)) % self.res.p
+                      for i in range(k + 1)]
+            got = np.zeros((sum(b.shape[0] for b in blocks), self.res.rank(k)), dtype=np.uint8)
+            r = 0
+            for i, block in enumerate(blocks):
+                c = self.res.pair_pos(k, (i, 0, 0))
+                got[r:r + block.shape[0], c:c + block.shape[1]] = block
+                r += block.shape[0]
+            if self.then is not None:
+                got = matmul_mod(self.then.matrix(k), got, self.res.p)
+            self._matrices[k] = got
+        return got
+
+    def apply(self, f: Cocycle) -> Cocycle:
+        M = self.matrix(f.degree)
+        return Cocycle(f.degree, matmul_mod(M, f.vec[:, None], self.res.p)[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,33 @@
 """Direct products served from their factors.
 
 A presentation made by ``direct_product`` is resolved as the tensor
-product of its factors' resolutions, and its C-coaction primitives are
-read off the factors' (Kunneth).  These tests compare that route with
-independent derivations: a from-scratch resolution of the same
-relations, the coaction lifted on the served resolution, and the
-reports of copies of each product that record no factors.
+product of its factors' resolutions, and every map its analyzer needs
+is read off the factors' analyzers: the C-coaction primitives
+(Kunneth), the restriction to C, the Cess restrictions, the Duflot
+products and the centralizers of the d0 recursion.  These tests
+compare that route with independent derivations: a from-scratch
+resolution of the same relations, each map lifted into the served
+resolution, and the reports of copies of each product that record no
+factors.
 """
 
 import json
+import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from centdet import cli, resolution
 from centdet.catalog import CatalogEntry, builtin
+from centdet.fplinalg import FpMatrix, kernel_basis
 from centdet.invariants import Workspace
 from centdet.pgroup import (
+    GroupHom,
     PcPresentation,
+    Subgroup,
+    centralizer,
     direct_product,
     omega1_center,
     pc_structure,
@@ -26,9 +35,14 @@ from centdet.pgroup import (
 )
 from centdet.resolution import (
     BudgetExceededError,
+    Cocycle,
     ComoduleMap,
+    CrossProduct,
+    InducedMap,
     MinimalResolution,
+    TensorInducedMap,
     TensorResolution,
+    multiplication_matrix,
 )
 
 Z3 = PcPresentation(3, 1, [(0,)], {})
@@ -85,18 +99,141 @@ def test_kunneth_primitives_match_the_lifted_coaction(gid, G, N):
 
 
 # ---------------------------------------------------------------------------
+# every map read off the factors equals the map lifted into the same
+# served resolution
+
+
+FACTOR_MAPS = [
+    ("D8xZ4", builtin("D8xZ4").pres, 6),
+    ("Q8xZ2", builtin("Q8xZ2").pres, 6),
+    ("Z3xZ3", direct_product(Z3, Z3), 5),
+    # the type of H27 needs N = 6, so there are no Duflot generators at N = 4
+    ("H27xZ3", direct_product(H27, Z3), 4),
+    # both factors restrict and multiply non-trivially, so a swapped kron fails
+    ("D8xD8", builtin("D8xD8").pres, 3),
+]
+
+
+def lifted_restriction(ws, G, S, N):
+    """res*: H*(G) -> H*(S) lifted into ws's resolution of G."""
+    presS, embed, _ = subgroup_presentation(G, S)
+    return InducedMap(embed, ws.resolution(presS, N), ws.resolution(G, N))
+
+
+def lifted_tensor_restriction(ws, a, S, N):
+    """res*: H*(G) -> H*(S) for S = S_A x S_B, lifted into ws's resolution
+    of G from TensorResolution(res S_A, res S_B), so that its rows are the
+    pair coordinates of S_A x S_B."""
+    res = a.res
+    A, B = res.resA.pres, res.resB.pres
+    SA = [x // B.order for x in S.elems]
+    SB = [x % B.order for x in S.elems]
+    (presA, embA, _), (presB, embB, _) = (
+        subgroup_presentation(F, Subgroup(F, elems)) for F, elems in ((A, SA), (B, SB)))
+    P = direct_product(presA, presB)
+    images = ([embA.apply(presA.gen_idx(t)) * B.order for t in range(presA.n)]
+              + [embB.apply(presB.gen_idx(t)) for t in range(presB.n)])
+    src = TensorResolution(ws.resolution(presA, N), ws.resolution(presB, N), P)
+    return InducedMap(GroupHom(P, a.G, images), src, res)
+
+
+def strict_centralizers(a):
+    family = {}
+    for obj in a.category.objects:
+        if obj.rep.order > a.C.order:
+            K = centralizer(a.G, obj.rep)
+            family.setdefault(K.elems, K)
+    return list(family.values())
+
+
+def duflot_generators(a):
+    return [g for _, g in a.duflot().generators] if a.group_type().certified else []
+
+
+def assert_maps_match_their_lifts(ws, a):
+    """The restriction to C, the Cess restrictions and kernels, and the
+    Duflot products of a's analyzer equal those lifted into a.res."""
+    N, res = a.N, a.res
+    lifted = lifted_restriction(ws, a.G, a.C, N)
+    for k in range(N + 1):
+        assert np.array_equal(a.restriction_to_C().matrix(k), lifted.matrix(k)), ("res_C", k)
+    family = strict_centralizers(a)
+    for K in family:
+        served = a._restriction(K, N)
+        ref = (lifted_tensor_restriction(ws, a, K, N) if isinstance(served, TensorInducedMap)
+               else lifted_restriction(ws, a.G, K, N))
+        for k in range(N + 1):
+            assert np.array_equal(served.matrix(k), ref.matrix(k)), ("cess map", k)
+    kernels = a.cess_subspaces()
+    assert (kernels is None) == (not family)
+    for k in range(N + 1 if family else 0):
+        stacked = np.vstack([np.zeros((0, res.rank(k)), dtype=np.uint8)]
+                            + [lifted_restriction(ws, a.G, K, N).matrix(k) for K in family])
+        want = kernel_basis(FpMatrix(a.p, stacked, check=False)).basis.arr
+        assert np.array_equal(kernels[k].basis.arr, want), ("cess", k)
+    for g in duflot_generators(a):
+        plain = Cocycle(g.degree, g.vec)
+        for m in range(N - g.degree + 1):
+            assert np.array_equal(multiplication_matrix(res, g, m),
+                                  multiplication_matrix(res, plain, m)), ("duflot", g.degree, m)
+
+
+@pytest.mark.parametrize("gid,G,N", FACTOR_MAPS, ids=[g for g, _, _ in FACTOR_MAPS])
+def test_factor_maps_match_their_lifts(gid, G, N):
+    ws = Workspace()
+    a = ws.analyzer(G, N)
+    assert isinstance(a.restriction_to_C(), TensorInducedMap)
+    assert all(isinstance(g, CrossProduct) for g in duflot_generators(a))
+    assert all(isinstance(a._restriction(K, N), TensorInducedMap)
+               for K in strict_centralizers(a))
+    assert_maps_match_their_lifts(ws, a)
+
+
+@pytest.mark.parametrize("gid,G,N", FACTOR_MAPS, ids=[g for g, _, _ in FACTOR_MAPS])
+def test_cross_products_multiply_like_their_lifts(gid, G, N):
+    # every unit class of degree <= 1 (2 at odd p) in each factor; at odd
+    # p an odd |a| meets odd B-degrees, so the Koszul sign is pinned
+    res = Workspace().resolution(G, N)
+    top = 1 if res.p == 2 else 2
+    units = [[Cocycle(d, row) for d in range(top + 1)
+              for row in np.eye(r.rank(d), dtype=np.uint8)] for r in (res.resA, res.resB)]
+    for a in units[0]:
+        for b in units[1]:
+            g = CrossProduct(res, a, b)
+            if not 1 <= g.degree <= N:
+                continue
+            plain = Cocycle(g.degree, g.vec)
+            for m in range(N - g.degree + 1):
+                assert np.array_equal(multiplication_matrix(res, g, m),
+                                      multiplication_matrix(res, plain, m)), (a.degree, b.degree, m)
+
+
+# ---------------------------------------------------------------------------
 # the same output from copies that record no factors
 
 
-INVARIANCE = [
+def stretch(gid, G, N):
+    return pytest.param(gid, G, N, id=f"{gid}@{N}", marks=[
+        pytest.mark.stretch,
+        pytest.mark.skipif(not os.environ.get("CENTDET_STRETCH"),
+                           reason="stretch tier: set CENTDET_STRETCH=1")])
+
+
+INVARIANCE = [pytest.param(gid, G, N, id=gid) for gid, G, N in [
     ("D8xZ4", builtin("D8xZ4").pres, 8),
     ("Q8xZ4", builtin("Q8xZ4").pres, 6),
     ("SD16xZ2", builtin("SD16xZ2").pres, 6),
     ("H27xZ3", direct_product(H27, Z3), 4),
+    ("E8xD8", builtin("E8xD8").pres, 4),
+    ("D8xD8", builtin("D8xD8").pres, 4),
+]] + [
+    # their plain copies alone take 7.6 s and 5.4 s
+    stretch("E8xD8", builtin("E8xD8").pres, 5),
+    stretch("D8xD8", builtin("D8xD8").pres, 6),
 ]
 
 
-@pytest.mark.parametrize("gid,G,N", INVARIANCE, ids=[g for g, _, _ in INVARIANCE])
+@pytest.mark.parametrize("gid,G,N", INVARIANCE)
 def test_products_report_like_their_unfactored_copies(capsys, monkeypatch, gid, G, N):
     # the two commands on one copy share a Workspace, which halves the
     # from-scratch work; at N = 4 the type of H27 is not certified, so its
@@ -205,6 +342,40 @@ def test_served_report_lifts_no_coaction_over_the_product(capsys, monkeypatch):
     assert 8 in coacted and 32 not in coacted
 
 
+def count_group_work(monkeypatch):
+    """Counters, by group order, of the LinSolver builds over a group's
+    differentials (a miss of MinimalResolution.solver, the one route
+    that builds them) and of the radical complements."""
+    solvers, complements = Counter(), Counter()
+    solver = resolution.MinimalResolution.solver
+    complement = resolution.MinimalResolution._radical_complement
+
+    def counted_solver(self, i):
+        if i not in self._solvers:
+            solvers[self.order] += 1
+        return solver(self, i)
+
+    def counted_complement(self, kernel_rows):
+        complements[self.order] += 1
+        return complement(self, kernel_rows)
+
+    monkeypatch.setattr(resolution.MinimalResolution, "solver", counted_solver)
+    monkeypatch.setattr(resolution.MinimalResolution, "_radical_complement", counted_complement)
+    return solvers, complements
+
+
+def test_served_reports_build_no_solver_over_the_product(capsys, monkeypatch):
+    solvers, complements = count_group_work(monkeypatch)
+    assert run_cli(capsys, "invariants", "D8xZ4", "--degree", "10")[0] == 0
+    assert solvers[8] and complements[8]  # D8 is resolved and lifted into
+    assert max(solvers) < 16 and max(complements) < 16
+    solvers.clear()
+    complements.clear()
+    assert run_cli(capsys, "invariants", "E8xD8", "--degree", "6")[0] == 0
+    assert solvers[16] and complements[16]  # C = E16 is resolved and lifted into
+    assert 64 not in solvers and 32 not in complements and 64 not in complements
+
+
 def test_primitives_follow_the_shared_resolution_not_the_presentation():
     G = builtin("D8xZ4").pres
     # an unfactored copy resolved first: the product's analyzer lifts
@@ -212,13 +383,22 @@ def test_primitives_follow_the_shared_resolution_not_the_presentation():
     ws.resolution(plain_copy(G), 6)
     a = ws.analyzer(G, 6)
     assert not isinstance(a.res, TensorResolution)
+    assert isinstance(a.restriction_to_C(), InducedMap)
+    assert not any(isinstance(g, CrossProduct) for _, g in a.duflot().generators)
     for k in range(7):
         assert a.pc_basis(k) == a.comodule().primitive_basis(k)
-    # the product served first: an unfactored copy reads Kunneth
+    assert_maps_match_their_lifts(ws, a)
+    # the product served first: an unfactored copy reads its maps off the factors
     ws = Workspace()
     ws.resolution(G, 6)
     b = ws.analyzer(plain_copy(G), 6)
     assert b.G.factors is None and isinstance(b.res, TensorResolution)
+    assert isinstance(b.restriction_to_C(), TensorInducedMap)
+    assert all(isinstance(g, CrossProduct) for _, g in b.duflot().generators)
     for k in range(7):
         assert b.pc_basis(k) == b.comodule().primitive_basis(k)
+    assert_maps_match_their_lifts(ws, b)
     assert a.pc_dims() == b.pc_dims() == (1, 3, 4, 4, 4, 4, 4)
+    for dims in ("restriction_image_dims", "qa_dims", "cess_dims", "qa_cess_dims"):
+        assert getattr(a, dims)() == getattr(b, dims)(), dims
+    assert a.d0() == b.d0()

@@ -699,6 +699,19 @@ def test_decomposables_lift_only_the_chosen_generators():
     assert sorted(res._cup_lifts) == sorted(chosen)
 
 
+def test_product_span_lifts_nothing_over_a_zero_below():
+    res = build_minimal_resolution(builtin("D8").pres, 6)
+    gens = [Cocycle(1, row) for row in np.eye(res.rank(1), dtype=np.uint8)]
+    zero = [FpSubspace.zero(2, res.rank(k)) for k in range(7)]
+    for k in range(7):
+        assert resolution.product_span(res, k, gens, zero).dim == 0
+    assert res._cup_lifts == {}
+    # one nonzero degree below lifts each generator once
+    below = zero[:3] + [FpSubspace.full(2, res.rank(3))] + zero[4:]
+    assert resolution.product_span(res, 4, gens, below).dim > 0
+    assert len(res._cup_lifts) == len(gens)
+
+
 def test_fragment_generators_w32():
     W = PcPresentation(
         2, 5,
