@@ -25,7 +25,7 @@ from .pgroup import (
     p_rank,
     pc_structure,
 )
-from .resolution import BudgetExceededError, MinimalResolution
+from .resolution import MinimalResolution
 
 CACHE_ENV = "CENTDET_CACHE_DIR"
 
@@ -498,6 +498,7 @@ def load_resolution(pres: PcPresentation, directory: str,
     None on a miss, on a stale hash or version, and on a file that is
     truncated or malformed or whose rows fail the minimality or d o d = 0
     check: the caller then rebuilds the resolution and rewrites the file.
+    The degrees from the first one that this budget refuses are left out.
     """
     path = _cache_path(directory, pres)
     if not os.path.exists(path):
@@ -506,7 +507,7 @@ def load_resolution(pres: PcPresentation, directory: str,
         with open(path, "r", encoding="utf-8") as fh:
             res = _parse_resolution(fh.read().splitlines(), pres, budget)
         fault = res.complex_fault()
-    except (ValueError, IndexError, KeyError, BudgetExceededError):
+    except (ValueError, IndexError, KeyError):
         return None
     return res if fault is None else None
 
@@ -539,8 +540,9 @@ def _parse_resolution(lines: list[str], pres: PcPresentation,
         idx += 1 + rows
         if mat.size and int(mat.max()) >= pres.p:
             raise ValueError(f"degree {i} has entries outside F_{pres.p}")
-        res._gen_images.append(mat)
-        res.betti.append(rows)
+        if i == len(res.betti) and rows * pres.order <= budget:
+            res._gen_images.append(mat)
+            res.betti.append(rows)
     if idx != len(lines):
         raise ValueError("cache file has lines past its last degree")
     return res

@@ -7,18 +7,10 @@ import json
 import os
 import sys
 
-from .catalog import (
-    CatalogEntry,
-    CatalogError,
-    builtin,
-    cache_dir,
-    load_pcp,
-    load_resolution,
-    save_resolution,
-)
+from .catalog import CatalogEntry, CatalogError, builtin, cache_dir, load_pcp
 from .invariants import DegreeBoundError, Workspace
 from .pgroup import PcPresentation
-from .resolution import BudgetExceededError, CohomologyFragment, MinimalResolution
+from .resolution import BudgetExceededError, CohomologyFragment
 
 CSV_HEADER = "order,id,type,e,h,d0,d1,e_prime,e_dprime,p_central,certified"
 
@@ -67,13 +59,7 @@ def cmd_info(args, out) -> int:
 def cmd_cohomology(args, out) -> int:
     entry = resolve_group(args.group)
     N = degree_bound(args.command, args.degree, entry.pres)
-    directory = args.cache or cache_dir()
-    cached = load_resolution(entry.pres, directory, budget=args.budget) if directory else None
-    cached_top = None if cached is None else cached.top_degree
-    res = cached if cached is not None else MinimalResolution(entry.pres, budget=args.budget)
-    res.extend_to(N)  # a cached resolution that is short grows here
-    if directory and (cached_top is None or res.top_degree > cached_top):
-        save_resolution(res, directory)
+    res = Workspace(budget=args.budget, cache=args.cache or cache_dir()).resolution(entry.pres, N)
     frag = CohomologyFragment(res)
     json.dump({
         "group_id": entry.id,

@@ -542,13 +542,6 @@ def subspace_sum(a: FpSubspace, b: FpSubspace) -> FpSubspace:
     )
 
 
-def kronecker(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    if a.p != b.p:
-        raise DimensionMismatchError("kronecker needs matching primes")
-    prod = (np.kron(a.arr.astype(np.int64), b.arr.astype(np.int64))) % a.p
-    return FpMatrix(a.p, prod.astype(np.uint8), check=False)
-
-
 # ---------------------------------------------------------------------------
 # repeated-solve factorization
 

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .catalog import load_resolution, save_resolution
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
@@ -69,11 +70,11 @@ from .resolution import (
     Cocycle,
     CohomologyFragment,
     ComoduleMap,
-    CrossProduct,
     InducedMap,
     MinimalResolution,
     TensorInducedMap,
     TensorResolution,
+    cross_product,
     cup_product,
     product_span,
 )
@@ -90,28 +91,44 @@ class Workspace:
     presentations with identical relations (every rank-r elementary
     abelian, say) share one resolution.  A presentation that records
     its factors A and B (``direct_product``) is served as the tensor
-    product of the factors' cached resolutions, with no kernel or
-    radical complement of its own; its analyzer then reads every map
-    it needs off the factors' analyzers (``Analyzer._factors``).
+    product of the factors' resolutions, with no kernel or radical
+    complement of its own; its analyzer then reads every map it needs
+    off the factors' analyzers (``Analyzer._factors``).  With a cache
+    directory, a resolution built from scratch is first loaded from its
+    file there and saved back whenever it has grown past the file; a
+    served product stores only its factors' files.
     """
 
-    def __init__(self, budget: int = 20000):
+    def __init__(self, budget: int = 20000, cache: str | None = None):
         self.budget = budget
+        self.cache = cache
         self._res: dict[str, MinimalResolution] = {}
+        self._saved: dict[str, int] = {}  # top degree on file, by hash
         self._analyzers: dict = {}
 
     def resolution(self, pres: PcPresentation, N: int) -> MinimalResolution:
+        res = self._get(pres)
+        res.extend_to(N)
+        for key, top in self._saved.items():
+            if self._res[key].top_degree > top:
+                save_resolution(self._res[key], self.cache)
+                self._saved[key] = self._res[key].top_degree
+        return res
+
+    def _get(self, pres: PcPresentation) -> MinimalResolution:
         key = pres.hash_key()
         res = self._res.get(key)
         if res is None:
-            if pres.factors is None:
+            if pres.factors is not None:
+                A, B = pres.factors
+                res = TensorResolution(self._get(A), self._get(B), pres, budget=self.budget)
+            elif self.cache is None:
                 res = MinimalResolution(pres, budget=self.budget)
             else:
-                A, B = pres.factors
-                res = TensorResolution(self.resolution(A, 0), self.resolution(B, 0),
-                                       pres, budget=self.budget)
+                res = load_resolution(pres, self.cache, budget=self.budget)
+                self._saved[key] = -1 if res is None else res.top_degree
+                res = res or MinimalResolution(pres, budget=self.budget)
             self._res[key] = res
-        res.extend_to(N)
         return res
 
     def analyzer(self, pres: PcPresentation, N: int, label: str | None = None):
@@ -490,8 +507,7 @@ class Analyzer:
 
     def _factor_duflot(self, t: GroupType, fA: "Analyzer", fB: "Analyzer") -> DuflotData:
         """Duflot generators of a served product: the pure tensors a x 1 and
-        1 x b over the factors' Duflot generators a and b, so multiplying
-        by them lifts nothing over the product (``CrossProduct``).
+        1 x b over the factors' Duflot generators a and b.
 
         The restriction image of A x B in H*(C_A) (x) H*(C_B) is the tensor
         product of the factors' images, a polynomial algebra on the
@@ -501,8 +517,8 @@ class Analyzer:
         (``_check_freeness``)."""
         res = self.res
         unit = Cocycle(0, np.ones(1, dtype=np.uint8))
-        gens = ([(d, CrossProduct(res, a, unit)) for d, a in fA.duflot().generators]
-                + [(d, CrossProduct(res, unit, b)) for d, b in fB.duflot().generators])
+        gens = ([(d, cross_product(res, a, unit)) for d, a in fA.duflot().generators]
+                + [(d, cross_product(res, unit, b)) for d, b in fB.duflot().generators])
         rmap = self.restriction_to_C()
         return DuflotData(gens, [(d, rmap.apply(g).vec) for d, g in gens], t.entries)
 

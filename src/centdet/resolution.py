@@ -14,12 +14,12 @@ cocycles are plain coordinate vectors.
 
 Cohomology operations (cup products, restriction, inflation, maps
 induced by arbitrary homomorphisms, the coaction of a central
-elementary abelian subgroup) are all computed by lifting module maps
-through the resolutions degree by degree; any particular solution of
-the lifting systems gives the same answer on cohomology.  The
-generators of a degree are lifted together: their right-hand sides are
-assembled in chunks of bounded size and solved against the one
-factorization of the target differential.
+elementary abelian subgroup) are computed by lifting module maps
+through the resolutions degree by degree, or read off the factors of
+a tensor product; any particular solution of the lifting systems gives
+the same answer on cohomology.  The generators of a degree are lifted
+together: their right-hand sides are assembled in chunks of bounded
+size and solved against the one factorization of the target differential.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .fplinalg import (
     LinSolver,
     kernel_basis,
     matmul_mod,
+    rref,
     segment_sums,
     stacked_pivots,
 )
@@ -429,60 +430,62 @@ def _cocycle_lift(res, g: Cocycle, t_max: int) -> ChainMap:
 
 
 def cup_product(res, f: Cocycle, g: Cocycle) -> Cocycle:
-    """Product in H*(G) by lifting g to a chain map and composing with f."""
+    """The product f.g in H*(G): f's column under multiplication by g."""
     m, n = f.degree, g.degree
     if m + n > res.top_degree:
         raise IndexError("product degree exceeds resolution bound")
-    M = _cocycle_lift(res, g, m).functional_matrix(m)
-    vec = matmul_mod(M, f.vec[:, None], res.p)[:, 0]
-    return Cocycle(m + n, vec)
+    M = multiplication_matrix(res, g, m)
+    return Cocycle(m + n, matmul_mod(M, f.vec[:, None], res.p)[:, 0])
 
 
-class CrossProduct(Cocycle):
+def cross_product(res: "TensorResolution", a: Cocycle, b: Cocycle) -> Cocycle:
     """The cross product a x b in H*(A x B), for a in H*(A) and b in H*(B),
-    in the (i, u, v) pair coordinates of a TensorResolution: a_u b_v on
-    the generator (|a|, u, v).  It keeps its factors, so multiplication
-    by it is read off theirs (``multiplication_matrix``)."""
-
-    def __init__(self, res: "TensorResolution", a: Cocycle, b: Cocycle):
-        k = a.degree + b.degree
-        vec = np.zeros(res.rank(k), dtype=np.uint8)
-        lo = res.pair_pos(k, (a.degree, 0, 0))
-        vec[lo:lo + a.vec.size * b.vec.size] = np.kron(a.vec.astype(np.int64), b.vec) % res.p
-        super().__init__(k, vec)
-        self.factors = (a, b)
+    in the (i, u, v) pair coordinates of res: a_u b_v on (|a|, u, v)."""
+    k = a.degree + b.degree
+    vec = np.zeros(res.rank(k), dtype=np.uint8)
+    lo = res.pair_pos(k, (a.degree, 0, 0))
+    vec[lo:lo + a.vec.size * b.vec.size] = np.kron(a.vec.astype(np.int64), b.vec) % res.p
+    return Cocycle(k, vec)
 
 
 def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
     """Matrix of (cup with g): H^m -> H^{m+|g|}, columns over the H^m basis.
 
-    A class of degree 0 is a scalar.  A cross product a x b on a
-    TensorResolution is read off the factors with no lift over the
-    product: its block from H^i(A) (x) H^j(B) to H^(i+|a|)(A) (x)
-    H^(j+|b|)(B) is (-1)^(|a| j) kron(M_A(a, i), M_B(b, j)).  Proof: the
-    cup product lifts g to a chain map G_g with d G_g = G_g d, so
-    x.g = x o G_g.  If G_a, G_b lift a and b, then
-    T(x (x) y) = (-1)^(|a||y|) G_a x (x) G_b y commutes with the
-    tensor differential d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy, and
-    it is (-1)^(|a||b|) a x b in degree |a| + |b|, so G_g is
+    A class of degree 0 is a scalar.  On a TensorResolution of A x B the
+    matrix is read off the factors, with no lift over the product; any
+    other resolution lifts g to a chain map.  The block of g in
+    H^i0(A) (x) H^(n-i0)(B), n = |g|, is a b_i0(A) x b_(n-i0)(B) matrix;
+    with R its RREF rows and L = block[:, pivots of R] it is L R, so
+    g = sum of the cross products a_r x b_r over the columns a_r of L
+    and the rows b_r of R.  Multiplication by a x b maps H^i(A) (x) H^j(B)
+    to H^(i+|a|)(A) (x) H^(j+|b|)(B) by (-1)^(|a| j) kron(M_A(a, i),
+    M_B(b, j)), and multiplication is linear in g, so these blocks add.
+    Proof of the block: the cup product lifts g to a chain map G_g with
+    d G_g = G_g d, so x.g = x o G_g.  If G_a, G_b lift a and b, then
+    T(x (x) y) = (-1)^(|a||y|) G_a x (x) G_b y commutes with the tensor
+    differential d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy, and it is
+    (-1)^(|a||b|) a x b in degree |a| + |b|, so G_(a x b) is
     (-1)^(|a||b|) T.  Hence (x' x y').(a x b) = (-1)^(|a||y'|)
     (x'.a) x (y'.b) on dual generators, which is the block above."""
     if g.degree == 0:
-        return (int(g.vec[0]) * np.eye(res.rank(m), dtype=np.uint8)) % res.p
-    if isinstance(g, CrossProduct):
-        a, b = g.factors
-        M = np.zeros((res.rank(m + g.degree), res.rank(m)), dtype=np.uint8)
-        for i in range(m + 1):
-            block = np.kron(multiplication_matrix(res.resA, a, i).astype(np.int64),
-                            multiplication_matrix(res.resB, b, m - i))
-            if a.degree * (m - i) % 2:
-                block = -block
-            r = res.pair_pos(m + g.degree, (i + a.degree, 0, 0))
-            c = res.pair_pos(m, (i, 0, 0))
-            M[r:r + block.shape[0], c:c + block.shape[1]] = block % res.p
-        return M
-    cm = _cocycle_lift(res, g, m)
-    return cm.functional_matrix(m)
+        return np.eye(res.rank(m), dtype=np.uint8) * g.vec[0]
+    if not isinstance(res, TensorResolution):
+        return _cocycle_lift(res, g, m).functional_matrix(m)
+    n, resA, resB = g.degree, res.resA, res.resB
+    M = np.zeros((res.rank(m + n), res.rank(m)), dtype=np.int64)
+    for i0 in range(n + 1):
+        lo = res.pair_pos(n, (i0, 0, 0))
+        block = g.vec[lo:lo + resA.rank(i0) * resB.rank(n - i0)].reshape(resA.rank(i0), -1)
+        R, pivots, rank = rref(FpMatrix(res.p, block, check=False))
+        for a, b in zip(block[:, list(pivots)].T, R.arr[:rank]):
+            a, b = Cocycle(i0, a), Cocycle(n - i0, b)
+            for i in range(m + 1):
+                kron = np.kron(multiplication_matrix(resA, a, i).astype(np.int64),
+                               multiplication_matrix(resB, b, m - i).astype(np.int64))
+                r = res.pair_pos(m + n, (i + i0, 0, 0))
+                c = res.pair_pos(m, (i, 0, 0))
+                M[r:r + kron.shape[0], c:c + kron.shape[1]] += -kron if i0 * (m - i) % 2 else kron
+    return (M % res.p).astype(np.uint8)
 
 
 def product_span(res, k: int, factors: list[Cocycle],

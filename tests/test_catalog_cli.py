@@ -225,6 +225,24 @@ def test_cli_cohomology_rewrites_cache_only_when_it_grows(capsys, tmp_path):
     assert top == ["N 6\n"]
 
 
+def test_cli_cohomology_keeps_a_deeper_cache_under_a_smaller_budget(capsys, tmp_path,
+                                                                     monkeypatch):
+    # at budget 30, D8 (b_3 = 4, 32 columns) is refused from degree 3 on
+    monkeypatch.delenv("CENTDET_CACHE_DIR", raising=False)
+    cache = str(tmp_path)
+    assert run_cli(capsys, "cohomology", "D8", "--degree", "6", "--cache", cache)[0] == 0
+    [name] = os.listdir(cache)
+    with open(os.path.join(cache, name)) as fh:
+        deep = fh.read()
+    for degree, code in (("2", 0), ("3", 1)):
+        argv = ("--budget", "30", "cohomology", "D8", "--degree", degree)
+        uncached = run_cli(capsys, *argv)
+        assert uncached[0] == code
+        assert run_cli(capsys, *argv, "--cache", cache) == uncached
+        with open(os.path.join(cache, name)) as fh:
+            assert fh.read() == deep
+
+
 def test_cli_cess(capsys):
     code, out = run_cli(capsys, "cess", "SD16", "--degree", "8")
     assert code == 0

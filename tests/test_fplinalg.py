@@ -18,7 +18,6 @@ from centdet.fplinalg import (
     image_basis,
     intersect,
     kernel_basis,
-    kronecker,
     matmul_mod,
     rref,
     solve_preimage,
@@ -168,21 +167,6 @@ def test_subspace_reduce_and_contains_read_integers_outside_uint8():
     sub = FpSubspace.from_spanning(3, 2, [[1, 2]])
     assert sub.contains(np.array([-1, 1]))  # [-1, 1] = 2 * [1, 2] mod 3
     assert sub.reduce(np.array([257, 0])).tolist() == sub.reduce(np.array([2, 0])).tolist() == [0, 2]
-
-
-def test_kronecker():
-    i2 = FpMatrix.identity(2, 2)
-    i3 = FpMatrix.identity(2, 3)
-    assert kronecker(i2, i3) == FpMatrix.identity(2, 6)
-    z = FpMatrix.zeros(2, 2, 2)
-    assert not kronecker(i2, z).arr.any()
-    rng = np.random.default_rng(11)
-    a = random_matrix(rng, 2, 4, 4)
-    b = random_matrix(rng, 2, 4, 4)
-    _, _, ra = rref(a)
-    _, _, rb = rref(b)
-    _, _, rab = rref(kronecker(a, b))
-    assert rab == ra * rb
 
 
 @given(seed=st.integers(0, 10_000))

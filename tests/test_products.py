@@ -37,11 +37,12 @@ from centdet.resolution import (
     BudgetExceededError,
     Cocycle,
     ComoduleMap,
-    CrossProduct,
     InducedMap,
     MinimalResolution,
     TensorInducedMap,
     TensorResolution,
+    _cocycle_lift,
+    cross_product,
     multiplication_matrix,
 )
 
@@ -150,6 +151,20 @@ def duflot_generators(a):
     return [g for _, g in a.duflot().generators] if a.group_type().certified else []
 
 
+def factor_cross_products(a):
+    """The classes a x 1 and 1 x b over the Duflot generators a and b of
+    the factors' analyzers, which a served product takes as its own."""
+    fA, fB = a._factors()
+    unit = Cocycle(0, np.ones(1, dtype=np.uint8))
+    return ([cross_product(a.res, x, unit) for _, x in fA.duflot().generators]
+            + [cross_product(a.res, unit, y) for _, y in fB.duflot().generators])
+
+
+def lifted_product(res, g, m):
+    """Multiplication by g on H^m, lifted into res as a chain map."""
+    return _cocycle_lift(res, g, m).functional_matrix(m)
+
+
 def assert_maps_match_their_lifts(ws, a):
     """The restriction to C, the Cess restrictions and kernels, and the
     Duflot products of a's analyzer equal those lifted into a.res."""
@@ -172,10 +187,9 @@ def assert_maps_match_their_lifts(ws, a):
         want = kernel_basis(FpMatrix(a.p, stacked, check=False)).basis.arr
         assert np.array_equal(kernels[k].basis.arr, want), ("cess", k)
     for g in duflot_generators(a):
-        plain = Cocycle(g.degree, g.vec)
         for m in range(N - g.degree + 1):
             assert np.array_equal(multiplication_matrix(res, g, m),
-                                  multiplication_matrix(res, plain, m)), ("duflot", g.degree, m)
+                                  lifted_product(res, g, m)), ("duflot", g.degree, m)
 
 
 @pytest.mark.parametrize("gid,G,N", FACTOR_MAPS, ids=[g for g, _, _ in FACTOR_MAPS])
@@ -183,7 +197,9 @@ def test_factor_maps_match_their_lifts(gid, G, N):
     ws = Workspace()
     a = ws.analyzer(G, N)
     assert isinstance(a.restriction_to_C(), TensorInducedMap)
-    assert all(isinstance(g, CrossProduct) for g in duflot_generators(a))
+    if a.group_type().certified:
+        assert [g.key() for g in duflot_generators(a)] == [
+            g.key() for g in factor_cross_products(a)]
     assert all(isinstance(a._restriction(K, N), TensorInducedMap)
                for K in strict_centralizers(a))
     assert_maps_match_their_lifts(ws, a)
@@ -199,13 +215,28 @@ def test_cross_products_multiply_like_their_lifts(gid, G, N):
               for row in np.eye(r.rank(d), dtype=np.uint8)] for r in (res.resA, res.resB)]
     for a in units[0]:
         for b in units[1]:
-            g = CrossProduct(res, a, b)
+            g = cross_product(res, a, b)
             if not 1 <= g.degree <= N:
                 continue
-            plain = Cocycle(g.degree, g.vec)
             for m in range(N - g.degree + 1):
                 assert np.array_equal(multiplication_matrix(res, g, m),
-                                      multiplication_matrix(res, plain, m)), (a.degree, b.degree, m)
+                                      lifted_product(res, g, m)), (a.degree, b.degree, m)
+
+
+@pytest.mark.parametrize("gid,G,N", SERVED, ids=[g for g, _, _ in SERVED])
+def test_every_class_multiplies_like_its_lift(gid, G, N):
+    # a random class of each degree, nonzero in its first and last Kunneth
+    # blocks, so it is no cross product; odd p pins the Koszul sign
+    res = Workspace().resolution(G, N)
+    rng = np.random.default_rng(7)
+    for n in range(1, N + 1):
+        vec = rng.integers(0, res.p, res.rank(n), dtype=np.uint8)
+        vec[[res.pair_pos(n, (0, 0, 0)), res.pair_pos(n, (n, 0, 0))]] = 1
+        g = Cocycle(n, vec)
+        for m in range(N - n + 1):
+            assert np.array_equal(multiplication_matrix(res, g, m),
+                                  lifted_product(res, g, m)), (n, m)
+    assert len(res._cup_lifts) == N  # only the references were lifted
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +266,17 @@ INVARIANCE = [pytest.param(gid, G, N, id=gid) for gid, G, N in [
 
 @pytest.mark.parametrize("gid,G,N", INVARIANCE)
 def test_products_report_like_their_unfactored_copies(capsys, monkeypatch, gid, G, N):
-    # the two commands on one copy share a Workspace, which halves the
+    # the three commands on one copy share a Workspace, which cuts the
     # from-scratch work; at N = 4 the type of H27 is not certified, so its
     # cess output is the same DegreeBoundError for every copy
     outputs = []
     for pres in (G, plain_copy(G), relabelled_copy(G, seed=1)):
         ws = Workspace()
         monkeypatch.setattr(cli, "resolve_group", lambda name, pres=pres: CatalogEntry(name, pres))
-        monkeypatch.setattr(cli, "Workspace", lambda budget, ws=ws: ws)
+        monkeypatch.setattr(cli, "Workspace", lambda budget, ws=ws, **kw: ws)
         outputs.append([run_cli(capsys, command, gid, "--degree", str(N))
-                        for command in ("invariants", "cess")])
-    assert outputs[0][0][0] == 0
+                        for command in ("invariants", "cess", "cohomology")])
+    assert outputs[0][0][0] == outputs[0][2][0] == 0
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 
@@ -376,6 +407,40 @@ def test_served_reports_build_no_solver_over_the_product(capsys, monkeypatch):
     assert 64 not in solvers and 32 not in complements and 64 not in complements
 
 
+@pytest.mark.parametrize("gid,N,largest", [("E8xD8", 5, 8), ("64#187xZ2", 6, 64)])
+def test_served_cohomology_builds_nothing_over_the_product(capsys, monkeypatch,
+                                                           gid, N, largest):
+    solvers, complements = count_group_work(monkeypatch)
+    assert run_cli(capsys, "cohomology", gid, "--degree", str(N))[0] == 0
+    assert solvers[largest] and complements[largest]  # a factor is resolved and lifted into
+    assert max(solvers) == max(complements) == largest
+
+
+def test_served_cohomology_caches_only_its_factors(capsys, monkeypatch, tmp_path):
+    cache = str(tmp_path)
+    argv = ("cohomology", "D8xZ4", "--degree", "6", "--cache", cache)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert sorted(os.listdir(cache)) == sorted(
+        f"cohres-{builtin(gid).pres.hash_key()}.txt" for gid in ("D8", "Z4"))
+    _, complements = count_group_work(monkeypatch)
+    assert run_cli(capsys, *argv) == (0, out)
+    assert not complements
+
+
+def test_served_cohomology_refuses_like_its_plain_copy(capsys, monkeypatch):
+    # b_5(D8 x Z4) = 21, and 21 * 32 = 672 columns
+    argv = ("--budget", "500", "cohomology", "D8xZ4", "--degree", "10")
+    served = run_cli(capsys, *argv)
+    assert served[0] == 1
+    assert json.loads(served[1])["error"] == {
+        "type": "BudgetExceededError",
+        "message": "resolution degree 5 needs 672 columns, budget is 500"}
+    plain = plain_copy(builtin("D8xZ4").pres)
+    monkeypatch.setattr(cli, "resolve_group", lambda name: CatalogEntry(name, plain))
+    assert run_cli(capsys, *argv) == served
+
+
 def test_primitives_follow_the_shared_resolution_not_the_presentation():
     G = builtin("D8xZ4").pres
     # an unfactored copy resolved first: the product's analyzer lifts
@@ -384,7 +449,7 @@ def test_primitives_follow_the_shared_resolution_not_the_presentation():
     a = ws.analyzer(G, 6)
     assert not isinstance(a.res, TensorResolution)
     assert isinstance(a.restriction_to_C(), InducedMap)
-    assert not any(isinstance(g, CrossProduct) for _, g in a.duflot().generators)
+    assert a._factors() is None
     for k in range(7):
         assert a.pc_basis(k) == a.comodule().primitive_basis(k)
     assert_maps_match_their_lifts(ws, a)
@@ -394,7 +459,7 @@ def test_primitives_follow_the_shared_resolution_not_the_presentation():
     b = ws.analyzer(plain_copy(G), 6)
     assert b.G.factors is None and isinstance(b.res, TensorResolution)
     assert isinstance(b.restriction_to_C(), TensorInducedMap)
-    assert all(isinstance(g, CrossProduct) for _, g in b.duflot().generators)
+    assert [g.key() for g in duflot_generators(b)] == [g.key() for g in factor_cross_products(b)]
     for k in range(7):
         assert b.pc_basis(k) == b.comodule().primitive_basis(k)
     assert_maps_match_their_lifts(ws, b)
