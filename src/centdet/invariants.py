@@ -74,7 +74,6 @@ from .resolution import (
     MinimalResolution,
     TensorInducedMap,
     TensorResolution,
-    cross_product,
     cup_product,
     product_span,
 )
@@ -331,9 +330,9 @@ class Analyzer:
     def _factor_restriction_to_C(self, fA: "Analyzer", fB: "Analyzer") -> TensorInducedMap:
         # C before G, the lifted route's order, so a budget refusal names the same degree
         resC, res = self.resC, self.res
-        maps = [None if f.C.order == f.G.order else f.restriction_to_C() for f in (fA, fB)]
+        mats = [None if f.C.order == f.G.order else f.restriction_to_C().matrix for f in (fA, fB)]
         if self.C.order == self.G.order:
-            return TensorInducedMap(res, *maps)
+            return TensorInducedMap(res, *mats)
         presC, embedC, _ = subgroup_presentation(self.G, self.C)
         (presCA, _, idxA), (presCB, _, idxB) = (
             subgroup_presentation(f.G, f.C) for f in (fA, fB))
@@ -345,7 +344,7 @@ class Analyzer:
             images.append(idxA[a] * presCB.order + idxB[b])
         kun = TensorResolution(fA.resC, fB.resC, P, budget=self.ws.budget).extend_to(self.N)
         kappa = InducedMap(GroupHom(presC, P, images), resC, kun)
-        return TensorInducedMap(res, *maps, then=kappa)
+        return TensorInducedMap(res, *mats, then=kappa)
 
     def res_image(self, k: int) -> FpSubspace:
         def make():
@@ -477,50 +476,38 @@ class Analyzer:
         """Lift one polynomial generator per new flag direction x: its
         target is M_k x in the degree of level k.  At odd p, levels 0 and 1
         also take a Bockstein partner of x inside the degree-two image,
-        because M_1 x is exact only modulo products of degree-one classes."""
+        because M_1 x is exact only modulo products of degree-one classes.
+
+        Any lifts of the image generators serve: H*(G) is free over the
+        subalgebra A they generate, so the Q_A dimensions are H*'s Hilbert
+        series divided by A's, which depend only on the generator degrees
+        (freeness stays checked, ``_check_freeness``).  So a served product
+        takes the one route too: its lift is one solve against the served
+        restriction_to_C() matrix, and every product with the lifted
+        class is read off the factors by ``multiplication_matrix``, so no
+        solver is built over the product."""
         t = self.group_type()
         if not t.certified:
             raise DegreeBoundError(
                 f"the type of {self.label} is not certified at degree bound {self.N}")
-        factors = self._factors()
-        if factors is not None:
-            data = self._factor_duflot(t, *factors)
-        else:
-            gens: list[tuple[int, Cocycle]] = []
-            targets: list[tuple[int, np.ndarray]] = []
+        gens: list[tuple[int, Cocycle]] = []
+        targets: list[tuple[int, np.ndarray]] = []
 
-            def add(degree: int, target: np.ndarray):
-                gens.append((degree, self._lift_from_image(degree, target)))
-                targets.append((degree, target))
+        def add(degree: int, target: np.ndarray):
+            gens.append((degree, self._lift_from_image(degree, target)))
+            targets.append((degree, target))
 
-            for k, x in self._flag_adapted_basis():
-                degree, _, M = t.flag[k]
-                if self.p == 2 or k != 1:
-                    add(degree, matmul_mod(M, x[:, None], self.p)[:, 0])
-                if self.p != 2 and k <= 1:
-                    add(2, self._split_bockstein_target(x))
-            data = DuflotData(gens, targets, t.entries)
+        for k, x in self._flag_adapted_basis():
+            degree, _, M = t.flag[k]
+            if self.p == 2 or k != 1:
+                add(degree, matmul_mod(M, x[:, None], self.p)[:, 0])
+            if self.p != 2 and k <= 1:
+                add(2, self._split_bockstein_target(x))
+        data = DuflotData(gens, targets, t.entries)
         # the subalgebra on the lifts must match the image dimensions
         if list(self.restriction_image_dims()) != data.a_dims(self.N):
             raise AssertionError("Duflot subalgebra does not match the image")
         return data
-
-    def _factor_duflot(self, t: GroupType, fA: "Analyzer", fB: "Analyzer") -> DuflotData:
-        """Duflot generators of a served product: the pure tensors a x 1 and
-        1 x b over the factors' Duflot generators a and b.
-
-        The restriction image of A x B in H*(C_A) (x) H*(C_B) is the tensor
-        product of the factors' images, a polynomial algebra on the
-        images of the a x 1 and 1 x b, and its type is the union of the
-        factors' types, so t.entries gives the same degrees.  Q_A of a
-        free module depends only on those degrees; freeness stays checked
-        (``_check_freeness``)."""
-        res = self.res
-        unit = Cocycle(0, np.ones(1, dtype=np.uint8))
-        gens = ([(d, cross_product(res, a, unit)) for d, a in fA.duflot().generators]
-                + [(d, cross_product(res, unit, b)) for d, b in fB.duflot().generators])
-        rmap = self.restriction_to_C()
-        return DuflotData(gens, [(d, rmap.apply(g).vec) for d, g in gens], t.entries)
 
     def _split_bockstein_target(self, x: np.ndarray) -> np.ndarray:
         """A Bockstein partner of x that lies inside the degree-2 image."""
@@ -586,7 +573,9 @@ class Analyzer:
 
             P_C H^k(A x B) = sum over i of P_{C_A} H^i(A) (x) P_{C_B} H^(k-i)(B),
 
-        so the coaction of C on the product is never lifted.  Proof:
+        the row space of the block-diagonal Kronecker assembly of the
+        factors' basis matrices (``TensorInducedMap``), so the coaction
+        of C on the product is never lifted.  Proof:
         Omega_1 Z(A x B) = Omega_1 Z(A) x Omega_1 Z(B), so C = C_A x C_B;
         under Kunneth the coaction of C is Delta_A (x) Delta_B; over a
         field the primitives of a tensor product of comodules are the
@@ -600,15 +589,9 @@ class Analyzer:
             if factors is None:
                 return self.comodule().primitive_basis(k)
             fA, fB = factors
-            res = self.res
-            width = res.rank(k)
-            rows = []
-            for i in range(k + 1):
-                block = np.kron(fA.pc_basis(i).basis.arr.astype(np.int64),
-                                fB.pc_basis(k - i).basis.arr)
-                lo = res.pair_pos(k, (i, 0, 0))
-                rows.append(np.pad(block, ((0, 0), (lo, width - lo - block.shape[1]))))
-            return FpSubspace.from_spanning(self.p, width, np.vstack(rows))
+            spans = TensorInducedMap(self.res, lambda i: fA.pc_basis(i).basis.arr,
+                                     lambda i: fB.pc_basis(i).basis.arr)
+            return FpSubspace.from_spanning(self.p, self.res.rank(k), spans.matrix(k))
         return self._memo(("pc_basis", k), make)
 
     def _pc(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
@@ -639,7 +622,7 @@ class Analyzer:
         if split is None:
             return self._conj_map(S, whole_group(self.G), 0, top, keep=False)
         return TensorInducedMap(self.ws.resolution(self.G, top), *(
-            None if Sx.order == f.G.order else f._conj_map(Sx, whole_group(f.G), 0, top)
+            None if Sx.order == f.G.order else f._conj_map(Sx, whole_group(f.G), 0, top).matrix
             for f, Sx in split))
 
     def _restriction_kernels(self, family: list[Subgroup], top: int) -> list[FpSubspace]:
@@ -882,7 +865,7 @@ class Analyzer:
                     continue
                 AV = self._conj_map(obj.rep, obj.rep, w, j).matrix(j)
                 AK = self._conj_map(K, K, w, d).matrix(d)
-                require(pos, AV, matmul_mod(AK, P, p), pos, np.eye(AV.shape[0]), P)
+                require(pos, AV, matmul_mod(AK, P, p), pos, np.eye(AV.shape[0], dtype=np.uint8), P)
 
         # compatibility along inclusions V1' < V2 (V2 a representative)
         for pos2, obj2 in enumerate(cat.objects):

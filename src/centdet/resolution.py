@@ -183,7 +183,9 @@ class MinimalResolution:
     # -- functionals ---------------------------------------------------------------
 
     def block_sums(self, rows: np.ndarray, blocks: int) -> np.ndarray:
-        return rows.reshape(rows.shape[0], blocks, self.order).sum(axis=2) % self.p
+        # numpy sums uint8 as uint64; every map read off these stays uint8
+        sums = rows.reshape(rows.shape[0], blocks, self.order).sum(axis=2)
+        return (sums % self.p).astype(np.uint8)
 
     def complex_fault(self, up_to: int | None = None) -> str | None:
         """The first degree where d_i is not minimal or d_{i-1} o d_i != 0,
@@ -276,6 +278,11 @@ class TensorResolution(MinimalResolution):
         i, u, v = triple
         bA, bB = self.resA.betti, self.resB.betti
         return sum(bA[t] * bB[k - t] for t in range(i)) + u * bB[k - i] + v
+
+    def block(self, k: int, i: int) -> slice:
+        """Where H^i(A) (x) H^(k-i)(B) sits in H^k: the (i, ., .) pairs."""
+        lo = self.pair_pos(k, (i, 0, 0))
+        return slice(lo, lo + self.resA.rank(i) * self.resB.rank(k - i))
 
     def gen_image_sparse(self, k: int, j: int):
         key = (k, j)
@@ -438,16 +445,6 @@ def cup_product(res, f: Cocycle, g: Cocycle) -> Cocycle:
     return Cocycle(m + n, matmul_mod(M, f.vec[:, None], res.p)[:, 0])
 
 
-def cross_product(res: "TensorResolution", a: Cocycle, b: Cocycle) -> Cocycle:
-    """The cross product a x b in H*(A x B), for a in H*(A) and b in H*(B),
-    in the (i, u, v) pair coordinates of res: a_u b_v on (|a|, u, v)."""
-    k = a.degree + b.degree
-    vec = np.zeros(res.rank(k), dtype=np.uint8)
-    lo = res.pair_pos(k, (a.degree, 0, 0))
-    vec[lo:lo + a.vec.size * b.vec.size] = np.kron(a.vec.astype(np.int64), b.vec) % res.p
-    return Cocycle(k, vec)
-
-
 def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
     """Matrix of (cup with g): H^m -> H^{m+|g|}, columns over the H^m basis.
 
@@ -474,17 +471,14 @@ def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
     n, resA, resB = g.degree, res.resA, res.resB
     M = np.zeros((res.rank(m + n), res.rank(m)), dtype=np.int64)
     for i0 in range(n + 1):
-        lo = res.pair_pos(n, (i0, 0, 0))
-        block = g.vec[lo:lo + resA.rank(i0) * resB.rank(n - i0)].reshape(resA.rank(i0), -1)
+        block = g.vec[res.block(n, i0)].reshape(resA.rank(i0), -1)
         R, pivots, rank = rref(FpMatrix(res.p, block, check=False))
         for a, b in zip(block[:, list(pivots)].T, R.arr[:rank]):
             a, b = Cocycle(i0, a), Cocycle(n - i0, b)
             for i in range(m + 1):
                 kron = np.kron(multiplication_matrix(resA, a, i).astype(np.int64),
                                multiplication_matrix(resB, b, m - i).astype(np.int64))
-                r = res.pair_pos(m + n, (i + i0, 0, 0))
-                c = res.pair_pos(m, (i, 0, 0))
-                M[r:r + kron.shape[0], c:c + kron.shape[1]] += -kron if i0 * (m - i) % 2 else kron
+                M[res.block(m + n, i + i0), res.block(m, i)] += -kron if i0 * (m - i) % 2 else kron
     return (M % res.p).astype(np.uint8)
 
 
@@ -552,9 +546,10 @@ class TensorInducedMap:
     """(phi_A x phi_B)*: H^k(T_A x T_B) -> H^k(S_A x S_B), read off the
     factor maps phi_A*, phi_B* with no lift over the product.
 
-    ``res`` is the TensorResolution of T_A x T_B, and ``mapA``, ``mapB``
-    are maps with a ``matrix(k)`` (None: the identity).  In degree k the
-    matrix is block-diagonal over i, with the block
+    ``res`` is the TensorResolution of T_A x T_B, and ``matA``, ``matB``
+    are per-degree matrix functions k -> phi*^k, such as a map's
+    ``matrix`` (None: the identity).  In degree k the matrix is
+    block-diagonal over i, with the block
     kron(phi_A*^i, phi_B*^(k-i)) on H^i (x) H^(k-i), so its rows are the
     pair coordinates of TensorResolution(res S_A, res S_B).  Proof: if
     f_A, f_B lift phi_A, phi_B, then f_A (x) f_B is a chain map of degree
@@ -564,30 +559,24 @@ class TensorInducedMap:
     InducedMap with the tensor resolution of S_A x S_B as its target),
     composed on the left."""
 
-    def __init__(self, res: "TensorResolution", mapA, mapB, then: InducedMap | None = None):
+    def __init__(self, res: "TensorResolution", matA, matB, then: InducedMap | None = None):
         self.res = res
-        self.maps = (mapA, mapB)
+        self.mats = [mat or (lambda k, r=r: np.eye(r.rank(k), dtype=np.uint8))
+                     for mat, r in ((matA, res.resA), (matB, res.resB))]
         self.then = then
         self._matrices: dict[int, np.ndarray] = {}
-
-    def _factor_matrix(self, side: int, k: int) -> np.ndarray:
-        fmap = self.maps[side]
-        if fmap is None:
-            return np.eye((self.res.resA, self.res.resB)[side].rank(k), dtype=np.uint8)
-        return fmap.matrix(k)
 
     def matrix(self, k: int) -> np.ndarray:
         """Shape (rank_k of S_A x S_B, rank_k of T_A x T_B), like InducedMap."""
         got = self._matrices.get(k)
         if got is None:
-            blocks = [np.kron(self._factor_matrix(0, i).astype(np.int64),
-                              self._factor_matrix(1, k - i)) % self.res.p
+            matA, matB = self.mats
+            blocks = [np.kron(matA(i).astype(np.int64), matB(k - i)) % self.res.p
                       for i in range(k + 1)]
             got = np.zeros((sum(b.shape[0] for b in blocks), self.res.rank(k)), dtype=np.uint8)
             r = 0
             for i, block in enumerate(blocks):
-                c = self.res.pair_pos(k, (i, 0, 0))
-                got[r:r + block.shape[0], c:c + block.shape[1]] = block
+                got[r:r + block.shape[0], self.res.block(k, i)] = block
                 r += block.shape[0]
             if self.then is not None:
                 got = matmul_mod(self.then.matrix(k), got, self.res.p)
@@ -633,8 +622,7 @@ class ComoduleMap:
     def pi_star_matrix(self, k: int) -> np.ndarray:
         """Matrix of x -> 1 (x) x in the same coordinates."""
         M = np.zeros((self.kun.rank(k), self.res_G.rank(k)), dtype=np.uint8)
-        for v in range(self.res_G.rank(k)):
-            M[self.kun.pair_pos(k, (0, 0, v)), v] = 1
+        M[self.kun.block(k, 0)] = np.eye(self.res_G.rank(k), dtype=np.uint8)
         return M
 
     def primitive_basis(self, k: int) -> FpSubspace:

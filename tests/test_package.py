@@ -1,7 +1,9 @@
 """The package's public names: a name deleted from a module must also
 leave ``centdet.__all__``, or ``from centdet import *`` breaks.  No
 module keeps an import it no longer uses, so a deletion leaves no trace,
-and no function, class or method stays defined that nothing refers to."""
+and no function, class or method stays defined that nothing refers to.
+No array is allocated with numpy's float64 default, since the
+arithmetic is exact over F_p."""
 
 import ast
 from pathlib import Path
@@ -46,6 +48,33 @@ def test_no_module_keeps_an_unused_import():
                  path.read_text(), centdet.__all__ if path.name == "__init__.py" else ())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+ALLOCATORS = {"zeros", "ones", "eye", "empty", "full"}
+
+
+def untyped_allocations(source: str) -> list[str]:
+    """'np.name (line n)' for each call of an allocator that names no
+    dtype keyword: every one of them defaults to float64."""
+    return [f"np.{node.func.attr} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and node.func.attr in ALLOCATORS
+            and not any(kw.arg == "dtype" for kw in node.keywords)]
+
+
+def test_untyped_allocations_are_detected():
+    src = ("import numpy as np\na = np.zeros(3)\nb = np.eye(2, dtype=np.uint8)\n"
+           "c = np.full((2,), 1)\nd = np.zeros_like(a)\ne = np.ones(2, np.uint8)\n")
+    assert untyped_allocations(src) == ["np.zeros (line 2)", "np.full (line 4)",
+                                        "np.ones (line 6)"]
+
+
+def test_every_allocation_names_a_dtype():
+    found = {path.name: untyped_allocations(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def definitions(source: str) -> list[str]:

@@ -3,12 +3,12 @@
 A presentation made by ``direct_product`` is resolved as the tensor
 product of its factors' resolutions, and every map its analyzer needs
 is read off the factors' analyzers: the C-coaction primitives
-(Kunneth), the restriction to C, the Cess restrictions, the Duflot
-products and the centralizers of the d0 recursion.  These tests
-compare that route with independent derivations: a from-scratch
-resolution of the same relations, each map lifted into the served
-resolution, and the reports of copies of each product that record no
-factors.
+(Kunneth), the restriction to C, the Cess restrictions, every cup
+product and the centralizers of the d0 recursion.  These tests compare
+that route with independent derivations: a from-scratch resolution of
+the same relations, each map lifted into the served resolution, the
+reports of copies of each product that record no factors, and the
+Kunneth laws for the dimensions the invariants are read from.
 """
 
 import json
@@ -42,7 +42,6 @@ from centdet.resolution import (
     TensorInducedMap,
     TensorResolution,
     _cocycle_lift,
-    cross_product,
     multiplication_matrix,
 )
 
@@ -151,13 +150,13 @@ def duflot_generators(a):
     return [g for _, g in a.duflot().generators] if a.group_type().certified else []
 
 
-def factor_cross_products(a):
-    """The classes a x 1 and 1 x b over the Duflot generators a and b of
-    the factors' analyzers, which a served product takes as its own."""
-    fA, fB = a._factors()
-    unit = Cocycle(0, np.ones(1, dtype=np.uint8))
-    return ([cross_product(a.res, x, unit) for _, x in fA.duflot().generators]
-            + [cross_product(a.res, unit, y) for _, y in fB.duflot().generators])
+def cross_product(res, a, b):
+    """The cross product a x b in H*(A x B), for a in H*(A) and b in H*(B),
+    in the pair coordinates of res: a_u b_v on (|a|, u, v)."""
+    k = a.degree + b.degree
+    vec = np.zeros(res.rank(k), dtype=np.uint8)
+    vec[res.block(k, a.degree)] = np.kron(a.vec.astype(np.int64), b.vec) % res.p
+    return Cocycle(k, vec)
 
 
 def lifted_product(res, g, m):
@@ -197,9 +196,6 @@ def test_factor_maps_match_their_lifts(gid, G, N):
     ws = Workspace()
     a = ws.analyzer(G, N)
     assert isinstance(a.restriction_to_C(), TensorInducedMap)
-    if a.group_type().certified:
-        assert [g.key() for g in duflot_generators(a)] == [
-            g.key() for g in factor_cross_products(a)]
     assert all(isinstance(a._restriction(K, N), TensorInducedMap)
                for K in strict_centralizers(a))
     assert_maps_match_their_lifts(ws, a)
@@ -237,6 +233,86 @@ def test_every_class_multiplies_like_its_lift(gid, G, N):
             assert np.array_equal(multiplication_matrix(res, g, m),
                                   lifted_product(res, g, m)), (n, m)
     assert len(res._cup_lifts) == N  # only the references were lifted
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic: every map is uint8, so no Kronecker product is float
+
+
+def test_every_map_route_is_uint8():
+    # a uint64 block sum once made every lifted matrix uint64, and its
+    # kron with an int64 factor matrix float64
+    ws = Workspace()
+    G = builtin("D8xZ4").pres
+    a = ws.analyzer(G, 4)
+    res = a.res
+    g = Cocycle(1, np.ones(res.resA.rank(1), dtype=np.uint8))
+    h = Cocycle(2, np.ones(res.rank(2), dtype=np.uint8))
+    K = strict_centralizers(a)[0]
+    mats = {
+        "InducedMap.matrix": lifted_restriction(ws, G, a.C, 4).matrix(3),
+        "ChainMap.functional_matrix": _cocycle_lift(res.resA, g, 2).functional_matrix(2),
+        "lifted multiplication_matrix": multiplication_matrix(res.resA, g, 2),
+        "tensor multiplication_matrix": multiplication_matrix(res, h, 2),
+        "TensorInducedMap.matrix": a._restriction(K, 4).matrix(3),
+        "TensorInducedMap.matrix then kappa": a.restriction_to_C().matrix(3),
+    }
+    assert {name: M.dtype for name, M in mats.items()} == dict.fromkeys(mats, np.dtype(np.uint8))
+
+
+def test_no_kronecker_product_is_float(capsys, monkeypatch):
+    kinds = Counter()
+    kron = np.kron
+
+    def spy(a, b):
+        out = kron(a, b)
+        kinds[out.dtype.kind] += 1
+        return out
+
+    monkeypatch.setattr(resolution.np, "kron", spy)
+    for argv in (("invariants", "D8xZ4", "--degree", "8"),
+                 ("invariants", "64#187", "--degree", "6"),
+                 ("invariants", "E8xD8", "--degree", "5"),
+                 ("cohomology", "D8xZ4", "--degree", "8")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert kinds["i"] and not kinds["f"], kinds
+
+
+# ---------------------------------------------------------------------------
+# the Kunneth laws, independently of the route that computed the dims
+
+
+KUNNETH_LAWS = [
+    ("D8xZ4", builtin("D8xZ4").pres),
+    ("Q8xZ2", builtin("Q8xZ2").pres),
+    ("SD16xZ2", builtin("SD16xZ2").pres),
+    ("Q8xD8", builtin("Q8xD8").pres),
+    ("Z3xZ3", direct_product(Z3, Z3)),
+]
+
+
+def convolve(a, b):
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a)))
+
+
+@pytest.mark.parametrize("copy", ["served", "plain"])
+@pytest.mark.parametrize("gid,G", KUNNETH_LAWS, ids=[g for g, _ in KUNNETH_LAWS])
+def test_dims_convolve_the_factors_dims(gid, G, copy):
+    # H*(A x B) = H*(A) (x) H*(B) is free over the Duflot subalgebra, so
+    # Q_A has the generator degrees' quotient series and convolves; and
+    # Cess(A x B) = Cess(A) (x) Cess(B): the centralizer of an elementary
+    # abelian U > C is C_A(U_A) x C_B(U_B), restriction to C_A(U_A) x B
+    # has kernel ker(res_A) (x) H*(B), the intersection of X (x) H*(B)
+    # and H*(A) (x) Y is X (x) Y, and P_C is P_{C_A} (x) P_{C_B}.  The
+    # plain copy records no factors, so every map is lifted into a
+    # from-scratch resolution of the product.
+    N = 6
+    a = Workspace().analyzer(G if copy == "served" else plain_copy(G), N)
+    assert isinstance(a.res, TensorResolution) == (copy == "served")
+    ws = Workspace()
+    factors = [ws.analyzer(F, N) for F in G.factors]
+    for dims in ("qa_dims", "cess_dims", "qa_cess_dims", "pc_cess_dims"):
+        assert getattr(a, dims)() == convolve(*(getattr(f, dims)() for f in factors)), dims
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +535,6 @@ def test_primitives_follow_the_shared_resolution_not_the_presentation():
     b = ws.analyzer(plain_copy(G), 6)
     assert b.G.factors is None and isinstance(b.res, TensorResolution)
     assert isinstance(b.restriction_to_C(), TensorInducedMap)
-    assert [g.key() for g in duflot_generators(b)] == [g.key() for g in factor_cross_products(b)]
     for k in range(7):
         assert b.pc_basis(k) == b.comodule().primitive_basis(k)
     assert_maps_match_their_lifts(ws, b)

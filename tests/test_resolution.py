@@ -481,7 +481,8 @@ def test_comodule_restriction_compatibility():
 
 def test_pair_pos_matches_pairs_index():
     # the closed-form position agrees with the enumerated pair list, for
-    # scalar triples and for u or v given as arrays
+    # scalar triples and for u or v given as arrays, and block(k, i) is
+    # the index range of the (i, ., .) pairs
     _, _, cm = build_comodule(builtin("D8xZ4").pres, 6)
     kun = cm.kun
     for k in range(7):
@@ -489,6 +490,9 @@ def test_pair_pos_matches_pairs_index():
         for j, triple in enumerate(pairs):
             assert kun.pair_pos(k, triple) == pairs.index(triple) == j
         for i in range(k + 1):
+            block = kun.block(k, i)
+            assert list(range(len(pairs))[block]) == [
+                j for j, (t, _, _) in enumerate(pairs) if t == i]
             bA, bB = kun.resA.betti[i], kun.resB.betti[k - i]
             for u in range(bA):
                 vs = np.arange(bB)
