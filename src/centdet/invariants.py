@@ -56,7 +56,7 @@ from .pgroup import (
     PcPresentation,
     Subgroup,
     centralizer,
-    direct_product,
+    factor_parts,
     is_p_central,
     maximal_subgroups,
     omega1_center,
@@ -86,13 +86,12 @@ class DegreeBoundError(RuntimeError):
 class Workspace:
     """Shared cache of resolutions and analyzers across related groups.
 
-    Resolutions are keyed by the presentation hash, so isomorphic
-    presentations with identical relations (every rank-r elementary
-    abelian, say) share one resolution.  A presentation that records
-    its factors A and B (``direct_product``) is served as the tensor
-    product of the factors' resolutions, with no kernel or radical
-    complement of its own; its analyzer then reads every map it needs
-    off the factors' analyzers (``Analyzer._factors``).  With a cache
+    Resolutions and analyzers are keyed by ``share_key``, so presentations
+    with identical relations and no recorded factors (every rank-r
+    elementary abelian, say) share one resolution.  One that records
+    factors A and B (``direct_product``, ``subgroup_presentation``) is
+    served as the tensor product of the factors' resolutions, and its
+    analyzer reads every map off the factors' analyzers.  With a cache
     directory, a resolution built from scratch is first loaded from its
     file there and saved back whenever it has grown past the file; a
     served product stores only its factors' files.
@@ -115,7 +114,7 @@ class Workspace:
         return res
 
     def _get(self, pres: PcPresentation) -> MinimalResolution:
-        key = pres.hash_key()
+        key = share_key(pres)
         res = self._res.get(key)
         if res is None:
             if pres.factors is not None:
@@ -131,12 +130,20 @@ class Workspace:
         return res
 
     def analyzer(self, pres: PcPresentation, N: int, label: str | None = None):
-        key = (pres.hash_key(), N)
+        key = (share_key(pres), N)
         a = self._analyzers.get(key)
         if a is None:
             a = Analyzer(pres, N, workspace=self, label=label)
             self._analyzers[key] = a
         return a
+
+
+def share_key(pres: PcPresentation):
+    """The key a Workspace shares by: the hash of a presentation that
+    records no factors, else the pair of its factors' keys."""
+    if pres.factors is None:
+        return pres.hash_key()
+    return tuple(share_key(F) for F in pres.factors)
 
 
 class FlagLevel(NamedTuple):
@@ -280,71 +287,19 @@ class Analyzer:
     # -- a product served from its factors ------------------------------------------
 
     def _factors(self) -> tuple["Analyzer", "Analyzer"] | None:
-        """The analyzers of A and B when the resolution is served from the
-        factors of G = A x B, else None.  The factors are read from the
-        served TensorResolution, not from G, since a presentation shares
-        the resolution of any other with its hash; equal relations give
-        equal element indices, (a, b) at a |B| + b.  The resolution is
-        not extended here, so a budget refusal comes from the first
-        resolution a route extends, as on the lifted route."""
-        res = self.ws.resolution(self.G, 0)
-        if not isinstance(res, TensorResolution):
+        """The analyzers of A and B when G records its factors A and B,
+        else None."""
+        if self.G.factors is None:
             return None
-        return tuple(self.ws.analyzer(r.pres, self.N, label=f"{self.label}:factor")
-                     for r in (res.resA, res.resB))
-
-    def _split(self, S: Subgroup) -> list[tuple["Analyzer", Subgroup]] | None:
-        """[(analyzer of A, S_A), (analyzer of B, S_B)] when the resolution
-        is served from the factors and S = S_A x S_B, for S_A and S_B the
-        projections of S; None otherwise."""
-        factors = self._factors()
-        if factors is None:
-            return None
-        fA, fB = factors
-        elems = np.asarray(S.elems)
-        SA, SB = Subgroup(fA.G, elems // fB.G.order), Subgroup(fB.G, elems % fB.G.order)
-        return [(fA, SA), (fB, SB)] if SA.order * SB.order == S.order else None
+        return tuple(self.ws.analyzer(F, self.N, label=f"{self.label}:factor")
+                     for F in self.G.factors)
 
     # -- restriction image -------------------------------------------------------
 
     def restriction_to_C(self) -> InducedMap | TensorInducedMap:
         """res*: H*(G) -> H*(C), in the coordinates of the shared resolution
-        of C's canonical presentation.
-
-        On a served resolution it is read off the factors: C = C_A x C_B,
-        so res* is r_A (x) r_B on each block H^i(A) (x) H^(k-i)(B)
-        (``TensorInducedMap``), in the pair coordinates of
-        TensorResolution(res C_A, res C_B).  One comparison lift kappa,
-        the map induced by the isomorphism psi from C's presentation onto
-        C_A x C_B, takes those coordinates to the shared resolution; as
-        psi composed with the inclusion of C_A x C_B is the inclusion of
-        C, kappa o (r_A (x) r_B) is res*.  C itself is not served as a
-        tensor: its hash is that of every elementary abelian of its rank.
-        When C is G, both factors are their own C and res* is the
-        identity, with no kappa.  Any other resolution lifts res*."""
-        factors = self._factors()
-        if factors is None:
-            return self._conj_map(self.C, whole_group(self.G), 0, self.N)
-        return self._memo("res_C", lambda: self._factor_restriction_to_C(*factors))
-
-    def _factor_restriction_to_C(self, fA: "Analyzer", fB: "Analyzer") -> TensorInducedMap:
-        # C before G, the lifted route's order, so a budget refusal names the same degree
-        resC, res = self.resC, self.res
-        mats = [None if f.C.order == f.G.order else f.restriction_to_C().matrix for f in (fA, fB)]
-        if self.C.order == self.G.order:
-            return TensorInducedMap(res, *mats)
-        presC, embedC, _ = subgroup_presentation(self.G, self.C)
-        (presCA, _, idxA), (presCB, _, idxB) = (
-            subgroup_presentation(f.G, f.C) for f in (fA, fB))
-        P = direct_product(presCA, presCB)
-        nB = res.resB.order
-        images = []
-        for t in range(presC.n):
-            a, b = divmod(embedC.apply(presC.gen_idx(t)), nB)
-            images.append(idxA[a] * presCB.order + idxB[b])
-        kun = TensorResolution(fA.resC, fB.resC, P, budget=self.ws.budget).extend_to(self.N)
-        kappa = InducedMap(GroupHom(presC, P, images), resC, kun)
-        return TensorInducedMap(res, *mats, then=kappa)
+        of C's presentation; on a product it is read off the factors."""
+        return self._restriction(self.C, self.N, keep=True)
 
     def res_image(self, k: int) -> FpSubspace:
         def make():
@@ -381,9 +336,10 @@ class Analyzer:
 
         At p = 2 it is e_t^2 = Sq^1 e_t.  At odd p, z_t restricts on every
         U of order p to e_t|U times the dual generator of H^2(U); every such
-        U has the same canonical presentation, so z_t is beta(e_t) up to one
-        nonzero scalar common to every U, modulo products of degree-one
-        classes.  A common scalar changes no span, which is all the flag and
+        U has the relations of Z/p (on a product, U_A x 1 is served as
+        Z/p (x) the trivial group, the same resolution), so z_t is
+        beta(e_t) up to one nonzero scalar common to every U, modulo
+        products of degree-one classes.  A common scalar changes no span, which is all the flag and
         the Duflot targets read."""
         def make():
             if self.p == 2:
@@ -568,7 +524,7 @@ class Analyzer:
     def pc_basis(self, k: int) -> FpSubspace:
         """P_C H^k(G), the C-coaction primitives: the one reader of them.
 
-        A resolution served from factors A and B reads them off the
+        A presentation that records factors A and B reads them off the
         factors' readers, in its (i, u, v) pair coordinates:
 
             P_C H^k(A x B) = sum over i of P_{C_A} H^i(A) (x) P_{C_B} H^(k-i)(B),
@@ -580,10 +536,8 @@ class Analyzer:
         under Kunneth the coaction of C is Delta_A (x) Delta_B; over a
         field the primitives of a tensor product of comodules are the
         tensor product of the primitives.  The Koszul signs scale whole
-        (i, u, v) blocks, so they change no span.  The factors are read
-        from the served resolution, not from G, since a presentation
-        shares the resolution of any other with its hash.  Any other
-        resolution lifts the coaction (``comodule``)."""
+        (i, u, v) blocks, so they change no span.  Any other presentation
+        lifts the coaction (``comodule``)."""
         def make():
             factors = self._factors()
             if factors is None:
@@ -608,22 +562,28 @@ class Analyzer:
 
     # -- central essential classes ---------------------------------------------------
 
-    def _restriction(self, S: Subgroup, top: int) -> InducedMap | TensorInducedMap:
-        """res*: H*(G) -> H*(S), read in degrees <= top.
+    def _restriction(self, S: Subgroup, top: int, keep: bool = False
+                     ) -> InducedMap | TensorInducedMap:
+        """res*: H*(G) -> H*(S) in the coordinates of S's shared resolution,
+        read in degrees <= top.  A kept map is made once; one not kept is
+        freed after use.
 
-        On a served resolution, a subgroup S = S_A x S_B restricts by
-        r_A (x) r_B (``TensorInducedMap``), with r_A the identity when
-        S_A = A; every centralizer C_G(U) = C_A(U_A) x C_B(U_B) is such a
-        product, since (a, b) commutes with (u, v) iff a commutes with u
-        and b with v.  Its rows are in the pair coordinates of S_A x S_B,
-        not those of a resolution of S.  Any other S is lifted, and the
-        lift is not kept."""
-        split = self._split(S)
-        if split is None:
-            return self._conj_map(S, whole_group(self.G), 0, top, keep=False)
-        return TensorInducedMap(self.ws.resolution(self.G, top), *(
-            None if Sx.order == f.G.order else f._conj_map(Sx, whole_group(f.G), 0, top).matrix
-            for f, Sx in split))
+        S = S_A x S_B in G = A x B is presented as such a product
+        (``subgroup_presentation``) and restricts by r_A (x) r_B
+        (``TensorInducedMap``), each factor's kept ``_restriction``, so
+        nested products split at every level.  C and every centralizer
+        C_G(U) = C_A(U_A) x C_B(U_B) split, since (a, b) commutes with
+        (u, v) iff a commutes with u and b with v.  Any other S is lifted."""
+        parts = factor_parts(self.G, S)
+        if parts is None:
+            return self._conj_map(S, whole_group(self.G), 0, top, keep=keep)
+        res = self.ws.resolution(self.G, top)
+        mats = [None if Sx.order == f.G.order else f._restriction(Sx, top, keep=True).matrix
+                for f, Sx in zip(self._factors(), parts)]
+        got = self._cache.get(("res", S.elems)) or TensorInducedMap(res, *mats)
+        if keep:
+            self._cache[("res", S.elems)] = got
+        return got
 
     def _restriction_kernels(self, family: list[Subgroup], top: int) -> list[FpSubspace]:
         """Per degree 0..top, the classes of H* that restrict to zero on
@@ -735,7 +695,7 @@ class Analyzer:
             best = -1
             certified = True
             for V in self.qualifying_reps():
-                presK = self._centralizer_presentation(centralizer(self.G, V))
+                presK = subgroup_presentation(self.G, centralizer(self.G, V))[0]
                 sub = self if presK is self.G else self.ws.analyzer(
                     presK, self.N, label=f"{self.label}:centralizer")
                 val, cert = sub.e_double_prime()
@@ -743,16 +703,6 @@ class Analyzer:
                 certified = certified and cert
             return best, certified
         return self._memo("d0", make)
-
-    def _centralizer_presentation(self, K: Subgroup) -> PcPresentation:
-        """The presentation of a centralizer K, G itself when K is G.  On a
-        served resolution, K = K_A x K_B (``_restriction``) is
-        presented by ``direct_product`` of the factors' subgroup
-        presentations, so that it is served from its factors too."""
-        split = self._split(K)
-        if split is None or K.order == self.G.order:
-            return subgroup_presentation(self.G, K)[0]
-        return direct_product(*(subgroup_presentation(f.G, Kx)[0] for f, Kx in split))
 
     # -- top primitive class -----------------------------------------------------------
 

@@ -705,19 +705,42 @@ def pc_structure(elems, mult, inv, p):
     return pres, pcgs, to_idx
 
 
+def factor_parts(G: PcPresentation, S: Subgroup) -> tuple[Subgroup, Subgroup] | None:
+    """(S_A, S_B) when G records factors A and B and S = S_A x S_B, for
+    S_A and S_B the projections of S (their orders multiply); None
+    otherwise.  Element (a, b) of A x B has index a |B| + b."""
+    if G.factors is None:
+        return None
+    A, B = G.factors
+    elems = np.asarray(S.elems)
+    SA, SB = Subgroup(A, elems // B.order), Subgroup(B, elems % B.order)
+    return (SA, SB) if SA.order * SB.order == S.order else None
+
+
 def subgroup_presentation(G: PcPresentation, S: Subgroup):
     """Presentation of a subgroup, the validated embedding into G, and the
     index in that presentation of each element of S.  G presents itself:
-    for S = G that is G, the identity and the identity index."""
+    for S = G that is G, the identity and the identity index.  A product
+    S = S_A x S_B of G = A x B (``factor_parts``) is presented as the
+    ``direct_product`` of the factors' subgroup presentations, so it
+    records its factors as G does, at every nesting level."""
     cached = G._sub_pres_cache.get(S.elems)
     if cached is not None:
         return cached
     if S.order == G.order:
         result = (G, identity_hom(G), range(G.order))
     else:
-        pres, gens_abs, to_idx = pc_structure(
-            list(S.elems), G.mult, G.inv, G.p
-        )
+        parts = factor_parts(G, S)
+        if parts is None:
+            pres, gens_abs, to_idx = pc_structure(list(S.elems), G.mult, G.inv, G.p)
+        else:
+            (presA, embA, idxA), (presB, embB, idxB) = (
+                subgroup_presentation(F, Sx) for F, Sx in zip(G.factors, parts))
+            pres = direct_product(presA, presB)
+            nB = G.factors[1].order
+            gens_abs = ([embA.apply(a) * nB for a in presA.generators()]
+                        + [embB.apply(b) for b in presB.generators()])
+            to_idx = {x: idxA[x // nB] * presB.order + idxB[x % nB] for x in S.elems}
         embed = GroupHom(pres, G, gens_abs)
         # embedding must invert the normal-form indexing
         for x in S.elems:
@@ -764,8 +787,9 @@ def direct_product(G: PcPresentation, H: PcPresentation) -> PcPresentation:
     """Concatenated presentation of G x H; element (a, b) has index a*|H| + b.
 
     The result records (G, H) as its ``factors``, from which a Workspace
-    serves its resolution; the hash ignores them, so a presentation with
-    the same relations and no recorded factors shares that resolution."""
+    serves its resolution.  The hash ignores them, but a Workspace keys a
+    presentation that records factors by its factors' keys, so a copy with
+    the same relations and no recorded factors is resolved on its own."""
     if G.p != H.p:
         raise PcPresentationError("factors must share the prime")
     n = G.n + H.n

@@ -551,19 +551,17 @@ class TensorInducedMap:
     ``matrix`` (None: the identity).  In degree k the matrix is
     block-diagonal over i, with the block
     kron(phi_A*^i, phi_B*^(k-i)) on H^i (x) H^(k-i), so its rows are the
-    pair coordinates of TensorResolution(res S_A, res S_B).  Proof: if
+    pair coordinates of TensorResolution(res S_A, res S_B), the resolution
+    a Workspace serves for the presentation of a product subgroup
+    (``pgroup.subgroup_presentation``).  Proof: if
     f_A, f_B lift phi_A, phi_B, then f_A (x) f_B is a chain map of degree
     0 covering phi_A x phi_B, with no Koszul sign, and its functional
-    matrix on e_u (x) e_v is the product of the factors' entries.
-    ``then`` is a comparison map out of those pair coordinates (an
-    InducedMap with the tensor resolution of S_A x S_B as its target),
-    composed on the left."""
+    matrix on e_u (x) e_v is the product of the factors' entries."""
 
-    def __init__(self, res: "TensorResolution", matA, matB, then: InducedMap | None = None):
+    def __init__(self, res: "TensorResolution", matA, matB):
         self.res = res
         self.mats = [mat or (lambda k, r=r: np.eye(r.rank(k), dtype=np.uint8))
                      for mat, r in ((matA, res.resA), (matB, res.resB))]
-        self.then = then
         self._matrices: dict[int, np.ndarray] = {}
 
     def matrix(self, k: int) -> np.ndarray:
@@ -578,8 +576,6 @@ class TensorInducedMap:
             for i, block in enumerate(blocks):
                 got[r:r + block.shape[0], self.res.block(k, i)] = block
                 r += block.shape[0]
-            if self.then is not None:
-                got = matmul_mod(self.then.matrix(k), got, self.res.p)
             self._matrices[k] = got
         return got
 
@@ -604,14 +600,11 @@ class ComoduleMap:
                  res_C: MinimalResolution):
         self.res_G = res_G
         self.res_C = res_C
-        self.C = C
-        prod, presC, embedC, mhom = multiplication_hom(res_G.pres, C)
+        prod, presC, _, mhom = multiplication_hom(res_G.pres, C)
         if presC.hash_key() != res_C.pres.hash_key():
-            raise ValueError("res_C must resolve the canonical subgroup presentation")
-        self.embedC = embedC
+            raise ValueError("res_C must resolve the subgroup presentation of C")
         # the coaction's source is never densified, so no budget applies
         self.kun = TensorResolution(res_C, res_G, prod, budget=math.inf)
-        self.mhom = mhom
         self._induced = InducedMap(mhom, self.kun, res_G)
         self._prim: dict[int, FpSubspace] = {}
 

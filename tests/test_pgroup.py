@@ -15,6 +15,7 @@ from centdet.pgroup import (
     conjugacy_classes,
     direct_product,
     elementary_abelian_subgroups,
+    factor_parts,
     is_p_central,
     maximal_subgroups,
     multiplication_hom,
@@ -253,16 +254,28 @@ def test_quotient_w32_like():
 
 
 def test_subgroup_presentation_roundtrip():
-    for G in (Q8, D8):
-        for S in elementary_abelian_subgroups(G):
+    for G in (Q8, D8, builtin("D8xZ4").pres, builtin("D8xD8xZ2").pres):
+        subs = list(elementary_abelian_subgroups(G))
+        # and their centralizers, which a product splits at every level
+        for S in {S.elems: S for S in subs + [centralizer(G, E) for E in subs]}.values():
             pres, embed, to_idx = subgroup_presentation(G, S)
             assert pres.order == S.order
+            # a product subgroup of a product is presented as one, at every level
+            assert (pres.factors is not None) == (factor_parts(G, S) is not None)
             for x in S.elems:
                 assert embed.apply(to_idx[x]) == x
             # multiplication transported correctly
             for x in S.elems[: min(4, len(S.elems))]:
                 for y in S.elems[: min(4, len(S.elems))]:
                     assert to_idx[G.mult(x, y)] == pres.mult(to_idx[x], to_idx[y])
+    # a diagonal subgroup of a product keeps the canonical presentation
+    G = builtin("D8xZ4").pres
+    diagonal = [M for M in maximal_subgroups(G) if factor_parts(G, M) is None]
+    assert diagonal
+    for M in diagonal:
+        pres, _, _ = subgroup_presentation(G, M)
+        canonical, _, _ = pc_structure(list(M.elems), G.mult, G.inv, G.p)
+        assert pres.factors is None and pres.hash_key() == canonical.hash_key()
 
 
 @pytest.mark.parametrize("name", ["D8", "SD16"])

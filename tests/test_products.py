@@ -24,9 +24,7 @@ from centdet.catalog import CatalogEntry, builtin
 from centdet.fplinalg import FpMatrix, kernel_basis
 from centdet.invariants import Workspace
 from centdet.pgroup import (
-    GroupHom,
     PcPresentation,
-    Subgroup,
     centralizer,
     direct_product,
     omega1_center,
@@ -115,26 +113,12 @@ FACTOR_MAPS = [
 
 
 def lifted_restriction(ws, G, S, N):
-    """res*: H*(G) -> H*(S) lifted into ws's resolution of G."""
+    """res*: H*(G) -> H*(S) lifted into ws's resolution of G, from ws's
+    resolution of S's presentation; a product subgroup of a product is
+    presented as one, so its rows are then the pair coordinates of
+    S_A x S_B."""
     presS, embed, _ = subgroup_presentation(G, S)
     return InducedMap(embed, ws.resolution(presS, N), ws.resolution(G, N))
-
-
-def lifted_tensor_restriction(ws, a, S, N):
-    """res*: H*(G) -> H*(S) for S = S_A x S_B, lifted into ws's resolution
-    of G from TensorResolution(res S_A, res S_B), so that its rows are the
-    pair coordinates of S_A x S_B."""
-    res = a.res
-    A, B = res.resA.pres, res.resB.pres
-    SA = [x // B.order for x in S.elems]
-    SB = [x % B.order for x in S.elems]
-    (presA, embA, _), (presB, embB, _) = (
-        subgroup_presentation(F, Subgroup(F, elems)) for F, elems in ((A, SA), (B, SB)))
-    P = direct_product(presA, presB)
-    images = ([embA.apply(presA.gen_idx(t)) * B.order for t in range(presA.n)]
-              + [embB.apply(presB.gen_idx(t)) for t in range(presB.n)])
-    src = TensorResolution(ws.resolution(presA, N), ws.resolution(presB, N), P)
-    return InducedMap(GroupHom(P, a.G, images), src, res)
 
 
 def strict_centralizers(a):
@@ -173,9 +157,7 @@ def assert_maps_match_their_lifts(ws, a):
         assert np.array_equal(a.restriction_to_C().matrix(k), lifted.matrix(k)), ("res_C", k)
     family = strict_centralizers(a)
     for K in family:
-        served = a._restriction(K, N)
-        ref = (lifted_tensor_restriction(ws, a, K, N) if isinstance(served, TensorInducedMap)
-               else lifted_restriction(ws, a.G, K, N))
+        served, ref = a._restriction(K, N), lifted_restriction(ws, a.G, K, N)
         for k in range(N + 1):
             assert np.array_equal(served.matrix(k), ref.matrix(k)), ("cess map", k)
     kernels = a.cess_subspaces()
@@ -255,7 +237,7 @@ def test_every_map_route_is_uint8():
         "lifted multiplication_matrix": multiplication_matrix(res.resA, g, 2),
         "tensor multiplication_matrix": multiplication_matrix(res, h, 2),
         "TensorInducedMap.matrix": a._restriction(K, 4).matrix(3),
-        "TensorInducedMap.matrix then kappa": a.restriction_to_C().matrix(3),
+        "TensorInducedMap.matrix to C": a.restriction_to_C().matrix(3),
     }
     assert {name: M.dtype for name, M in mats.items()} == dict.fromkeys(mats, np.dtype(np.uint8))
 
@@ -452,14 +434,16 @@ def test_served_report_lifts_no_coaction_over_the_product(capsys, monkeypatch):
 def count_group_work(monkeypatch):
     """Counters, by group order, of the LinSolver builds over a group's
     differentials (a miss of MinimalResolution.solver, the one route
-    that builds them) and of the radical complements."""
-    solvers, complements = Counter(), Counter()
+    that builds them) and of the radical complements, and of the solver
+    builds by resolution class."""
+    solvers, complements, by_class = Counter(), Counter(), Counter()
     solver = resolution.MinimalResolution.solver
     complement = resolution.MinimalResolution._radical_complement
 
     def counted_solver(self, i):
         if i not in self._solvers:
             solvers[self.order] += 1
+            by_class[type(self).__name__] += 1
         return solver(self, i)
 
     def counted_complement(self, kernel_rows):
@@ -468,25 +452,40 @@ def count_group_work(monkeypatch):
 
     monkeypatch.setattr(resolution.MinimalResolution, "solver", counted_solver)
     monkeypatch.setattr(resolution.MinimalResolution, "_radical_complement", counted_complement)
-    return solvers, complements
+    return solvers, complements, by_class
 
 
 def test_served_reports_build_no_solver_over_the_product(capsys, monkeypatch):
-    solvers, complements = count_group_work(monkeypatch)
+    solvers, complements, _ = count_group_work(monkeypatch)
     assert run_cli(capsys, "invariants", "D8xZ4", "--degree", "10")[0] == 0
     assert solvers[8] and complements[8]  # D8 is resolved and lifted into
     assert max(solvers) < 16 and max(complements) < 16
     solvers.clear()
     complements.clear()
     assert run_cli(capsys, "invariants", "E8xD8", "--degree", "6")[0] == 0
-    assert solvers[16] and complements[16]  # C = E16 is resolved and lifted into
-    assert 64 not in solvers and 32 not in complements and 64 not in complements
+    assert solvers[8] and complements[8]  # E8 and D8 are resolved and lifted into
+    assert max(solvers) < 16 and max(complements) < 16  # nothing of order >= 16 is built
+
+
+@pytest.mark.parametrize("command,gid,N", [
+    ("invariants", "D8xZ4", 10), ("invariants", "E8xD8", 6), ("invariants", "D8xD8", 6),
+    ("invariants", "64#187xZ2", 8), ("invariants", "D8xD8xZ2", 5), ("cess", "D8xD8xZ2", 5),
+], ids=lambda v: str(v))
+def test_no_solver_is_built_over_a_tensor_resolution(capsys, monkeypatch, command, gid, N):
+    # C and the centralizers are presented as products of factor subgroups,
+    # at every nesting level, so every map is read off the factors and
+    # nothing is lifted into a tensor resolution
+    solvers, complements, by_class = count_group_work(monkeypatch)
+    assert run_cli(capsys, command, gid, "--degree", str(N))[0] == 0
+    assert by_class["MinimalResolution"] and not by_class["TensorResolution"], by_class
+    if gid == "D8xD8xZ2":  # no order-16 subgroup of the nested product is resolved
+        assert max(solvers) < 16 and max(complements) < 16
 
 
 @pytest.mark.parametrize("gid,N,largest", [("E8xD8", 5, 8), ("64#187xZ2", 6, 64)])
 def test_served_cohomology_builds_nothing_over_the_product(capsys, monkeypatch,
                                                            gid, N, largest):
-    solvers, complements = count_group_work(monkeypatch)
+    solvers, complements, _ = count_group_work(monkeypatch)
     assert run_cli(capsys, "cohomology", gid, "--degree", str(N))[0] == 0
     assert solvers[largest] and complements[largest]  # a factor is resolved and lifted into
     assert max(solvers) == max(complements) == largest
@@ -499,7 +498,7 @@ def test_served_cohomology_caches_only_its_factors(capsys, monkeypatch, tmp_path
     assert code == 0
     assert sorted(os.listdir(cache)) == sorted(
         f"cohres-{builtin(gid).pres.hash_key()}.txt" for gid in ("D8", "Z4"))
-    _, complements = count_group_work(monkeypatch)
+    _, complements, _ = count_group_work(monkeypatch)
     assert run_cli(capsys, *argv) == (0, out)
     assert not complements
 
@@ -517,28 +516,27 @@ def test_served_cohomology_refuses_like_its_plain_copy(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == served
 
 
-def test_primitives_follow_the_shared_resolution_not_the_presentation():
+def test_a_product_and_its_plain_copy_keep_their_routes_in_one_workspace():
+    # a Workspace shares by recorded factors, not by the hash alone: in
+    # either order, the product reads its maps off the factors and the
+    # plain copy, with the same hash, lifts them into its own resolution
     G = builtin("D8xZ4").pres
-    # an unfactored copy resolved first: the product's analyzer lifts
-    ws = Workspace()
-    ws.resolution(plain_copy(G), 6)
-    a = ws.analyzer(G, 6)
-    assert not isinstance(a.res, TensorResolution)
-    assert isinstance(a.restriction_to_C(), InducedMap)
-    assert a._factors() is None
-    for k in range(7):
-        assert a.pc_basis(k) == a.comodule().primitive_basis(k)
-    assert_maps_match_their_lifts(ws, a)
-    # the product served first: an unfactored copy reads its maps off the factors
-    ws = Workspace()
-    ws.resolution(G, 6)
-    b = ws.analyzer(plain_copy(G), 6)
-    assert b.G.factors is None and isinstance(b.res, TensorResolution)
-    assert isinstance(b.restriction_to_C(), TensorInducedMap)
-    for k in range(7):
-        assert b.pc_basis(k) == b.comodule().primitive_basis(k)
-    assert_maps_match_their_lifts(ws, b)
-    assert a.pc_dims() == b.pc_dims() == (1, 3, 4, 4, 4, 4, 4)
-    for dims in ("restriction_image_dims", "qa_dims", "cess_dims", "qa_cess_dims"):
-        assert getattr(a, dims)() == getattr(b, dims)(), dims
-    assert a.d0() == b.d0()
+    for first, second in ((plain_copy(G), G), (G, plain_copy(G))):
+        ws = Workspace()
+        ws.resolution(first, 6)
+        by_route = {}
+        for pres in (first, second):
+            a = ws.analyzer(pres, 6)
+            served = pres.factors is not None
+            assert isinstance(a.res, TensorResolution) == served
+            assert isinstance(a.restriction_to_C(), TensorInducedMap) == served
+            assert (a._factors() is not None) == served
+            for k in range(7):
+                assert a.pc_basis(k) == a.comodule().primitive_basis(k)
+            assert_maps_match_their_lifts(ws, a)
+            by_route[served] = a
+        a, b = by_route[True], by_route[False]
+        assert a.pc_dims() == b.pc_dims() == (1, 3, 4, 4, 4, 4, 4)
+        for dims in ("restriction_image_dims", "qa_dims", "cess_dims", "qa_cess_dims"):
+            assert getattr(a, dims)() == getattr(b, dims)(), dims
+        assert a.d0() == b.d0()
