@@ -176,8 +176,19 @@ def cmd_verify(args, out) -> int:
     return run_verify(args.suite, out, pcp_64_108=args.pcp_64_108, budget=args.budget)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as the JSON error
+    object of every other refusal, on stdout, with argparse's exit code 2."""
+
+    def error(self, message: str):
+        json.dump({"error": {"type": "UsageError", "message": f"{self.prog}: {message}"}},
+                  sys.stdout)
+        sys.stdout.write("\n")
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="centdet",
         description="Mod-p cohomology of finite p-groups and central detection invariants",
     )

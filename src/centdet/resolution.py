@@ -19,7 +19,8 @@ through the resolutions degree by degree, or read off the factors of
 a tensor product; any particular solution of the lifting systems gives
 the same answer on cohomology.  The generators of a degree are lifted
 together: their right-hand sides are assembled in chunks of bounded
-size and solved against the one factorization of the target differential.
+size and solved by one product each, against the factorization of the
+target differential on the rows that determine it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ import numpy as np
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
+    ImageSolver,
     LinSolver,
+    free_columns,
     kernel_basis,
     matmul_mod,
     rref,
@@ -82,6 +85,7 @@ class MinimalResolution:
         self.betti: list[int] = [1]
         self._gen_images: list[np.ndarray | None] = [None]
         self._solvers: dict[int, LinSolver] = {}
+        self._lifters: dict[int, ImageSolver] = {}
         self._cup_lifts: dict = {}
 
     @property
@@ -104,8 +108,7 @@ class MinimalResolution:
     def extend_to(self, N: int) -> "MinimalResolution":
         while self.top_degree < N:
             i = self.top_degree + 1
-            kernel = self._kernel_below(i)
-            gens = self._radical_complement(kernel)
+            gens = self._radical_complement(self.solver(i - 1).kernel_rows())
             needed = len(gens) * self.order
             if needed > self.budget:
                 raise BudgetExceededError(i, needed, self.budget)
@@ -114,12 +117,6 @@ class MinimalResolution:
             self._gen_images.append(gens)
             self.betti.append(len(gens))
         return self
-
-    def _kernel_below(self, i: int) -> np.ndarray:
-        if i == 1:
-            ones = FpMatrix(self.p, np.ones((1, self.order), dtype=np.uint8))
-            return kernel_basis(ones).basis.arr
-        return self.solver(i - 1).kernel_rows()
 
     def _radical_complement(self, kernel_rows: np.ndarray) -> np.ndarray:
         """Minimal module generators of the kernel: the lexicographically
@@ -157,28 +154,57 @@ class MinimalResolution:
     def expanded_diff(self, i: int) -> np.ndarray:
         """Full matrix of d_i: F_i -> F_{i-1}, shape (b_{i-1}|G|, b_i|G|).
 
-        Built afresh on each call and not kept: the solver of d_i is built
-        from it once, and only the checks of ``complex_fault`` read it again."""
-        b_i, b_prev = self.betti[i], self.betti[i - 1]
-        order = self.order
+        Built afresh on each call and not kept.  Only the d o d check of
+        ``complex_fault`` reads it: solvers and lifts read d_i on the rows
+        that determine it (``solver``)."""
+        return self._diff_rows(i, np.arange(self.betti[i - 1] * self.order))
+
+    def _diff_rows(self, i: int, rows: np.ndarray) -> np.ndarray:
+        """The given rows of d_i, shape (len(rows), b_i|G|), gathered from
+        the generator images one generator's block of columns at a time:
+        column (j, g) is g.d(e_j), whose entry at (w, x) is d(e_j)[w, g^-1 x]."""
+        b_i, order = self.betti[i], self.order
         if b_i * order > self.budget:
             raise BudgetExceededError(i, b_i * order, self.budget)
-        gather = self.pres.left_inv_gather()
-        D = np.zeros((b_prev * order, b_i * order), dtype=np.uint8)
+        at = rows % order
+        idx = (rows - at)[:, None] + self.pres.left_inv_gather()[:, at].T
+        D = np.empty((len(rows), b_i * order), dtype=np.uint8)
         for j in range(b_i):
-            V = self.gen_image_row(i, j).reshape(b_prev, order)
-            arr = V[:, gather]  # (b_prev, order_g, order_x)
-            D[:, j * order:(j + 1) * order] = (
-                arr.transpose(1, 0, 2).reshape(order, b_prev * order).T
-            )
+            D[:, j * order:(j + 1) * order] = self.gen_image_row(i, j)[idx]
         return D
 
     def solver(self, i: int) -> LinSolver:
+        """Factorization of d_i on the rows that determine it; solver(0)
+        factors the augmentation F_0 -> F_p.
+
+        Those rows are P = free_columns(solver(i - 1)), the leading columns
+        of the RREF basis of ker d_{i-1} = im d_i.  A vector of that kernel
+        is fixed by its entries at P, so d_i[P, :] has the row space, and so
+        the pivots and the kernel, of d_i (``fplinalg.ImageSolver``).  It
+        has full row rank |P| iff the resolution is exact at degree i - 1,
+        which is asserted.  The full d_i is never made dense here."""
         s = self._solvers.get(i)
         if s is None:
-            s = LinSolver(FpMatrix(self.p, self.expanded_diff(i), check=False))
+            if i == 0:
+                mat = np.ones((1, self.order), dtype=np.uint8)
+            else:
+                mat = self._diff_rows(i, free_columns(self.solver(i - 1)))
+            s = LinSolver(FpMatrix(self.p, mat, check=False))
+            if s.rank != s.rows_n:
+                raise AssertionError(f"resolution not exact at degree {i - 1}")
             self._solvers[i] = s
         return s
+
+    def lift_rows(self, t: int, B: np.ndarray) -> np.ndarray | None:
+        """Row k solves d_t x = B[k], with x supported on solver(t).pivots;
+        None when some B[k] lies outside ker d_{t-1} = im d_t (for t = 1,
+        outside the augmentation kernel).  One product per call decides
+        both (``fplinalg.ImageSolver``)."""
+        lifter = self._lifters.get(t)
+        if lifter is None:
+            lifter = ImageSolver(self.solver(t), self.solver(t - 1))
+            self._lifters[t] = lifter
+        return lifter.solve_rows(B)
 
     # -- functionals ---------------------------------------------------------------
 
@@ -207,10 +233,8 @@ class MinimalResolution:
         if fault is not None:
             raise AssertionError(fault)
         top = self.top_degree if up_to is None else min(up_to, self.top_degree)
-        # exactness of ranks: dim ker d_i = rank d_{i+1} for built degrees
-        for i in range(1, top):
-            if self.solver(i).nullity() != self.solver(i + 1).rank:
-                raise AssertionError(f"resolution not exact at degree {i}")
+        for i in range(1, top + 1):
+            self.solver(i)  # asserts exactness at degree i - 1
 
 
 def build_minimal_resolution(
@@ -354,15 +378,19 @@ class ChainMap:
         self.maps: list[np.ndarray] = [base_rows]
 
     def extend_to(self, t_max: int):
+        """Lift through degree t_max.  Degree t solves d_t x = b for the
+        images b of the source generators under the degree t - 1 map, in
+        chunks, by ``tgt.lift_rows``; an image outside ker d_{t-1} is a
+        hard error, as no chain map would then exist."""
         while len(self.maps) <= t_max:
             t = len(self.maps)
             src_deg = self.shift + t
             if src_deg > self.src.top_degree or t > self.tgt.top_degree:
                 raise IndexError("lift exceeds built resolution range")
-            solver = self.tgt.solver(t)
-            rows = np.empty((self.src.rank(src_deg), solver.cols_n), dtype=np.uint8)
+            rows = np.empty((self.src.rank(src_deg), self.tgt.rank(t) * self.tgt.order),
+                            dtype=np.uint8)
             for lo, hi, images in self._image_chunks(src_deg, self.maps[t - 1]):
-                x = solver.solve_rows(images)
+                x = self.tgt.lift_rows(t, images)
                 if x is None:
                     raise AssertionError("chain-map lift system inconsistent")
                 rows[lo:hi] = x

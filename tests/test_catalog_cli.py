@@ -478,6 +478,21 @@ def test_cli_rejects_bad_degree(capsys, argv):
     assert "--degree" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv,words", [
+    (("invariants", "Q8", "--degree", "abc"), "--degree"),
+    (("invariants", "Q8", "--no-such-flag"), "--no-such-flag"),
+    (("no-such-command", "Q8"), "no-such-command"),
+])
+def test_cli_usage_errors_are_json(capsys, argv, words):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "UsageError" and words in error["message"]
+    assert captured.err == ""
+
+
 def test_cli_cohomology_degree_zero(capsys):
     code, out = run_cli(capsys, "cohomology", "Q8", "--degree", "0")
     assert code == 0

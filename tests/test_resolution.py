@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from centdet import resolution
-from centdet.catalog import builtin
+from centdet import cli, resolution
+from centdet.catalog import builtin, load_pcp
 from centdet.fplinalg import FpMatrix, FpSubspace, LinSolver, kernel_basis, matmul_mod, rref
 from centdet.pgroup import (
     PcPresentation,
@@ -598,12 +600,13 @@ def apply_map_to_vec(prev_rows, coords, vals, order_src, phi_table, tgt_res, wid
 
 
 def reference_maps(cm, t_max):
-    """The lifts of cm, one generator and one solve at a time."""
+    """The lifts of cm, one generator and one solve at a time, against a
+    factorization of the full d_t made here, not the resolution's own."""
     p = cm.tgt.p
     maps = [cm.maps[0]]
     for t in range(1, t_max + 1):
         src_deg = cm.shift + t
-        solver = cm.tgt.solver(t)
+        solver = LinSolver(FpMatrix(p, cm.tgt.expanded_diff(t), check=False))
         rows = np.zeros((cm.src.rank(src_deg), solver.cols_n), dtype=np.uint8)
         for j in range(len(rows)):
             coords, vals = cm.src.gen_image_sparse(src_deg, j)
@@ -654,6 +657,93 @@ def test_batched_lifts_match_per_generator_reference(case, one_per_chunk, monkey
     assert len(cm.maps) == len(want)
     for t, (got, ref) in enumerate(zip(cm.maps, want)):
         assert got.dtype == np.uint8 and np.array_equal(got, ref), t
+
+
+# ---------------------------------------------------------------------------
+# solves on the rows that determine each differential
+
+H27 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "perfbench", "inputs", "H27.pcp")
+# extraspecial of order 125 and exponent 5
+E125 = PcPresentation(5, 3, [(0, 0, 0)] * 3, {(1, 0): (0, 0, 1)})
+
+RESTRICTED_CASES = {
+    "Q8@7": lambda: (Q8, 7),
+    "32#18@6": lambda: (builtin("32#18").pres, 6),
+    "E27@6": lambda: (E27, 6),
+    "H27@6": lambda: (load_pcp(H27), 6),
+    "E125@3": lambda: (E125, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(RESTRICTED_CASES))
+def test_lift_rows_match_a_solver_of_the_full_differential(case):
+    G, N = RESTRICTED_CASES[case]()
+    res = build_minimal_resolution(G, N)
+    p, rng = G.p, np.random.default_rng(7)
+    for t in range(1, N + 1):
+        D = res.expanded_diff(t)
+        full = LinSolver(FpMatrix(p, D, check=False))
+        X = rng.integers(0, p, size=(4, D.shape[1]))
+        B = matmul_mod(X, D.T, p)
+        got = res.lift_rows(t, B)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.array([full.solve(b) for b in B])), t
+        assert np.array_equal(matmul_mod(got, D.T, p), B), t
+        # b + e_0 leaves ker d_{t-1}: column 0 of d_{t-1} is d(e_0) != 0,
+        # and the augmentation of e_0 is 1
+        bad = B[0].copy()
+        bad[0] = (bad[0] + 1) % p
+        below = (np.ones((1, res.order), dtype=np.uint8) if t == 1
+                 else res.expanded_diff(t - 1))
+        assert matmul_mod(below, bad[:, None], p).any()
+        assert res.lift_rows(t, bad[None, :]) is None, t
+        assert res.lift_rows(t, np.vstack([B, bad])) is None, t
+
+
+@pytest.mark.parametrize("case", list(RESTRICTED_CASES))
+def test_chain_map_refuses_an_image_outside_the_kernel(case):
+    G, N = RESTRICTED_CASES[case]()
+    res = build_minimal_resolution(G, N)
+    cm = resolution._cocycle_chain(res, Cocycle(1, np.eye(res.rank(1), dtype=np.uint8)[0]))
+    cm.extend_to(1)
+    cm.maps[1] = np.random.default_rng(3).integers(0, G.p, size=cm.maps[1].shape,
+                                                   dtype=np.uint8)
+    with pytest.raises(AssertionError, match="chain-map lift system inconsistent"):
+        cm.extend_to(2)
+
+
+@pytest.mark.parametrize("group,N", [(H27, 10), ("64#187", 8)], ids=["H27", "64#187"])
+def test_reports_factor_no_dense_differential(capsys, monkeypatch, group, N):
+    dense, built = [], []
+    expanded = resolution.MinimalResolution.expanded_diff
+    solver = resolution.MinimalResolution.solver
+
+    def counted_expanded(self, i):
+        dense.append((self.order, i))
+        return expanded(self, i)
+
+    def collected_solver(self, i):
+        built.append(solver(self, i))
+        return built[-1]
+
+    monkeypatch.setattr(resolution.MinimalResolution, "expanded_diff", counted_expanded)
+    monkeypatch.setattr(resolution.MinimalResolution, "solver", collected_solver)
+    assert cli.main(["invariants", group, "--degree", str(N)]) == 0
+    capsys.readouterr()
+    assert dense == []
+    assert built and all(s.rows_n == s.rank for s in built)
+
+
+def test_dropping_a_generator_breaks_the_next_solver():
+    res = build_minimal_resolution(D8, 4)
+    res._gen_images = res._gen_images[:3] + [res._gen_images[3][:-1]]
+    res.betti = res.betti[:3] + [res.betti[3] - 1]
+    res._solvers = {i: s for i, s in res._solvers.items() if i < 3}
+    with pytest.raises(AssertionError, match="not exact at degree 2"):
+        res.solver(3)
+    with pytest.raises(AssertionError, match="not exact at degree 2"):
+        res.extend_to(4)
 
 
 # ---------------------------------------------------------------------------
