@@ -421,10 +421,10 @@ def run_criteria(suite: str, lines: list[str], pcp_64_108: str | None = None,
         run("extra (order-64 types at N=8)", _full_extras, ws)
     if suite == "stretch":
         run("criterion 8 (order-64 Sylow entries)", criterion_8, ws)
-        if pcp_64_108:
-            run("criterion 9 (user-supplied 64#108)", criterion_9, ws, pcp_64_108)
-        else:
-            lines.append("SKIP  criterion 9: no user-supplied presentation")
+    if pcp_64_108:
+        run("criterion 9 (user-supplied 64#108)", criterion_9, ws, pcp_64_108)
+    elif suite == "stretch":
+        lines.append("SKIP  criterion 9: no user-supplied presentation")
     return ok
 
 

@@ -1,4 +1,4 @@
-"""Group catalog, .pcp file format, and the resolution cache.
+"""Group catalog and the .pcp file format.
 
 Hall-Senior numbers are labels, not trust anchors: every shipped entry
 carries the fingerprint (order, center rank, p-rank, p-centrality) it
@@ -9,11 +9,7 @@ whose computed fingerprint disagrees is refused.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .pgroup import (
     PcPresentation,
@@ -25,9 +21,6 @@ from .pgroup import (
     p_rank,
     pc_structure,
 )
-from .resolution import MinimalResolution
-
-CACHE_ENV = "CENTDET_CACHE_DIR"
 
 
 class CatalogError(ValueError):
@@ -455,94 +448,3 @@ def load_pcp(path: str) -> PcPresentation:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pcp(fh.read())
 
-
-# ---------------------------------------------------------------------------
-# resolution cache
-
-
-def cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV)
-
-
-def _cache_path(directory: str, pres: PcPresentation) -> str:
-    return os.path.join(directory, f"cohres-{pres.hash_key()}.txt")
-
-
-def save_resolution(res: MinimalResolution, directory: str):
-    """Versioned text dump; written atomically next to its final name."""
-    os.makedirs(directory, exist_ok=True)
-    path = _cache_path(directory, res.pres)
-    lines = [
-        "COHRES v1",
-        f"hash {res.pres.hash_key()}",
-        f"p {res.p}",
-        f"order {res.order}",
-        f"N {res.top_degree}",
-        "betti " + " ".join(str(b) for b in res.betti),
-    ]
-    for i in range(1, res.top_degree + 1):
-        gens = res._gen_images[i]
-        lines.append(f"deg {i} rows {gens.shape[0]} cols {gens.shape[1]}")
-        for row in gens:
-            lines.append(bytes(row).hex())
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(tmp_fd, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp_path, path)
-
-
-def load_resolution(pres: PcPresentation, directory: str,
-                    budget: int = 20000) -> MinimalResolution | None:
-    """Rebuild a cached resolution.
-
-    None on a miss, on a stale hash or version, and on a file that is
-    truncated or malformed or whose rows fail the minimality or d o d = 0
-    check: the caller then rebuilds the resolution and rewrites the file.
-    The degrees from the first one that this budget refuses are left out.
-    """
-    path = _cache_path(directory, pres)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            res = _parse_resolution(fh.read().splitlines(), pres, budget)
-        fault = res.complex_fault()
-    except (ValueError, IndexError, KeyError):
-        return None
-    return res if fault is None else None
-
-
-def _parse_resolution(lines: list[str], pres: PcPresentation,
-                      budget: int) -> MinimalResolution:
-    """The resolution of pres in a cache file's lines.  Raises ValueError,
-    IndexError or KeyError when they hold anything else."""
-    if lines[0] != "COHRES v1":
-        raise ValueError("unknown cache format")
-    meta = {}
-    idx = 1
-    while idx < len(lines) and not lines[idx].startswith("deg "):
-        key, _, value = lines[idx].partition(" ")
-        meta[key] = value
-        idx += 1
-    if meta.get("hash") != pres.hash_key():
-        raise ValueError("cache file is for another presentation")
-    betti = [int(x) for x in meta["betti"].split()]
-    if betti[0] != 1 or len(betti) != int(meta["N"]) + 1:
-        raise ValueError("Betti numbers do not match the degree bound")
-    res = MinimalResolution(pres, budget=budget)
-    for i in range(1, len(betti)):
-        rows, cols = betti[i], betti[i - 1] * pres.order
-        if lines[idx] != f"deg {i} rows {rows} cols {cols}" or len(lines) <= idx + rows:
-            raise ValueError(f"degree {i} is truncated or has a bad header")
-        mat = np.zeros((rows, cols), dtype=np.uint8)
-        for r in range(rows):
-            mat[r] = np.frombuffer(bytes.fromhex(lines[idx + 1 + r]), dtype=np.uint8)
-        idx += 1 + rows
-        if mat.size and int(mat.max()) >= pres.p:
-            raise ValueError(f"degree {i} has entries outside F_{pres.p}")
-        if i == len(res.betti) and rows * pres.order <= budget:
-            res._gen_images.append(mat)
-            res.betti.append(rows)
-    if idx != len(lines):
-        raise ValueError("cache file has lines past its last degree")
-    return res

@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .catalog import CatalogEntry, CatalogError, builtin, cache_dir, load_pcp
+from .catalog import CatalogEntry, CatalogError, builtin, load_pcp
 from .invariants import DegreeBoundError, Workspace
 from .pgroup import PcPresentation
 from .resolution import BudgetExceededError, CohomologyFragment
@@ -59,7 +59,7 @@ def cmd_info(args, out) -> int:
 def cmd_cohomology(args, out) -> int:
     entry = resolve_group(args.group)
     N = degree_bound(args.command, args.degree, entry.pres)
-    res = Workspace(budget=args.budget, cache=args.cache or cache_dir()).resolution(entry.pres, N)
+    res = Workspace(budget=args.budget).resolution(entry.pres, N)
     frag = CohomologyFragment(res)
     json.dump({
         "group_id": entry.id,
@@ -176,6 +176,14 @@ def cmd_verify(args, out) -> int:
     return run_verify(args.suite, out, pcp_64_108=args.pcp_64_108, budget=args.budget)
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for counts and caps: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error as the JSON error
     object of every other refusal, on stdout, with argparse's exit code 2."""
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="centdet",
         description="Mod-p cohomology of finite p-groups and central detection invariants",
     )
-    ap.add_argument("--budget", type=int, default=20000,
+    ap.add_argument("--budget", type=positive_int, default=20000,
                     help="column cap for resolution differentials")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -203,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="Betti numbers and ring generator counts")
     p.add_argument("group")
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--cache", default=None, help="resolution cache directory")
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("invariants", help="full invariant report as JSON")
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("groups", nargs="+")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--csv", default=None, help="also write the CSV here")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive_int, default=1,
                    help="process pool size for independent groups")
     p.set_defaults(func=cmd_table)
 

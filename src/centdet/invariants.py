@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import load_resolution, save_resolution
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
@@ -91,27 +90,17 @@ class Workspace:
     elementary abelian, say) share one resolution.  One that records
     factors A and B (``direct_product``, ``subgroup_presentation``) is
     served as the tensor product of the factors' resolutions, and its
-    analyzer reads every map off the factors' analyzers.  With a cache
-    directory, a resolution built from scratch is first loaded from its
-    file there and saved back whenever it has grown past the file; a
-    served product stores only its factors' files.
+    analyzer reads every map off the factors' analyzers.  Every other
+    resolution is built in memory and kept for the life of the Workspace.
     """
 
-    def __init__(self, budget: int = 20000, cache: str | None = None):
+    def __init__(self, budget: int = 20000):
         self.budget = budget
-        self.cache = cache
         self._res: dict[str, MinimalResolution] = {}
-        self._saved: dict[str, int] = {}  # top degree on file, by hash
         self._analyzers: dict = {}
 
     def resolution(self, pres: PcPresentation, N: int) -> MinimalResolution:
-        res = self._get(pres)
-        res.extend_to(N)
-        for key, top in self._saved.items():
-            if self._res[key].top_degree > top:
-                save_resolution(self._res[key], self.cache)
-                self._saved[key] = self._res[key].top_degree
-        return res
+        return self._get(pres).extend_to(N)
 
     def _get(self, pres: PcPresentation) -> MinimalResolution:
         key = share_key(pres)
@@ -120,12 +109,8 @@ class Workspace:
             if pres.factors is not None:
                 A, B = pres.factors
                 res = TensorResolution(self._get(A), self._get(B), pres, budget=self.budget)
-            elif self.cache is None:
-                res = MinimalResolution(pres, budget=self.budget)
             else:
-                res = load_resolution(pres, self.cache, budget=self.budget)
-                self._saved[key] = -1 if res is None else res.top_degree
-                res = res or MinimalResolution(pres, budget=self.budget)
+                res = MinimalResolution(pres, budget=self.budget)
             self._res[key] = res
         return res
 

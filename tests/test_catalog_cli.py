@@ -1,7 +1,7 @@
+import io
 import json
 import os
 
-import numpy as np
 import pytest
 
 from centdet import catalog, pgroup
@@ -11,15 +11,12 @@ from centdet.catalog import (
     builtin,
     builtin_ids,
     format_pcp,
-    load_resolution,
     parse_pcp,
-    save_resolution,
     su34_sylow_presentation,
     sz8_sylow_presentation,
 )
-from centdet.cli import CSV_HEADER, main
+from centdet.cli import CSV_HEADER, main, run_verify
 from centdet.pgroup import PcPresentation, PcPresentationError, direct_product
-from centdet.resolution import build_minimal_resolution
 
 
 def test_builtin_fingerprints_all():
@@ -123,24 +120,6 @@ def test_pcp_roundtrip_all_builtins():
         assert again.hash_key() == pres.hash_key()
 
 
-def test_resolution_cache_roundtrip(tmp_path):
-    pres = builtin("Q8").pres
-    res = build_minimal_resolution(pres, 6)
-    save_resolution(res, str(tmp_path))
-    back = load_resolution(pres, str(tmp_path))
-    assert back is not None
-    assert back.betti == res.betti
-    for i in range(1, 7):
-        assert np.array_equal(back._gen_images[i], res._gen_images[i])
-    back.verify()
-
-
-def test_resolution_cache_invalidated_on_other_presentation(tmp_path):
-    res = build_minimal_resolution(builtin("Q8").pres, 4)
-    save_resolution(res, str(tmp_path))
-    assert load_resolution(builtin("D8").pres, str(tmp_path)) is None
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -180,67 +159,20 @@ def test_cli_invariants_self_identification_gate(capsys):
     assert code == 0  # the genuine entry passes the gate
 
 
-def test_cli_cohomology_with_cache(capsys, tmp_path):
-    cache = str(tmp_path)
-    code, out = run_cli(capsys, "cohomology", "Q8", "--degree", "6",
-                        "--cache", cache)
+def test_cli_cohomology_q8(capsys):
+    code, out = run_cli(capsys, "cohomology", "Q8", "--degree", "6")
     assert code == 0
     data = json.loads(out)
     assert data["betti"] == [1, 2, 2, 1, 1, 2, 2]
     assert data["ring_generators_by_degree"] == [0, 2, 0, 0, 1, 0, 0]
-    assert any(name.startswith("cohres-") for name in os.listdir(cache))
-    # second run hits the cache
-    code, out = run_cli(capsys, "cohomology", "Q8", "--degree", "6",
-                        "--cache", cache)
-    assert code == 0
-    assert json.loads(out)["betti"] == data["betti"]
 
 
-def test_cli_cohomology_rewrites_cache_only_when_it_grows(capsys, tmp_path):
-    cache = str(tmp_path)
-
-    def cohomology(degree):
-        code, out = run_cli(capsys, "cohomology", "Q8", "--degree", str(degree),
-                            "--cache", cache)
-        assert code == 0
-        [name] = [n for n in os.listdir(cache) if n.startswith("cohres-")]
-        path = os.path.join(cache, name)
-        st = os.stat(path)
-        with open(path) as fh:
-            top = [line for line in fh if line.startswith("N ")]
-        return (st.st_ino, st.st_mtime_ns), top
-
-    # a hit that needs no new degree leaves the file alone
-    written, top = cohomology(6)
-    assert cohomology(4) == (written, top)
-    assert top == ["N 6\n"]
-
-    # a hit that needs more degrees rewrites it
-    for name in os.listdir(cache):
-        os.remove(os.path.join(cache, name))
-    written, top = cohomology(4)
-    assert top == ["N 4\n"]
-    rewritten, top = cohomology(6)
-    assert rewritten != written
-    assert top == ["N 6\n"]
-
-
-def test_cli_cohomology_keeps_a_deeper_cache_under_a_smaller_budget(capsys, tmp_path,
-                                                                     monkeypatch):
+def test_cli_cohomology_refuses_past_its_budget(capsys):
     # at budget 30, D8 (b_3 = 4, 32 columns) is refused from degree 3 on
-    monkeypatch.delenv("CENTDET_CACHE_DIR", raising=False)
-    cache = str(tmp_path)
-    assert run_cli(capsys, "cohomology", "D8", "--degree", "6", "--cache", cache)[0] == 0
-    [name] = os.listdir(cache)
-    with open(os.path.join(cache, name)) as fh:
-        deep = fh.read()
-    for degree, code in (("2", 0), ("3", 1)):
-        argv = ("--budget", "30", "cohomology", "D8", "--degree", degree)
-        uncached = run_cli(capsys, *argv)
-        assert uncached[0] == code
-        assert run_cli(capsys, *argv, "--cache", cache) == uncached
-        with open(os.path.join(cache, name)) as fh:
-            assert fh.read() == deep
+    assert run_cli(capsys, "--budget", "30", "cohomology", "D8", "--degree", "2")[0] == 0
+    code, out = run_cli(capsys, "--budget", "30", "cohomology", "D8", "--degree", "3")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BudgetExceededError"
 
 
 def test_cli_cess(capsys):
@@ -424,6 +356,12 @@ def test_cli_verify_quick(capsys):
     assert "ALL PASS" in out
 
 
+def test_verify_runs_criterion_9_whenever_a_path_is_given(tmp_path):
+    out = io.StringIO()
+    assert run_verify("quick", out, pcp_64_108=str(tmp_path / "missing.pcp")) == 1
+    assert any(line.startswith("FAIL  criterion 9") for line in out.getvalue().splitlines())
+
+
 REPORT_FIELDS = {
     "group_id": str, "p": int, "order": int, "rank": int, "center_rank": int,
     "p_central": bool, "type": (list, type(None)), "e": (int, type(None)),
@@ -449,11 +387,11 @@ def test_report_schema_on_corpus(capsys):
         validate_report_schema(json.loads(out))
 
 
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
+def test_cli_cohomology_writes_no_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CENTDET_CACHE_DIR", str(tmp_path))
     code, _ = run_cli(capsys, "cohomology", "Z8", "--degree", "5")
     assert code == 0
-    assert any(name.startswith("cohres-") for name in os.listdir(str(tmp_path)))
+    assert os.listdir(tmp_path) == []
 
 
 def test_table_parallel_jobs(capsys):
@@ -482,8 +420,12 @@ def test_cli_rejects_bad_degree(capsys, argv):
     (("invariants", "Q8", "--degree", "abc"), "--degree"),
     (("invariants", "Q8", "--no-such-flag"), "--no-such-flag"),
     (("no-such-command", "Q8"), "no-such-command"),
+    (("cohomology", "Q8", "--cache", "d"), "--cache"),
+    (("--budget", "-1", "invariants", "Q8", "--degree", "3"), "--budget"),
+    (("table", "Q8", "--jobs", "-3"), "--jobs"),
 ])
-def test_cli_usage_errors_are_json(capsys, argv, words):
+def test_cli_usage_errors_are_json(capsys, tmp_path, monkeypatch, argv, words):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     captured = capsys.readouterr()
@@ -491,6 +433,7 @@ def test_cli_usage_errors_are_json(capsys, argv, words):
     error = json.loads(captured.out)["error"]
     assert error["type"] == "UsageError" and words in error["message"]
     assert captured.err == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_cohomology_degree_zero(capsys):
@@ -518,29 +461,3 @@ def test_cli_degree_bound_too_small_is_not_a_budget_error(capsys):
     code, out = run_cli(capsys, "cess", "SD16", "--degree", "2")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DegreeBoundError"
-
-
-@pytest.mark.parametrize("damage", ["line_boundary", "mid_line", "flipped_digit"])
-def test_cli_cohomology_rebuilds_damaged_cache(capsys, tmp_path, damage):
-    cache = str(tmp_path)
-    code, out = run_cli(capsys, "cohomology", "Q8", "--degree", "6", "--cache", cache)
-    assert code == 0
-    [name] = [n for n in os.listdir(cache) if n.startswith("cohres-")]
-    path = os.path.join(cache, name)
-    with open(path) as fh:
-        good = fh.read()
-    last = good.splitlines(keepends=True)[-1]
-    if damage == "line_boundary":
-        bad = good[: -len(last)]
-    elif damage == "mid_line":
-        bad = good[: -(len(last) // 2)]
-    else:
-        bad = good[:-2] + ("1" if good[-2] == "0" else "0") + "\n"
-    with open(path, "w") as fh:
-        fh.write(bad)
-    assert load_resolution(builtin("Q8").pres, cache) is None
-    code, again = run_cli(capsys, "cohomology", "Q8", "--degree", "6", "--cache", cache)
-    assert code == 0
-    assert json.loads(again) == json.loads(out)
-    with open(path) as fh:
-        assert fh.read() == good

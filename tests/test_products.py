@@ -491,18 +491,6 @@ def test_served_cohomology_builds_nothing_over_the_product(capsys, monkeypatch,
     assert max(solvers) == max(complements) == largest
 
 
-def test_served_cohomology_caches_only_its_factors(capsys, monkeypatch, tmp_path):
-    cache = str(tmp_path)
-    argv = ("cohomology", "D8xZ4", "--degree", "6", "--cache", cache)
-    code, out = run_cli(capsys, *argv)
-    assert code == 0
-    assert sorted(os.listdir(cache)) == sorted(
-        f"cohres-{builtin(gid).pres.hash_key()}.txt" for gid in ("D8", "Z4"))
-    _, complements, _ = count_group_work(monkeypatch)
-    assert run_cli(capsys, *argv) == (0, out)
-    assert not complements
-
-
 def test_served_cohomology_refuses_like_its_plain_copy(capsys, monkeypatch):
     # b_5(D8 x Z4) = 21, and 21 * 32 = 672 columns
     argv = ("--budget", "500", "cohomology", "D8xZ4", "--degree", "10")
