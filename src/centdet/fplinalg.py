@@ -18,7 +18,8 @@ exact mod p, no floating point anywhere.
 reads both its particular solutions and the canonical RREF basis of its
 kernel from that one elimination.  ``ImageSolver`` assembles the same
 factorization for a matrix whose image is a known kernel from that of
-the rows which determine it.
+the rows which determine it.  ``QuotientCoords`` reads vectors modulo a
+subspace from the reduced rows of its elimination.
 
 Conventions: matrices act on column vectors, so ``kernel_basis(m)``
 lives in F_p^cols and ``image_basis(m)`` (the column space) lives in
@@ -326,12 +327,55 @@ def _rref_array(arr: np.ndarray, p: int):
     return _rref_generic(arr, p)
 
 
-def stacked_pivots(blocks, ncols: int, p: int) -> list[int]:
-    """Pivot columns of the uint8 row blocks stacked in order.  At p = 2
-    each block is packed as it arrives, so the stack is only held packed."""
+def stacked_pivots(blocks, ncols: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """(reduced rows, pivot columns) of the RREF of the uint8 row blocks
+    stacked in order: its first rank rows, packed at p = 2, copied so that
+    the stack is not kept alive.  At p = 2 each block is packed as it
+    arrives, so the stack is only held packed."""
     if p == 2:
-        return _rref_bits(np.vstack([_pack_rows(b) for b in blocks]), ncols)[1]
-    return _rref_generic(np.vstack(list(blocks)), p)[1]
+        R, pivots = _rref_bits(np.vstack([_pack_rows(b) for b in blocks]), ncols)
+    else:
+        R, pivots = _rref_generic(np.vstack(list(blocks)), p)
+    return R[: len(pivots)].copy(), pivots
+
+
+class QuotientCoords:
+    """Coordinates of vectors of F_p^n modulo a subspace W, in the unit
+    vectors at the columns ``kept``, which span a complement of W.
+
+    W is given as ``stacked_pivots`` returns a spanning set of it with its
+    columns reversed: the reduced rows Q and their pivots.  Read forwards,
+    row i of Q is 1 at red[i] = n - 1 - pivots[i], 0 at every other
+    red[j], and 0 right of red[i], and the rows span W.  ``kept`` are the
+    columns in no red[i].  So c - sum_i c[red[i]] Q[i] is congruent to c
+    modulo W and zero at every red[i]: its entries at ``kept`` are the
+    coordinates of c modulo W.  Only the block Q[:, kept] is kept, as
+    its transpose, packed at p = 2, where the sum is a parity product and
+    Q is never unpacked."""
+
+    def __init__(self, rows: np.ndarray, pivots, n: int, p: int):
+        self.p = p
+        self.red = n - 1 - np.asarray(pivots, dtype=np.intp)
+        keep = np.ones(n, dtype=bool)
+        keep[self.red] = False
+        self.kept = np.flatnonzero(keep)
+        cols = n - 1 - self.kept
+        if p == 2:
+            # bit c of a packed row is bit c % 8 of its byte c // 8
+            byte = rows.view(np.uint8)[:, cols // 8]
+            bits = (byte >> (cols % 8).astype(np.uint8)) & 1
+            self._block_t = _pack_rows(np.ascontiguousarray(bits.T))
+        else:
+            self._block_t = np.ascontiguousarray(rows[:, cols].T)
+
+    def read(self, C: np.ndarray) -> np.ndarray:
+        """Row k: the coordinates of C[k] modulo W, shape (rows, len(kept))."""
+        C = np.asarray(C, dtype=np.uint8)
+        at_red = C[:, self.red]
+        if self.p == 2:
+            return C[:, self.kept] ^ _parity_products(self._block_t, _pack_rows(at_red))
+        sub = matmul_mod(at_red, self._block_t.T, self.p)
+        return ((C[:, self.kept].astype(np.int64) - sub) % self.p).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +736,14 @@ class LinSolver:
         X = np.zeros((B.shape[0], self.cols_n), dtype=np.uint8)
         X[:, list(self.pivots)] = C[:, : self.rank]
         return X
+
+    def kills_rows(self, B: np.ndarray) -> bool:
+        """True iff M b = 0 for every row b of B: the reduced rows span the
+        row space of M', so M b = 0 iff they annihilate b reversed."""
+        B = np.asarray(B, dtype=np.uint8)[:, ::-1]
+        if self.p == 2:
+            return not _parity_products(self._R, _pack_rows(B)).any()
+        return not matmul_mod(B, self._R.T, self.p).any()
 
     def second_solution(self, b: np.ndarray) -> np.ndarray | None:
         """A solution differing from solve(b) whenever the kernel is nonzero."""

@@ -20,7 +20,10 @@ a tensor product; any particular solution of the lifting systems gives
 the same answer on cohomology.  The generators of a degree are lifted
 together: their right-hand sides are assembled in chunks of bounded
 size and solved by one product each, against the factorization of the
-target differential on the rows that determine it.
+target differential on the rows that determine it.  At the target's
+top degree N a map is read modulo the radical instead of lifted, from
+the elimination of rad*K that chose the degree-N generators, so no
+factorization of d_N is built just to read H^N.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .fplinalg import (
     FpSubspace,
     ImageSolver,
     LinSolver,
+    QuotientCoords,
     free_columns,
     kernel_basis,
     matmul_mod,
@@ -87,6 +91,8 @@ class MinimalResolution:
         self._solvers: dict[int, LinSolver] = {}
         self._lifters: dict[int, ImageSolver] = {}
         self._cup_lifts: dict = {}
+        # (P, coordinates modulo rad*K) of the top degree, once it is >= 1
+        self._top: tuple[np.ndarray, QuotientCoords] | None = None
 
     @property
     def top_degree(self) -> int:
@@ -106,9 +112,14 @@ class MinimalResolution:
     # -- construction -----------------------------------------------------------
 
     def extend_to(self, N: int) -> "MinimalResolution":
+        """Build through degree N.  Only the new top degree's reduction of
+        rad*K is kept, for ``top_classes``; each extension replaces it."""
         while self.top_degree < N:
             i = self.top_degree + 1
-            gens = self._radical_complement(self.solver(i - 1).kernel_rows())
+            below = self.solver(i - 1)
+            kernel_rows = below.kernel_rows()
+            radical = self._radical_complement(kernel_rows)
+            gens = kernel_rows[radical.kept]
             needed = len(gens) * self.order
             if needed > self.budget:
                 raise BudgetExceededError(i, needed, self.budget)
@@ -116,11 +127,13 @@ class MinimalResolution:
                 raise AssertionError(f"differential d_{i} is not minimal")
             self._gen_images.append(gens)
             self.betti.append(len(gens))
+            self._top = (free_columns(below), radical)
         return self
 
-    def _radical_complement(self, kernel_rows: np.ndarray) -> np.ndarray:
-        """Minimal module generators of the kernel: the lexicographically
-        first kernel-basis rows completing rad*K to K.
+    def _radical_complement(self, kernel_rows: np.ndarray) -> QuotientCoords:
+        """Coordinates modulo rad*K in the basis K, whose ``kept`` rows of K
+        are the minimal module generators of the kernel: the
+        lexicographically first kernel-basis rows completing rad*K to K.
 
         K is in RREF with pivot columns P, so a vector of K has the
         coordinates v[P] in the basis K.  Translation by a pc generator g
@@ -131,7 +144,7 @@ class MinimalResolution:
         """
         dim = kernel_rows.shape[0]
         if dim == 0:
-            return kernel_rows
+            return QuotientCoords(np.zeros((0, 0), dtype=np.uint8), [], 0, self.p)
         order = self.order
         P = np.argmax(kernel_rows != 0, axis=1)
         P_block, P_elem = P - P % order, P % order
@@ -144,10 +157,8 @@ class MinimalResolution:
             block[diag, diag] = (d + (self.p - 1)) % self.p
             return block[:, ::-1]
 
-        pivots = stacked_pivots((coords(t) for t in range(self.pres.n)), dim, self.p)
-        keep = np.ones(dim, dtype=bool)
-        keep[dim - 1 - np.asarray(pivots, dtype=np.intp)] = False
-        return kernel_rows[keep]
+        rows, pivots = stacked_pivots((coords(t) for t in range(self.pres.n)), dim, self.p)
+        return QuotientCoords(rows, pivots, dim, self.p)
 
     # -- expanded matrices and solvers -------------------------------------------
 
@@ -205,6 +216,16 @@ class MinimalResolution:
             lifter = ImageSolver(self.solver(t), self.solver(t - 1))
             self._lifters[t] = lifter
         return lifter.solve_rows(B)
+
+    def top_classes(self, B: np.ndarray) -> np.ndarray | None:
+        """Row k: the H^N coordinates of every x with d_N x = B[k], N the top
+        degree, read modulo the radical with no solver of d_N
+        (``ChainMap.functional_matrix`` has the proof); None when some B[k]
+        lies outside ker d_{N-1}, checked on solver(N - 1)'s reduced rows."""
+        if not self.solver(self.top_degree - 1).kills_rows(B):
+            return None
+        P, radical = self._top
+        return radical.read(B[:, P])
 
     # -- functionals ---------------------------------------------------------------
 
@@ -366,7 +387,10 @@ class ChainMap:
 
     Realizes the map of complexes covering either a group homomorphism
     (shift 0, base = image of the identity) or a cocycle (shift n, base
-    given by the cocycle's coefficients).
+    given by the cocycle's coefficients).  ``maps[t]`` is lifted only when
+    ``extend_to`` asks for it, or a read needs it below the target's top
+    degree; ``functional_matrix`` reads that top degree modulo the
+    radical, with no lift.
     """
 
     def __init__(self, src_res, tgt_res, phi_table: np.ndarray, shift: int,
@@ -384,18 +408,25 @@ class ChainMap:
         hard error, as no chain map would then exist."""
         while len(self.maps) <= t_max:
             t = len(self.maps)
-            src_deg = self.shift + t
-            if src_deg > self.src.top_degree or t > self.tgt.top_degree:
-                raise IndexError("lift exceeds built resolution range")
-            rows = np.empty((self.src.rank(src_deg), self.tgt.rank(t) * self.tgt.order),
-                            dtype=np.uint8)
-            for lo, hi, images in self._image_chunks(src_deg, self.maps[t - 1]):
-                x = self.tgt.lift_rows(t, images)
-                if x is None:
-                    raise AssertionError("chain-map lift system inconsistent")
-                rows[lo:hi] = x
-            self.maps.append(rows)
+            self.maps.append(self._solve_degree(
+                t, lambda B, t=t: self.tgt.lift_rows(t, B), self.tgt.order))
         return self
+
+    def _solve_degree(self, t: int, solve, per_gen: int) -> np.ndarray:
+        """Row j is solve(B) at the image b of d(e_j) under maps[t - 1], over
+        the source generators e_j of degree shift + t, taken in chunks; a
+        solution has per_gen columns per target generator, and solve
+        returns None when some b lies outside ker d_{t-1}."""
+        src_deg = self.shift + t
+        if src_deg > self.src.top_degree or t > self.tgt.top_degree:
+            raise IndexError("lift exceeds built resolution range")
+        rows = np.empty((self.src.rank(src_deg), self.tgt.rank(t) * per_gen), dtype=np.uint8)
+        for lo, hi, images in self._image_chunks(src_deg, self.maps[t - 1]):
+            x = solve(images)
+            if x is None:
+                raise AssertionError("chain-map lift system inconsistent")
+            rows[lo:hi] = x
+        return rows
 
     def _image_chunks(self, src_deg: int, prev: np.ndarray):
         """Yield (lo, hi, B): row j - lo of B is the image of d(e_j) under
@@ -437,9 +468,33 @@ class ChainMap:
                             len(parts), self.tgt.p)
 
     def functional_matrix(self, t: int) -> np.ndarray:
-        """Matrix of f -> f o (this map) in degree t: shape (src rank, tgt rank)."""
+        """Matrix of f -> f o (this map) in degree t: shape (src rank, tgt rank).
+
+        Entry (j, u) is the augmentation of the block u of the lift x of
+        e_j, i.e. the coordinate at e_u of x modulo rad F_t (for a p-group
+        the radical of F_pG is its augmentation ideal).  So maps[t] is
+        lifted only when it is already there or a later degree needs it:
+        at the top degree t >= 1 of a target built by elimination (not a
+        TensorResolution) the matrix is read modulo the radical instead
+        (``MinimalResolution.top_classes``), with no solver of d_t.
+        Proof: K = ker d_{t-1} has the RREF basis whose
+        ``kept`` rows k_u = d(e_u) complete rad*K to K, and d_t maps F_t
+        onto K and rad F_t onto rad*K, so it induces an isomorphism
+        F_t / rad F_t -> K / rad*K, e_u -> k_u.  Let b = maps[t-1](d e_j),
+        in K, with coordinates c = b[P] in the basis K.  The reduced rows
+        Q of the elimination of rad*K span it in those coordinates and
+        clear its redundant coordinates, so c' = c - sum_i c[red_i] Q_i
+        is congruent to c modulo rad*K and lies on the kept rows:
+        b = d(sum_u c'[u] e_u) modulo rad*K, and by the isomorphism every
+        x with d x = b is sum_u c'[u] e_u modulo rad F_t.  Its
+        coordinates are c'[kept], which is the matrix any lift gives.
+        The images b are still checked against ker d_{t-1}: one outside
+        it is the same hard error as in a lift."""
         if t < 0:
             raise IndexError(f"negative degree {t}")
+        if t >= len(self.maps) and t == self.tgt.top_degree and self.tgt._top is not None:
+            self.extend_to(t - 1)
+            return self._solve_degree(t, self.tgt.top_classes, 1)
         self.extend_to(t)
         rows = self.maps[t]
         return self.tgt.block_sums(rows, self.tgt.rank(t))
@@ -455,13 +510,14 @@ def _cocycle_chain(res, g: Cocycle) -> ChainMap:
     return ChainMap(res, res, phi, g.degree, base)
 
 
-def _cocycle_lift(res, g: Cocycle, t_max: int) -> ChainMap:
+def _cocycle_lift(res, g: Cocycle) -> ChainMap:
+    """The kept chain map of g, lifted as far as its reads needed so far."""
     key = g.key()
     cm = res._cup_lifts.get(key)
     if cm is None:
         cm = _cocycle_chain(res, g)
         res._cup_lifts[key] = cm
-    return cm.extend_to(t_max)
+    return cm
 
 
 def cup_product(res, f: Cocycle, g: Cocycle) -> Cocycle:
@@ -495,7 +551,7 @@ def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
     if g.degree == 0:
         return np.eye(res.rank(m), dtype=np.uint8) * g.vec[0]
     if not isinstance(res, TensorResolution):
-        return _cocycle_lift(res, g, m).functional_matrix(m)
+        return _cocycle_lift(res, g).functional_matrix(m)
     n, resA, resB = g.degree, res.resA, res.resB
     M = np.zeros((res.rank(m + n), res.rank(m)), dtype=np.int64)
     for i0 in range(n + 1):
@@ -560,7 +616,6 @@ class InducedMap:
         """Shape (rank_k of source, rank_k of target): coeffs of phi*(f) = M f."""
         got = self._matrices.get(k)
         if got is None:
-            self._chain.extend_to(k)
             got = self._chain.functional_matrix(k)
             self._matrices[k] = got
         return got

@@ -10,6 +10,7 @@ from centdet.fplinalg import (
     FpSubspace,
     ImageSolver,
     LinSolver,
+    QuotientCoords,
     _rref_bits,
     _rref_generic,
     _free_column_rows,
@@ -23,6 +24,7 @@ from centdet.fplinalg import (
     matmul_mod,
     rref,
     solve_preimage,
+    stacked_pivots,
     subspace_sum,
 )
 
@@ -457,6 +459,52 @@ def test_image_solver_matches_a_solver_of_the_whole_matrix(p, rows, m, cols, see
         want = whole.solve(b)
         assert (got is None) == (want is None)
         assert got is None or np.array_equal(got, want)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    blocks=st.integers(1, 3),
+    rows=st.integers(0, 8),
+    n=st.integers(1, 70),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_quotient_coords_read_modulo_the_stacked_span(p, blocks, rows, n, seed):
+    rng = np.random.default_rng(seed)
+    stack = [low_rank_array(seed + i, p, rows, n).astype(np.uint8) for i in range(blocks)]
+    R, pivots = stacked_pivots(iter(stack), n, p)
+    want, want_pivots = _rref_array(np.vstack(stack), p)
+    assert list(pivots) == list(want_pivots) and R.base is None  # no view of the stack
+    assert np.array_equal(_unpack_rows(R, n) if p == 2 else R, want[: len(pivots)])
+    # the stacked rows are W with its columns reversed
+    W = FpSubspace.from_spanning(p, n, np.vstack(stack)[:, ::-1])
+    q = QuotientCoords(R, pivots, n, p)
+    assert len(q.kept) == n - W.dim
+    C = rng.integers(0, p, size=(4, n)).astype(np.uint8)
+    got = q.read(C)
+    assert got.dtype == np.uint8 and got.shape == (4, len(q.kept))
+    rep = np.zeros_like(C)
+    rep[:, q.kept] = got
+    for c, r in zip(C, rep):
+        assert W.contains((c.astype(np.int64) - r) % p)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    rows=st.integers(0, 8),
+    cols=st.integers(1, 70),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_kills_rows_tests_the_kernel(p, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    M = low_rank_array(seed, p, rows, cols).astype(np.uint8)
+    solver = LinSolver(FpMatrix(p, M, check=False))
+    K = solver.kernel_rows()
+    inside = matmul_mod(rng.integers(0, p, size=(3, len(K))), K, p)
+    assert solver.kills_rows(inside)
+    B = rng.integers(0, p, size=(3, cols)).astype(np.uint8)
+    assert solver.kills_rows(B) == (not matmul_mod(B, M.T, p).any())
 
 
 def test_subspace_hashable_and_equal():

@@ -145,7 +145,7 @@ def cross_product(res, a, b):
 
 def lifted_product(res, g, m):
     """Multiplication by g on H^m, lifted into res as a chain map."""
-    return _cocycle_lift(res, g, m).functional_matrix(m)
+    return _cocycle_lift(res, g).functional_matrix(m)
 
 
 def assert_maps_match_their_lifts(ws, a):
@@ -233,7 +233,7 @@ def test_every_map_route_is_uint8():
     K = strict_centralizers(a)[0]
     mats = {
         "InducedMap.matrix": lifted_restriction(ws, G, a.C, 4).matrix(3),
-        "ChainMap.functional_matrix": _cocycle_lift(res.resA, g, 2).functional_matrix(2),
+        "ChainMap.functional_matrix": _cocycle_lift(res.resA, g).functional_matrix(2),
         "lifted multiplication_matrix": multiplication_matrix(res.resA, g, 2),
         "tensor multiplication_matrix": multiplication_matrix(res, h, 2),
         "TensorInducedMap.matrix": a._restriction(K, 4).matrix(3),

@@ -713,6 +713,81 @@ def test_chain_map_refuses_an_image_outside_the_kernel(case):
         cm.extend_to(2)
 
 
+# ---------------------------------------------------------------------------
+# the top degree, read modulo the radical
+
+W23 = os.path.join(os.path.dirname(H27), "W23.pcp")
+
+TOP_CASES = {
+    "D8@5": lambda: (D8, 5),
+    "32#18@4": lambda: (builtin("32#18").pres, 4),
+    "H27@5": lambda: (load_pcp(H27), 5),
+    "W23@2": lambda: (load_pcp(W23), 2),
+    "Z5xZ25@3": lambda: (direct_product(cyclic(5, 1), cyclic(5, 2)), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(TOP_CASES))
+def test_top_degree_reads_match_the_lifts_of_a_deeper_resolution(case):
+    # at the top degree N the restriction to C and the coaction are read
+    # modulo the radical; through a resolution extended to N + 1 they are
+    # lifted, and so is every cup product, which lifts below the top
+    G, N = TOP_CASES[case]()
+    C = omega1_center(G)
+    presC, embedC, _ = subgroup_presentation(G, C)
+    resC = build_minimal_resolution(presC, N)
+    read = {}
+    for route, res in (("top", build_minimal_resolution(G, N)),
+                       ("lifted", build_minimal_resolution(G, N + 1))):
+        restriction = InducedMap(embedC, resC, res)
+        coaction = ComoduleMap(res, C, resC)
+        f = Cocycle(1, np.eye(res.rank(1), dtype=np.uint8)[0])
+        g = Cocycle(N - 1, np.eye(res.rank(N - 1), dtype=np.uint8)[-1])
+        read[route] = (restriction.matrix(N), coaction.matrix(N), cup_product(res, f, g).vec)
+        lifted = len(restriction._chain.maps) - 1
+        assert lifted == (N - 1 if route == "top" else N), route
+        assert (N in res._solvers) == (route == "lifted"), route
+    for name, top, want in zip(("restriction", "coaction", "cup"), read["top"], read["lifted"]):
+        assert top.dtype == np.uint8 and np.array_equal(top, want), name
+
+
+@pytest.mark.parametrize("case", list(RESTRICTED_CASES))
+def test_top_classes_refuse_an_image_outside_the_kernel(case):
+    G, N = RESTRICTED_CASES[case]()
+    res = build_minimal_resolution(G, N)
+    p, rng = G.p, np.random.default_rng(7)
+    D = res.expanded_diff(N)
+    X = rng.integers(0, p, size=(4, D.shape[1])).astype(np.uint8)
+    B = matmul_mod(X, D.T, p)
+    # the classes of the preimages X modulo the radical are their block sums
+    assert np.array_equal(res.top_classes(B), res.block_sums(X, res.rank(N)))
+    bad = B[0].copy()
+    bad[0] = (bad[0] + 1) % p  # leaves ker d_{N-1}, as in the lift_rows test
+    assert res.top_classes(bad[None, :]) is None
+    assert res.top_classes(np.vstack([B, bad])) is None
+    cm = restriction_case(G, N)[0]
+    cm.extend_to(N - 1)
+    cm.maps[N - 1] = rng.integers(0, p, size=cm.maps[N - 1].shape, dtype=np.uint8)
+    with pytest.raises(AssertionError, match="chain-map lift system inconsistent"):
+        cm.functional_matrix(N)
+    assert N not in cm.tgt._solvers
+
+
+def test_report_builds_no_solver_of_the_top_differential(capsys, monkeypatch):
+    built = []
+    solver = resolution.MinimalResolution.solver
+
+    def recorded_solver(self, i):
+        if i not in self._solvers:
+            built.append((self.order, i))
+        return solver(self, i)
+
+    monkeypatch.setattr(resolution.MinimalResolution, "solver", recorded_solver)
+    assert cli.main(["invariants", W23, "--degree", "2"]) == 0
+    capsys.readouterr()
+    assert (243, 1) in built and (243, 2) not in built, built
+
+
 @pytest.mark.parametrize("group,N", [(H27, 10), ("64#187", 8)], ids=["H27", "64#187"])
 def test_reports_factor_no_dense_differential(capsys, monkeypatch, group, N):
     dense, built = [], []
