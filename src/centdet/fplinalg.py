@@ -16,10 +16,8 @@ exact mod p, no floating point anywhere.
 
 ``LinSolver`` factors a matrix once, with its columns reversed, and
 reads both its particular solutions and the canonical RREF basis of its
-kernel from that one elimination.  ``ImageSolver`` assembles the same
-factorization for a matrix whose image is a known kernel from that of
-the rows which determine it.  ``QuotientCoords`` reads vectors modulo a
-subspace from the reduced rows of its elimination.
+kernel from that one elimination.  ``QuotientCoords`` reads vectors
+modulo a subspace from the reduced rows of its elimination.
 
 Conventions: matrices act on column vectors, so ``kernel_basis(m)``
 lives in F_p^cols and ``image_basis(m)`` (the column space) lives in
@@ -437,12 +435,6 @@ class FpMatrix:
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols})"
 
-    def mul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.cols != other.rows:
-            raise DimensionMismatchError("matmul shape/prime mismatch")
-        prod = matmul_mod(self.arr, other.arr, self.p)
-        return FpMatrix(self.p, prod, check=False)
-
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p via int64 accumulation."""
@@ -775,39 +767,3 @@ def free_columns(solver: LinSolver) -> np.ndarray:
     free = np.ones(solver.cols_n, dtype=bool)
     free[list(solver.pivots)] = False
     return np.flatnonzero(free)
-
-
-class ImageSolver(LinSolver):
-    """The LinSolver of an M whose image lies in ker C, assembled from the
-    LinSolvers of C and of M[P, :], P = free_columns(C's solver), with no
-    elimination of M.
-
-    The kernel basis of C is in RREF with leading columns P, so a vector
-    v of ker C is the sum of v[P] times those rows: M = K^T M[P, :] with
-    K^T injective.  Hence M x = b iff C b = 0 and M[P, :] x = b[P], and
-    M[P, :] has the row space of M, so the same column-reversed RREF,
-    pivots and kernel; those are kept as they are.
-
-    The row-operation matrix is m x m, as |P| + rank C = m: its first |P|
-    rows are those of M[P, :]'s factorization placed at the columns P,
-    and the rows after them are C's reduced rows, turned back to M's
-    column order.  Row i of its product with b is the solution's
-    entry at pivots[i] for i below the rank, and every later row is zero
-    iff M x = b is consistent, as for a factorization of M itself."""
-
-    def __init__(self, restricted: LinSolver, check: LinSolver):
-        # sets every field LinSolver.__init__ would, without its elimination
-        p, m, r = check.p, check.cols_n, check.cols_n - check.rank
-        self.p = p
-        self.rows_n = m
-        self.cols_n = restricted.cols_n
-        self.rank = restricted.rank
-        self.pivots = restricted.pivots
-        self._R = restricted._R
-        E, R = restricted._E, check._R
-        if p == 2:
-            E, R = _unpack_rows(E, r), _unpack_rows(R, m)
-        top = np.zeros((r, m), dtype=np.uint8)
-        top[:, free_columns(check)] = E
-        parts = [top, R[:, ::-1]]
-        self._E = np.vstack([_pack_rows(a) for a in parts] if p == 2 else parts)

@@ -36,7 +36,6 @@ import numpy as np
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
-    ImageSolver,
     LinSolver,
     QuotientCoords,
     free_columns,
@@ -89,7 +88,6 @@ class MinimalResolution:
         self.betti: list[int] = [1]
         self._gen_images: list[np.ndarray | None] = [None]
         self._solvers: dict[int, LinSolver] = {}
-        self._lifters: dict[int, ImageSolver] = {}
         self._cup_lifts: dict = {}
         # (P, coordinates modulo rad*K) of the top degree, once it is >= 1
         self._top: tuple[np.ndarray, QuotientCoords] | None = None
@@ -191,7 +189,7 @@ class MinimalResolution:
         Those rows are P = free_columns(solver(i - 1)), the leading columns
         of the RREF basis of ker d_{i-1} = im d_i.  A vector of that kernel
         is fixed by its entries at P, so d_i[P, :] has the row space, and so
-        the pivots and the kernel, of d_i (``fplinalg.ImageSolver``).  It
+        the pivots and the kernel, of d_i (``lift_rows`` has the proof).  It
         has full row rank |P| iff the resolution is exact at degree i - 1,
         which is asserted.  The full d_i is never made dense here."""
         s = self._solvers.get(i)
@@ -209,13 +207,17 @@ class MinimalResolution:
     def lift_rows(self, t: int, B: np.ndarray) -> np.ndarray | None:
         """Row k solves d_t x = B[k], with x supported on solver(t).pivots;
         None when some B[k] lies outside ker d_{t-1} = im d_t (for t = 1,
-        outside the augmentation kernel).  One product per call decides
-        both (``fplinalg.ImageSolver``)."""
-        lifter = self._lifters.get(t)
-        if lifter is None:
-            lifter = ImageSolver(self.solver(t), self.solver(t - 1))
-            self._lifters[t] = lifter
-        return lifter.solve_rows(B)
+        outside the augmentation kernel), tested as ``top_classes`` does.
+
+        The RREF basis K of ker d_{t-1} has leading columns
+        P = free_columns(solver(t - 1)), so a vector b of that kernel is
+        the sum of b[P] times the rows of K: d_t = K^T d_t[P, :] with K^T
+        injective.  Hence d_t x = b iff d_{t-1} b = 0 and d_t[P, :] x = b[P],
+        and solver(t), of full row rank |P|, solves the latter for every b."""
+        below = self.solver(t - 1)
+        if not below.kills_rows(B):
+            return None
+        return self.solver(t).solve_rows(B[:, free_columns(below)])
 
     def top_classes(self, B: np.ndarray) -> np.ndarray | None:
         """Row k: the H^N coordinates of every x with d_N x = B[k], N the top

@@ -8,7 +8,6 @@ from centdet import fplinalg
 from centdet.fplinalg import (
     FpMatrix,
     FpSubspace,
-    ImageSolver,
     LinSolver,
     QuotientCoords,
     _rref_bits,
@@ -17,7 +16,6 @@ from centdet.fplinalg import (
     _pack_rows,
     _rref_array,
     _unpack_rows,
-    free_columns,
     image_basis,
     intersect,
     kernel_basis,
@@ -427,38 +425,6 @@ def test_solve_rows_matches_stacked_solves(p, rows, cols, nrhs, seed):
         bad[i, c] = (int(bad[i, c]) + 1) % p
         assert solver.solve(bad[i]) is None
         assert solver.solve_rows(bad) is None
-
-
-@given(
-    p=st.sampled_from([2, 3, 5]),
-    rows=st.integers(0, 8),
-    m=st.integers(1, 12),
-    cols=st.integers(1, 10),
-    seed=st.integers(0, 10_000),
-)
-@settings(max_examples=80, deadline=None)
-def test_image_solver_matches_a_solver_of_the_whole_matrix(p, rows, m, cols, seed):
-    # M = K^T A has its image in ker C, K the RREF kernel basis of C
-    rng = np.random.default_rng(seed)
-    C = low_rank_array(seed, p, rows, m).astype(np.uint8)
-    check = LinSolver(FpMatrix(p, C, check=False))
-    K = check.kernel_rows()
-    P = free_columns(check)
-    assert np.array_equal(P, np.argmax(K != 0, axis=1))
-    A = low_rank_array(seed + 1, p, len(K), cols).astype(np.uint8)
-    M = matmul_mod(K.T, A, p)
-    assert np.array_equal(M[P], A)  # K[:, P] is the identity
-    whole = LinSolver(FpMatrix(p, M, check=False))
-    solver = ImageSolver(LinSolver(FpMatrix(p, M[P], check=False)), check)
-    assert (solver.rows_n, solver.rank, solver.pivots) == (m, whole.rank, whole.pivots)
-    assert np.array_equal(solver.kernel_rows(), whole.kernel_rows())
-    B = matmul_mod(rng.integers(0, p, size=(3, cols)), M.T, p)
-    assert np.array_equal(solver.solve_rows(B), whole.solve_rows(B))
-    for b in rng.integers(0, p, size=(4, m)).astype(np.uint8):
-        got = solver.solve(b)
-        want = whole.solve(b)
-        assert (got is None) == (want is None)
-        assert got is None or np.array_equal(got, want)
 
 
 @given(

@@ -5,7 +5,16 @@ import pytest
 
 from centdet import cli, resolution
 from centdet.catalog import builtin, load_pcp
-from centdet.fplinalg import FpMatrix, FpSubspace, LinSolver, kernel_basis, matmul_mod, rref
+from centdet.fplinalg import (
+    FpMatrix,
+    FpSubspace,
+    LinSolver,
+    free_columns,
+    kernel_basis,
+    matmul_mod,
+    rref,
+)
+from centdet.invariants import Workspace
 from centdet.pgroup import (
     PcPresentation,
     direct_product,
@@ -676,11 +685,28 @@ RESTRICTED_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(RESTRICTED_CASES))
-def test_lift_rows_match_a_solver_of_the_full_differential(case):
+# products a Workspace serves as TensorResolutions of their factors
+SERVED_CASES = {
+    "D8xZ4@5-served": lambda: (builtin("D8xZ4").pres, 5),
+    "H27xZ3@3-served": lambda: (direct_product(load_pcp(H27), cyclic(3, 1)), 3),
+}
+
+
+def lift_target(case):
+    """A fresh resolution of the case: built from scratch, or served."""
+    if case in SERVED_CASES:
+        G, N = SERVED_CASES[case]()
+        res = Workspace().resolution(G, N)
+        assert isinstance(res, TensorResolution)
+        return res, N
     G, N = RESTRICTED_CASES[case]()
-    res = build_minimal_resolution(G, N)
-    p, rng = G.p, np.random.default_rng(7)
+    return build_minimal_resolution(G, N), N
+
+
+@pytest.mark.parametrize("case", list(RESTRICTED_CASES) + list(SERVED_CASES))
+def test_lift_rows_match_a_solver_of_the_full_differential(case):
+    res, N = lift_target(case)
+    p, rng = res.p, np.random.default_rng(7)
     for t in range(1, N + 1):
         D = res.expanded_diff(t)
         full = LinSolver(FpMatrix(p, D, check=False))
@@ -690,6 +716,13 @@ def test_lift_rows_match_a_solver_of_the_full_differential(case):
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.array([full.solve(b) for b in B])), t
         assert np.array_equal(matmul_mod(got, D.T, p), B), t
+        # the rows P of d_t that solver(t) factors have the row space of d_t
+        solver = res.solver(t)
+        assert (solver.rank, solver.pivots) == (full.rank, full.pivots), t
+        assert np.array_equal(solver.kernel_rows(), full.kernel_rows()), t
+        # and P leads the RREF basis rows of ker d_{t-1}
+        prev = res.solver(t - 1)
+        assert np.array_equal(free_columns(prev), np.argmax(prev.kernel_rows() != 0, axis=1))
         # b + e_0 leaves ker d_{t-1}: column 0 of d_{t-1} is d(e_0) != 0,
         # and the augmentation of e_0 is 1
         bad = B[0].copy()
@@ -699,6 +732,10 @@ def test_lift_rows_match_a_solver_of_the_full_differential(case):
         assert matmul_mod(below, bad[:, None], p).any()
         assert res.lift_rows(t, bad[None, :]) is None, t
         assert res.lift_rows(t, np.vstack([B, bad])) is None, t
+    # a refused lift into the top degree factors no d_N
+    fresh, _ = lift_target(case)
+    assert fresh.lift_rows(N, bad[None, :]) is None
+    assert N not in fresh._solvers
 
 
 @pytest.mark.parametrize("case", list(RESTRICTED_CASES))
