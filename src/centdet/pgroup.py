@@ -23,8 +23,10 @@ remains for ``element_order``, ``conj`` for conjugate subgroups, and
 
 A group's structure is worked out once per presentation and kept on
 it: A_C (``quillen_category_AC``, C = Omega_1 Z(G)), which ``p_rank``
-reads since every maximal elementary abelian E contains C, and each
-``subgroup_presentation``, under which G presents itself.
+reads since every maximal elementary abelian E contains C, each
+``subgroup_presentation``, under which G presents itself, the Frattini
+subgroup and the Burnside generators.  The last two, and the maximal
+subgroups, are read off one basis of Hom(G, Z/p) (``_hom_basis``).
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ class PcPresentation:
         self._left_inv_gather: np.ndarray | None = None
         self._sub_pres_cache: dict = {}
         self._category: QuillenCategoryAC | None = None
+        self._frattini: Subgroup | None = None
+        self._burnside: tuple[int, ...] | None = None
         self.factors: tuple[PcPresentation, PcPresentation] | None = None
 
     # -- structural validation ------------------------------------------------
@@ -304,6 +308,24 @@ class PcPresentation:
             tbl = self.mult_table()
             self._left_inv_gather = np.ascontiguousarray(tbl[self.inv_table(), :])
         return self._left_inv_gather
+
+    def burnside_generators(self) -> tuple[int, ...]:
+        """The indices t of d(G) pc generators g_t that generate G: the
+        pivot columns of the RREF basis of Hom(G, Z/p).
+
+        The basis rows take the values of the identity matrix on those g_t,
+        so their images in G/Phi(G), the dual of Hom(G, Z/p), are d(G)
+        independent vectors and span it; by Burnside's basis theorem the
+        g_t then generate G.  That they do is checked by closure, as a hard
+        error: a resolution spans rad*K from them, and a set that generates
+        less would inflate the betti number of its top degree, which no
+        other check sees (below the top, the next minimality check fails)."""
+        if self._burnside is None:
+            gens = tuple(int(np.flatnonzero(row)[0]) for row in _hom_basis(self))
+            if len(closure(self.mult, 0, [self.gen_idx(t) for t in gens])) != self.order:
+                raise AssertionError("the Burnside generators do not generate G")
+            self._burnside = gens
+        return self._burnside
 
     def conj(self, a: int, g: int) -> int:
         """g^-1 a g."""
@@ -489,41 +511,49 @@ def p_rank(G: PcPresentation) -> int:
     return max(obj.rep.rank for obj in quillen_category_AC(G).objects)
 
 
+def _hom_basis(G: PcPresentation) -> np.ndarray:
+    """The RREF basis of Hom(G, Z/p), shape (d(G), n): row f holds the
+    images f(g_1), ..., f(g_n).  A map to Z/p kills p-th powers and
+    commutators, so it sends g_1^e_1 ... g_n^e_n to sum_t e_t f(g_t), and
+    it is a homomorphism iff it kills the word of every relation: the
+    rows span the kernel of the matrix of those words."""
+    words = list(G.power_rels) + list(G.comm_rels.values())
+    matrix = np.array(words, dtype=np.uint8).reshape(len(words), G.n)
+    return kernel_basis(FpMatrix(G.p, matrix)).basis.arr
+
+
+def _exponents(G: PcPresentation) -> np.ndarray:
+    """Row x: the normal-form exponent vector of element x, as exp_of."""
+    place = G.p ** np.arange(G.n - 1, -1, -1, dtype=np.int64)
+    return np.arange(G.order, dtype=np.int64)[:, None] // place % G.p
+
+
 def maximal_subgroups(G: PcPresentation) -> list[Subgroup]:
-    """All index-p subgroups, as kernels of the nonzero maps G -> Z/p."""
-    if G.n == 0:
-        return []
-    p, n = G.p, G.n
-    rows = [list(G.power_rels[i]) for i in range(n)]
-    rows += [list(w) for w in G.comm_rels.values()]
-    if rows:
-        hom_space = kernel_basis(FpMatrix(p, np.array(rows, dtype=np.uint8)))
-        basis = hom_space.basis.arr
-    else:
-        basis = np.eye(n, dtype=np.uint8)
-    seen = set()
+    """All index-p subgroups, as kernels of the nonzero maps G -> Z/p.
+
+    Each kernel is taken once, from the map on its line of Hom(G, Z/p)
+    whose first nonzero image is 1.  The basis is in RREF, so the first
+    nonzero image of a combination of its rows is the first nonzero
+    coefficient."""
+    p, basis = G.p, _hom_basis(G).astype(np.int64)
+    exps = _exponents(G)
     out = []
     for coeffs in itertools.product(range(p), repeat=len(basis)):
-        v = np.zeros(n, dtype=np.int64)
-        for c, row in zip(coeffs, basis):
-            v = (v + c * row.astype(np.int64)) % p
-        vt = tuple(int(t) for t in v)
-        if not any(vt):
+        if next((c for c in coeffs if c), 0) != 1:
             continue
-        # scale so the first nonzero coefficient is 1
-        lead = next(t for t in vt if t)
-        scale = pow(lead, p - 2, p)
-        vt = tuple((t * scale) % p for t in vt)
-        if vt in seen:
-            continue
-        seen.add(vt)
-        elems = [
-            x for x in range(G.order)
-            if sum(e * c for e, c in zip(G.exp_of(x), vt)) % p == 0
-        ]
-        out.append(Subgroup(G, elems))
+        f = np.array(coeffs, dtype=np.int64) @ basis % p
+        out.append(Subgroup(G, np.flatnonzero(exps @ f % p == 0)))
     out.sort(key=lambda s: s.elems)
     return out
+
+
+def frattini_subgroup(G: PcPresentation) -> Subgroup:
+    """Phi(G), the intersection of the maximal subgroups: the common
+    kernel of Hom(G, Z/p), built once per presentation and kept on it."""
+    if G._frattini is None:
+        images = _exponents(G) @ _hom_basis(G).T.astype(np.int64) % G.p
+        G._frattini = Subgroup(G, np.flatnonzero(~images.any(axis=1)))
+    return G._frattini
 
 
 @dataclass

@@ -135,10 +135,19 @@ class MinimalResolution:
 
         K is in RREF with pivot columns P, so a vector of K has the
         coordinates v[P] in the basis K.  Translation by a pc generator g
-        permutes columns, so the coordinates of the rows g.k - k, which
-        span rad*K, are K[:, perm_g[P]] - I.  Row j of K is redundant iff
-        some vector of rad*K has its last nonzero coordinate at j, i.e. iff
-        j is a pivot once the coordinate columns are reversed.
+        permutes columns, so the coordinates of the rows g.k - k are
+        K[:, perm_g[P]] - I.  Row j of K is redundant iff some vector of
+        rad*K has its last nonzero coordinate at j, i.e. iff j is a pivot
+        once the coordinate columns are reversed.
+
+        The rows g.k - k are taken only for the d(G) Burnside generators
+        g of the presentation, which generate G.  They span rad*K: rad*K
+        is spanned by the (x - 1)k over x in G and k in K, and
+        (gh - 1)k = (g - 1)(hk) + (h - 1)k with hk in K, so by induction
+        on a word for x in the Burnside generators each (x - 1)k lies in
+        the span of the (g - 1)K.  The RREF of a row space is unique, so
+        ``kept``, the reduced rows and their pivots are those that the
+        rows of all n pc generators give.
         """
         dim = kernel_rows.shape[0]
         if dim == 0:
@@ -155,7 +164,8 @@ class MinimalResolution:
             block[diag, diag] = (d + (self.p - 1)) % self.p
             return block[:, ::-1]
 
-        rows, pivots = stacked_pivots((coords(t) for t in range(self.pres.n)), dim, self.p)
+        blocks = (coords(t) for t in self.pres.burnside_generators())
+        rows, pivots = stacked_pivots(blocks, dim, self.p)
         return QuotientCoords(rows, pivots, dim, self.p)
 
     # -- expanded matrices and solvers -------------------------------------------

@@ -1,9 +1,11 @@
 import functools
+import os
 
 import numpy as np
 import pytest
 
-from centdet.catalog import builtin
+from centdet import pgroup
+from centdet.catalog import builtin, load_pcp
 from centdet.pgroup import (
     GroupHom,
     InconsistentPresentationError,
@@ -12,10 +14,12 @@ from centdet.pgroup import (
     Subgroup,
     center,
     centralizer,
+    closure,
     conjugacy_classes,
     direct_product,
     elementary_abelian_subgroups,
     factor_parts,
+    frattini_subgroup,
     is_p_central,
     maximal_subgroups,
     multiplication_hom,
@@ -205,6 +209,58 @@ def test_maximal_subgroups():
         presM, _, _ = subgroup_presentation(Q8, M)
         # all three are cyclic of order 4: exactly one involution
         assert sum(1 for x in range(4) if presM.element_order(x) == 2) == 1
+
+
+INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "inputs")
+
+# d(G), the number of pc generators that span G / Phi(G)
+BURNSIDE_SIZES = {
+    "32#18": 2, "W23": 2, "H27": 2, "Z9xZ9": 2,
+    "64#187": 4, "D8xD8xZ2": 5, "E8xD8": 5, "D8xD8": 4,
+}
+
+
+def named_group(gid):
+    path = os.path.join(INPUTS, f"{gid}.pcp")
+    return load_pcp(path) if os.path.exists(path) else builtin(gid).pres
+
+
+@pytest.mark.parametrize("gid", list(BURNSIDE_SIZES))
+def test_frattini_subgroup_and_burnside_generators(gid):
+    G, d = named_group(gid), BURNSIDE_SIZES[gid]
+    phi = frattini_subgroup(G)
+    common = set(range(G.order))
+    for M in maximal_subgroups(G):
+        common &= set(M.elems)
+    assert phi.elems == tuple(sorted(common))
+    # Phi(G) = G^p [G, G], generated by the p-th powers and the commutators
+    tbl, inv, x = G.mult_table(), G.inv_table(), np.arange(G.order)
+    powers = functools.reduce(lambda acc, _: tbl[acc, x], range(G.p - 1), x)
+    comms = tbl[tbl[inv[:, None], inv[None, :]], tbl]  # x^-1 y^-1 x y
+    gens = set(powers.tolist()) | set(comms.ravel().tolist())
+    assert phi.elems == tuple(sorted(closure(G.mult, 0, gens)))
+    assert G.order == phi.order * G.p ** d
+    burnside = G.burnside_generators()
+    assert len(burnside) == d
+    assert len(closure(G.mult, 0, [G.gen_idx(t) for t in burnside])) == G.order
+
+
+def test_trivial_group_has_no_burnside_generators():
+    T = PcPresentation(3, 0, [], {})
+    assert T.burnside_generators() == ()
+    assert frattini_subgroup(T).elems == (0,)
+    assert maximal_subgroups(T) == []
+
+
+def test_a_burnside_set_short_of_one_generator_is_refused(monkeypatch):
+    # with the last basis row of Hom(G, Z/p) gone, the pivots lose a
+    # generator of G / Phi(G), and the closure check is a hard error
+    hom_basis = pgroup._hom_basis
+    monkeypatch.setattr(pgroup, "_hom_basis", lambda G: hom_basis(G)[:-1])
+    for gid in ("D8xD8", "H27"):
+        with pytest.raises(AssertionError, match="do not generate G"):
+            named_group(gid).burnside_generators()
 
 
 def test_conjugacy_classes_d8_kleins():

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from centdet import cli, resolution
+from centdet.acceptance import QUICK_CORPUS
 from centdet.catalog import CatalogEntry, builtin
 from centdet.fplinalg import FpMatrix, kernel_basis
 from centdet.invariants import Workspace
@@ -335,6 +336,21 @@ def test_products_report_like_their_unfactored_copies(capsys, monkeypatch, gid, 
         outputs.append([run_cli(capsys, command, gid, "--degree", str(N))
                         for command in ("invariants", "cess", "cohomology")])
     assert outputs[0][0][0] == outputs[0][2][0] == 0
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("gid", QUICK_CORPUS)
+def test_reports_like_relabelled_copies(capsys, monkeypatch, gid):
+    # each degree of a build spans rad*K from the Burnside generators of
+    # its presentation; a seeded relabelling presents G on other pc
+    # generators, for most of these groups with other relations too
+    G = builtin(gid).pres
+    outputs = []
+    for pres in (G, relabelled_copy(G, seed=1), relabelled_copy(G, seed=2)):
+        monkeypatch.setattr(cli, "resolve_group", lambda name, pres=pres: CatalogEntry(name, pres))
+        outputs.append(run_cli(capsys, "invariants", gid, "--degree", "8"))
+    assert outputs[0][0] == 0
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from centdet import cli, resolution
+from centdet.acceptance import QUICK_CORPUS
 from centdet.catalog import builtin, load_pcp
 from centdet.fplinalg import (
     FpMatrix,
     FpSubspace,
     LinSolver,
+    QuotientCoords,
     free_columns,
     kernel_basis,
     matmul_mod,
     rref,
+    stacked_pivots,
 )
 from centdet.invariants import Workspace
 from centdet.pgroup import (
@@ -845,6 +848,66 @@ def test_reports_factor_no_dense_differential(capsys, monkeypatch, group, N):
     capsys.readouterr()
     assert dense == []
     assert built and all(s.rows_n == s.rank for s in built)
+
+
+# ---------------------------------------------------------------------------
+# rad*K spanned by the Burnside generators
+
+
+def all_generator_radical(res, K):
+    """The elimination of rad*K from the rows g.k - k of all n pc generators
+    g, in the coordinates of the basis K, with (g.v)[b, x] = v[b, g^-1 x]
+    read off the multiplication table."""
+    G, order, p = res.pres, res.order, res.p
+    P = np.argmax(K != 0, axis=1)
+    blocks = []
+    for g in G.generators():
+        moved = K.reshape(len(K), -1, order)[:, :, G.mult_table()[G.inv(g)]].reshape(K.shape)
+        diff = (moved.astype(np.int64) - K) % p
+        blocks.append(diff[:, P][:, ::-1].astype(np.uint8))
+    rows, pivots = stacked_pivots(blocks, len(K), p)
+    return QuotientCoords(rows, pivots, len(K), p)
+
+
+def plain_d8xd8():
+    G = builtin("D8xD8").pres
+    return PcPresentation(G.p, G.n, G.power_rels, G.comm_rels), 4
+
+
+BURNSIDE_CASES = {
+    **{f"{gid}@5": lambda gid=gid: (builtin(gid).pres, 5) for gid in QUICK_CORPUS},
+    "W23@2": lambda: (load_pcp(W23), 2),
+    "H27@8": lambda: (load_pcp(H27), 8),
+    "Z9xZ9@6": lambda: (load_pcp(os.path.join(os.path.dirname(H27), "Z9xZ9.pcp")), 6),
+    "plain-D8xD8@4": plain_d8xd8,
+}
+
+
+@pytest.mark.parametrize("case", list(BURNSIDE_CASES))
+def test_radical_from_burnside_generators_matches_all_generators(case, monkeypatch):
+    G, N = BURNSIDE_CASES[case]()
+    stacked = []
+
+    def counted(blocks, ncols, p):
+        blocks = list(blocks)
+        stacked.append(len(blocks))
+        return stacked_pivots(blocks, ncols, p)
+
+    monkeypatch.setattr(resolution, "stacked_pivots", counted)
+    res = build_minimal_resolution(G, N)
+    assert stacked == [len(G.burnside_generators())] * N
+    betti = [1]
+    for i in range(1, N + 1):
+        K = res.solver(i - 1).kernel_rows()
+        want = all_generator_radical(res, K)
+        # the top degree's reduction is the one the build kept
+        got = res._top[1] if i == N else res._radical_complement(K)
+        assert np.array_equal(got.kept, want.kept), i
+        assert np.array_equal(got.red, want.red), i
+        assert np.array_equal(got._block_t, want._block_t), i
+        assert np.array_equal(res._gen_images[i], K[want.kept]), i
+        betti.append(len(want.kept))
+    assert res.betti == betti
 
 
 def test_dropping_a_generator_breaks_the_next_solver():
