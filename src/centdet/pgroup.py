@@ -9,10 +9,14 @@ series and collection terminates structurally.  Groups here are small
 the identity.
 
 Consistency is not taken on trust: construction builds the right-
-multiplication permutation action from collection and then verifies
-every defining relation as a permutation identity on all of G.  A
-homomorphism's generator images pass the same check (``_relation_fault``),
-multiplied by ``mult`` in the target.
+multiplication permutation action of each generator from the last tail
+up (``_build_right_gen``) and then verifies every defining relation as
+a permutation identity on all of G.  Relations that hold on an action
+transitive on the p^n indices give a group of order p^n, whatever built
+the action.  A homomorphism's generator images pass the same check
+(``_relation_fault``), multiplied by ``mult`` in the target.  One word
+evaluator (``_evaluate``) serves that build and ``GroupHom.table``, so
+``mult`` and ``GroupHom.apply`` only read tables.
 
 The subgroup predicates (center, centralizer, normalizer, Omega_1 of a
 center, the elementary abelian enumeration) read two memoized arrays
@@ -50,7 +54,7 @@ class PcPresentationError(ValueError):
 
 
 class InconsistentPresentationError(PcPresentationError):
-    """Collection produced a relation violation: the input was inconsistent."""
+    """The built right action violates a relation: the input was inconsistent."""
 
 
 def check_order(p: int, n: int) -> None:
@@ -110,14 +114,7 @@ class PcPresentation:
         }
         self._validate_shapes()
         self.order = p ** n
-        self._mg_memo: dict = {}
-        self._conj_gen = {
-            (k, t): self._unit(k, 1, self.comm_rels.get((k, t)))
-            for k in range(n)
-            for t in range(k)
-        }
         self._right_gen = self._build_right_gen()
-        self._mg_memo.clear()
         # g_t acts as the permutation x -> x g_t, so xy is the gather y[x]
         fault = _relation_fault(self, self._right_gen, lambda x, y: y[x],
                                 np.arange(self.order, dtype=np.int32))
@@ -157,72 +154,38 @@ class PcPresentation:
                     f"commutator [g{j + 1},g{i + 1}] must only involve later generators"
                 )
 
-    def _unit(self, t: int, e: int, extra=None) -> tuple:
-        w = [0] * self.n
-        w[t] = e
-        if extra is not None:
-            for k in range(self.n):
-                w[k] = (w[k] + extra[k]) % self.p
-        return tuple(w)
-
-    # -- collection ------------------------------------------------------------
-
-    def _mult_gen(self, a: tuple, t: int) -> tuple:
-        """Normal form of a * g_t."""
-        key = (a, t)
-        out = self._mg_memo.get(key)
-        if out is not None:
-            return out
-        p, n = self.p, self.n
-        if not any(a[k] for k in range(t + 1, n)):
-            e = a[t] + 1
-            if e < p:
-                out = a[:t] + (e,) + a[t + 1:]
-            else:
-                pw = self.power_rels[t]
-                out = a[:t] + (0,) + pw[t + 1:]
-        else:
-            tail = (0,) * (t + 1) + a[t + 1:]
-            moved = self._conj_tail(tail, t)
-            if a[t] + 1 < p:
-                out = a[:t] + (a[t] + 1,) + moved[t + 1:]
-            else:
-                tailprod = self._mult_exp(self.power_rels[t], moved)
-                out = a[:t] + (0,) + tailprod[t + 1:]
-        self._mg_memo[key] = out
-        return out
-
-    def _conj_tail(self, tail: tuple, t: int) -> tuple:
-        """Normal form of g_t^-1 * tail * g_t for tail over indices > t."""
-        res = (0,) * self.n
-        for k in range(t + 1, self.n):
-            e = tail[k]
-            if e:
-                ck = self._conj_gen.get((k, t))
-                if ck is None:
-                    ck = self._unit(k, 1)
-                for _ in range(e):
-                    res = self._mult_exp(res, ck)
-        return res
-
-    def _mult_exp(self, a: tuple, b: tuple) -> tuple:
-        res = a
-        for t in range(self.n):
-            for _ in range(b[t]):
-                res = self._mult_gen(res, t)
-        return res
-
     def _build_right_gen(self) -> np.ndarray:
-        order, n = self.p ** self.n, self.n
+        """Row t: the permutation x -> x g_t, built from the last tail up.
+
+        With the generators numbered from 0, the tail T_t = <g_t, ...,
+        g_(n-1)> is the set of indices below p^(n-t), so x in T_t is
+        g_t^e b with b in T_(t+1) and index e |T_(t+1)| + b.  Then x g_s = g_t^e (b g_s)
+        for s > t, and x g_t = g_t^(e+1) b^(g_t), where g_t^p is the power
+        word w_t.  b^(g_t) is b's word evaluated on the images
+        g_s^(g_t) = g_s w_st; every product lands in T_(t+1), whose rows
+        are already built."""
+        p, n = self.p, self.n
         if n == 0:
             return np.zeros((0, 1), dtype=np.int32)
-        table = np.empty((n, order), dtype=np.int32)
-        all_exps = [self.exp_of(i) for i in range(order)]
-        for t in range(n):
-            col = table[t]
-            for i, e in enumerate(all_exps):
-                col[i] = self.idx_of(self._mult_gen(e, t))
-        return table
+        rows = np.empty((n, self.order), dtype=np.int32)
+        exps = _exponents(self)
+        zero = (0,) * n
+        for t in reversed(range(n)):
+            m = p ** (n - 1 - t)  # |T_(t+1)|
+            tail, tail_exps = rows[t + 1:, :m], exps[:m, t + 1:]
+            # y -> y g_s^(g_t) = (y g_s) w_st on T_(t+1)
+            images = [_evaluate(rows[s, :m], tail, np.broadcast_to(
+                          self.comm_rels.get((s, t), zero)[t + 1:], tail_exps.shape), p)
+                      for s in range(t + 1, n)]
+            conj = _evaluate(np.zeros(m, dtype=np.int32), images, tail_exps, p)
+            for e in range(p - 1):
+                rows[t, e * m:(e + 1) * m] = (e + 1) * m + conj
+            rows[t, (p - 1) * m:p * m] = _evaluate(
+                np.full(m, self.idx_of(self.power_rels[t]), dtype=np.int32),
+                tail, exps[conj, t + 1:], p)
+            for e in range(1, p):
+                rows[t + 1:, e * m:(e + 1) * m] = e * m + tail
+        return rows
 
     # -- element arithmetic ------------------------------------------------------
 
@@ -247,29 +210,30 @@ class PcPresentation:
         return [self.gen_idx(t) for t in range(self.n)]
 
     def mult(self, a: int, b: int) -> int:
-        if self._mult_table is not None:
-            return int(self._mult_table[a, b])
-        x = a
-        e = self.exp_of(b)
-        for t in range(self.n):
-            for _ in range(e[t]):
-                x = int(self._right_gen[t][x])
-        return x
+        tbl = self._mult_table
+        if tbl is None:
+            tbl = self.mult_table()
+        return int(tbl[a, b])
 
     def mult_table(self) -> np.ndarray:
+        """Entry (x, y): the index of xy.  Column y, the permutation
+        x -> xy, is filled from the last tail up: the column of g_t^e c,
+        for c in T_(t+1), is the column of c read at the rows x g_t^e,
+        and the columns of T_(t+1) come first.  The array filled holds
+        the columns as rows, so each block is gathered in place, and the
+        table is its transpose."""
         if self._mult_table is None:
-            order = self.order
-            tbl = np.empty((order, order), dtype=np.int32)
-            col = np.arange(order, dtype=np.int32)
-            tbl[:, 0] = col
-            for b in range(1, order):
-                e = self.exp_of(b)
-                cur = np.arange(order, dtype=np.int32)
-                for t in range(self.n):
-                    for _ in range(e[t]):
-                        cur = self._right_gen[t][cur]
-                tbl[:, b] = cur
-            self._mult_table = tbl
+            order, p, n = self.order, self.p, self.n
+            cols = np.empty((order, order), dtype=np.int32)
+            cols[0] = np.arange(order, dtype=np.int32)
+            for t in reversed(range(n)):
+                m = p ** (n - 1 - t)
+                x = cols[0]
+                for e in range(1, p):
+                    x = self._right_gen[t][x]
+                    # mode "clip" gathers straight into out; "raise" buffers it
+                    np.take(cols[:m], x, axis=1, out=cols[e * m:(e + 1) * m], mode="clip")
+            self._mult_table = cols.T
         return self._mult_table
 
     def inv(self, a: int) -> int:
@@ -390,8 +354,9 @@ class Subgroup:
 
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
-        return Subgroup(G, [G.conj(x, g) for x in self.elems],
-                        [G.conj(x, g) for x in self.gens])
+        tbl, ginv = G.mult_table(), G.inv_table()[g]
+        return Subgroup(G, tbl[tbl[ginv, list(self.elems)], g],
+                        tbl[tbl[ginv, list(self.gens)], g].tolist())
 
     def __eq__(self, other) -> bool:
         return (
@@ -522,6 +487,18 @@ def _hom_basis(G: PcPresentation) -> np.ndarray:
     return kernel_basis(FpMatrix(G.p, matrix)).basis.arr
 
 
+def _evaluate(start, perms, exps, p) -> np.ndarray:
+    """Entry x: start[x] times the word prod_s h_s^exps[x, s], for perms[s]
+    the permutation y -> y h_s and each exps row a normal-form exponent
+    vector, by one masked gather per generator power."""
+    out = np.array(start, dtype=np.int32)
+    for s, perm in enumerate(perms):
+        for e in range(1, p):
+            mask = exps[:, s] >= e
+            out[mask] = perm[out[mask]]
+    return out
+
+
 def _exponents(G: PcPresentation) -> np.ndarray:
     """Row x: the normal-form exponent vector of element x, as exp_of."""
     place = G.p ** np.arange(G.n - 1, -1, -1, dtype=np.int64)
@@ -607,21 +584,15 @@ class GroupHom:
             raise PcPresentationError(f"image violates {fault}")
 
     def apply(self, x: int) -> int:
-        if self._table is not None:
-            return int(self._table[x])
-        e = self.src.exp_of(x)
-        y = 0
-        for t in range(self.src.n):
-            for _ in range(e[t]):
-                y = self.tgt.mult(y, self.gen_images[t])
-        return y
+        return int(self.table()[x])
 
     def table(self) -> np.ndarray:
+        """Entry x: the image of x, its normal-form word evaluated on the
+        generator images."""
         if self._table is None:
-            tbl = np.empty(self.src.order, dtype=np.int32)
-            for x in range(self.src.order):
-                tbl[x] = self.apply(x)
-            self._table = tbl
+            perms = [self.tgt.mult_table()[:, h] for h in self.gen_images]
+            start = np.zeros(self.src.order, dtype=np.int32)
+            self._table = _evaluate(start, perms, _exponents(self.src), self.src.p)
         return self._table
 
     def kernel_elements(self) -> list[int]:
@@ -773,9 +744,8 @@ def subgroup_presentation(G: PcPresentation, S: Subgroup):
             to_idx = {x: idxA[x // nB] * presB.order + idxB[x % nB] for x in S.elems}
         embed = GroupHom(pres, G, gens_abs)
         # embedding must invert the normal-form indexing
-        for x in S.elems:
-            if embed.apply(to_idx[x]) != x:
-                raise PcPresentationError("subgroup embedding mismatch")
+        if not np.array_equal(embed.table()[[to_idx[x] for x in S.elems]], S.elems):
+            raise PcPresentationError("subgroup embedding mismatch")
         result = (pres, embed, to_idx)
     G._sub_pres_cache[S.elems] = result
     return result
@@ -791,16 +761,8 @@ def quotient_by_central(G: PcPresentation, Z: Subgroup):
     _require_central(G, Z)
     gens = G.generators()
     # canonical coset labels: minimum element of the coset
-    label = np.full(G.order, -1, dtype=np.int64)
-    cosets = []
-    for x in range(G.order):
-        if label[x] >= 0:
-            continue
-        members = sorted(G.mult(x, z) for z in Z.elems)
-        m = members[0]
-        for y in members:
-            label[y] = m
-        cosets.append(m)
+    label = G.mult_table()[:, list(Z.elems)].min(axis=1)
+    cosets = np.unique(label).tolist()
 
     def cmult(a, b):
         return int(label[G.mult(a, b)])

@@ -1,10 +1,13 @@
 import functools
+import itertools
 import os
+import random
 
 import numpy as np
 import pytest
 
 from centdet import pgroup
+from centdet.acceptance import QUICK_CORPUS
 from centdet.catalog import builtin, load_pcp
 from centdet.pgroup import (
     GroupHom,
@@ -615,3 +618,61 @@ def test_weyl_reps_match_coset_loop(name):
         V = obj.rep.elems
         expect = ref.weyl_reps(ref.normalizer(V), ref.centralizer(V))
         assert cat.weyl_reps(obj) == expect
+
+
+# ---------------------------------------------------------------------------
+# full multiplication tables against multiplications computed independently
+
+def _unitriangular(size, p):
+    """Elements, product and inverse of the upper unitriangular size x size
+    matrices over F_p, an element the tuple of its entries above the diagonal."""
+    slots = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    one = (0,) * len(slots)
+
+    def matrix(x):
+        a = [[int(i == j) for j in range(size)] for i in range(size)]
+        for (i, j), v in zip(slots, x):
+            a[i][j] = v
+        return a
+
+    @functools.lru_cache(maxsize=None)
+    def mult(x, y):
+        a, b = matrix(x), matrix(y)
+        return tuple(sum(a[i][k] * b[k][j] for k in range(size)) % p for i, j in slots)
+
+    def inv(x):
+        y = x
+        while mult(y, x) != one:
+            y = mult(y, x)
+        return y
+
+    elems = list(itertools.product(range(p), repeat=len(slots)))
+    return elems, mult, inv
+
+
+def _assert_table_matches(pres, elems, mult, to_idx):
+    idx = np.array([to_idx[x] for x in elems])
+    want = np.array([[to_idx[mult(x, y)] for y in elems] for x in elems])
+    assert np.array_equal(pres.mult_table()[np.ix_(idx, idx)], want)
+
+
+@pytest.mark.parametrize("size,p", [(4, 2), (3, 3), (3, 5)], ids=["UT4(2)", "UT3(3)", "UT3(5)"])
+def test_unitriangular_tables_match_matrix_products(size, p):
+    elems, mult, inv = _unitriangular(size, p)
+    pres, _, to_idx = pc_structure(elems, mult, inv, p)
+    assert pres.order == len(elems) == p ** (size * (size - 1) // 2)
+    _assert_table_matches(pres, elems, mult, to_idx)
+
+
+@pytest.mark.parametrize("gid", QUICK_CORPUS)
+def test_relabelled_tables_and_embeddings_match_the_source(gid):
+    G = builtin(gid).pres
+    source = G.mult_table()
+    elems = list(range(G.order))
+    random.Random(7).shuffle(elems)
+    pres, _, to_idx = pc_structure(elems, G.mult, G.inv, G.p)
+    _assert_table_matches(pres, elems, lambda x, y: int(source[x, y]), to_idx)
+    subs = elementary_abelian_subgroups(G)
+    for S in {S.elems: S for S in subs + [centralizer(G, E) for E in subs]}.values():
+        _, embed, to_idx = subgroup_presentation(G, S)
+        assert [int(embed.table()[to_idx[x]]) for x in S.elems] == list(S.elems)
