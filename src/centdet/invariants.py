@@ -67,7 +67,6 @@ from .pgroup import (
 from .resolution import (
     BudgetExceededError,
     Cocycle,
-    CohomologyFragment,
     ComoduleMap,
     InducedMap,
     MinimalResolution,
@@ -297,54 +296,48 @@ class Analyzer:
 
     # -- type -----------------------------------------------------------------------
 
-    def _rank_one_data(self) -> tuple[np.ndarray, np.ndarray]:
-        """For p odd: the restriction matrices H^1(C) -> H^1(U) and
-        H^2(C) -> H^2(U), each stacked over the subgroups U of order p in C.
-        Which generator presents U scales its two rows alike, so neither the
-        row order nor that choice changes a solution read off them."""
+    def _frobenius_matrix(self, k: int) -> np.ndarray:
+        """M_k: H^1(C) -> H^(2 p^(k-1))(C), with M_k x = lambda beta(x)^(p^(k-1))
+        for one scalar lambda != 0 common to every x and k; lambda = 1 at p = 2.
+
+        Let psi_s: C -> Z/p send the pc generator c_s of C to the generator
+        and every other c_r to 1, and let x and u be the unit classes of
+        H^1(Z/p) and H^2(Z/p) = F_p u.  The columns a_s = psi_s*(x) of A are
+        the functionals dual to the c_s, up to the common factor x(g) != 0,
+        so A is invertible.  The columns of B_k are psi_s*(u^m), m = p^(k-1),
+        and M_k = B_k A^(-1).  Proof: beta: H^1(Z/p) -> H^2(Z/p) is an
+        isomorphism, so beta(x) = mu u with mu != 0, and beta commutes with
+        psi_s*, so psi_s*(u^m) = mu^(-m) beta(a_s)^m = lambda beta(a_s)^m with
+        lambda = mu^(-1), since mu^m = mu in F_p.  The map y -> beta(y)^m is
+        F_p-linear: beta is, m-th powers are additive on the commuting
+        even-degree classes, and alpha^m = alpha for alpha in F_p.  So
+        B_k = lambda F_k A.  At p = 2, mu = 1 and beta(y) = Sq^1 y = y^2.
+        A common scalar changes no preimage or span, which is all the flag
+        and the Duflot targets read."""
+        def projections():
+            p = self.p
+            presC, _, _ = subgroup_presentation(self.G, self.C)
+            cyc = PcPresentation(p, 1, [(0,)], {})
+            maps = [InducedMap(GroupHom(presC, cyc, [cyc.gen_idx(0) if r == s else 0
+                                                     for r in range(presC.n)]),
+                               self.resC, self.ws.resolution(cyc, self.N))
+                    for s in range(presC.n)]
+            # row s of A^T is the column a_s of A
+            solver = LinSolver(FpMatrix(p, np.stack([m.matrix(1)[:, 0] for m in maps]),
+                                        check=False))
+            if solver.rank < presC.n:
+                raise AssertionError("the projections of C do not span H^1(C)")
+            return maps, solver
+
         def make():
-            R1, R2 = [], []
-            seen = set()
-            for x in self.C.elems[1:]:
-                U = Subgroup.generate(self.G, [x])
-                if U.elems in seen:
-                    continue
-                seen.add(U.elems)
-                rmap = self._conj_map(U, self.C, 0, 2, keep=False)
-                R1.append(rmap.matrix(1))
-                R2.append(rmap.matrix(2))
-            return np.vstack(R1), np.vstack(R2)
-        return self._memo("rank_one", make)
-
-    def _bockstein_reps(self) -> np.ndarray:
-        """Matrix H^1(C) -> H^2(C) whose column z_t stands for beta(e_t).
-
-        At p = 2 it is e_t^2 = Sq^1 e_t.  At odd p, z_t restricts on every
-        U of order p to e_t|U times the dual generator of H^2(U); every such
-        U has the relations of Z/p (on a product, U_A x 1 is served as
-        Z/p (x) the trivial group, the same resolution), so z_t is
-        beta(e_t) up to one nonzero scalar common to every U, modulo
-        products of degree-one classes.  A common scalar changes no span, which is all the flag and
-        the Duflot targets read."""
-        def make():
-            if self.p == 2:
-                return self._frobenius(np.eye(self.center_rank, dtype=np.uint8), 1)
-            R1, R2 = self._rank_one_data()
-            Z = LinSolver(FpMatrix(self.p, R2, check=False)).solve_rows(R1.T)
-            if Z is None:
-                raise AssertionError("Bockstein system inconsistent")
-            return np.ascontiguousarray(Z.T)
-        return self._memo("bock", make)
-
-    def _frobenius(self, M: np.ndarray, degree: int) -> np.ndarray:
-        """The columns of M, classes in H^degree(C), raised to the p-th power."""
-        cols = []
-        for col in M.T:
-            v = out = Cocycle(degree, col)
-            for _ in range(self.p - 1):
-                out = cup_product(self.resC, out, v)
-            cols.append(out.vec)
-        return np.stack(cols, axis=1)
+            maps, solver = self._memo("projections", projections)
+            res = maps[0].res_tgt
+            u = power = Cocycle(2, np.ones(1, dtype=np.uint8))
+            for _ in range(self.p ** (k - 1) - 1):
+                power = cup_product(res, power, u)
+            B = np.stack([m.apply(power).vec for m in maps], axis=1)
+            return solver.solve_rows(B)
+        return self._memo(("frobenius", k), make)
 
     def group_type(self) -> GroupType:
         return self._memo("type", self._compute_type)
@@ -355,8 +348,8 @@ class Analyzer:
         Level 0 is the degree-one image.  Level k >= 1, in degree 2 p^(k-1),
         holds the x with beta(x)^(p^(k-1)) in the restriction image, joined
         with level 0; Frobenius is additive in characteristic p, so that is
-        the preimage of the image under the matrix M_k whose columns are
-        beta(e_t)^(p^(k-1)).  The dimensions a level adds are the type
+        the preimage of the image under ``_frobenius_matrix(k)``, with no
+        branch on p.  The dimensions a level adds are the type
         entries equal to its degree; when the bound N stops the walk first,
         the rest get the next level's degree and the type is uncertified."""
         p, c = self.p, self.center_rank
@@ -365,16 +358,8 @@ class Analyzer:
         flag = [FlagLevel(1, self.res_image(1), np.eye(c, dtype=np.uint8))]
         degree = 2
         while flag[-1].subspace.dim < c and degree <= self.N:
-            M = (self._bockstein_reps() if degree == 2
-                 else self._frobenius(flag[-1].frobenius, degree // p))
-            target = self.res_image(degree)
-            if p != 2 and degree == 2:
-                # the representatives are only exact modulo products of
-                # degree-one classes; the true Bockstein image is pure,
-                # so membership may be tested modulo those products
-                target = subspace_sum(
-                    target, CohomologyFragment(self.resC).decomposable_subspace(2))
-            sub = solve_preimage(FpMatrix(p, M, check=False), target)
+            M = self._frobenius_matrix(len(flag))
+            sub = solve_preimage(FpMatrix(p, M, check=False), self.res_image(degree))
             flag.append(FlagLevel(degree, subspace_sum(sub, flag[0].subspace), M))
             degree *= p
         entries: list[int] = []
@@ -415,9 +400,11 @@ class Analyzer:
 
     def _compute_duflot(self) -> DuflotData:
         """Lift one polynomial generator per new flag direction x: its
-        target is M_k x in the degree of level k.  At odd p, levels 0 and 1
-        also take a Bockstein partner of x inside the degree-two image,
-        because M_1 x is exact only modulo products of degree-one classes.
+        target is M_k x in the degree of level k.  At odd p a level-0
+        direction also takes M_1 x = lambda beta(x) in degree two, which
+        lies in the image because restriction commutes with beta.  Only
+        generators of degree <= N are lifted; the rest change no
+        dimension in degrees <= N.
 
         Any lifts of the image generators serve: H*(G) is free over the
         subalgebra A they generate, so the Q_A dimensions are H*'s Hilbert
@@ -434,37 +421,21 @@ class Analyzer:
         gens: list[tuple[int, Cocycle]] = []
         targets: list[tuple[int, np.ndarray]] = []
 
-        def add(degree: int, target: np.ndarray):
+        def add(degree: int, M: np.ndarray, x: np.ndarray):
+            target = matmul_mod(M, x[:, None], self.p)[:, 0]
             gens.append((degree, self._lift_from_image(degree, target)))
             targets.append((degree, target))
 
         for k, x in self._flag_adapted_basis():
             degree, _, M = t.flag[k]
-            if self.p == 2 or k != 1:
-                add(degree, matmul_mod(M, x[:, None], self.p)[:, 0])
-            if self.p != 2 and k <= 1:
-                add(2, self._split_bockstein_target(x))
+            add(degree, M, x)
+            if self.p != 2 and k == 0 and self.N >= 2:
+                add(2, self._frobenius_matrix(1), x)
         data = DuflotData(gens, targets, t.entries)
         # the subalgebra on the lifts must match the image dimensions
         if list(self.restriction_image_dims()) != data.a_dims(self.N):
             raise AssertionError("Duflot subalgebra does not match the image")
         return data
-
-    def _split_bockstein_target(self, x: np.ndarray) -> np.ndarray:
-        """A Bockstein partner of x that lies inside the degree-2 image."""
-        def make():
-            ann = self.res_image(2).annihilator_matrix().arr
-            _, R2 = self._rank_one_data()
-            return LinSolver(FpMatrix(self.p, np.vstack([R2, ann]), check=False))
-        solver = self._memo("split", make)
-        R1, _ = self._rank_one_data()
-        # R1 and R2 have one row per U: H^1(U) and H^2(U) are one-dimensional
-        rhs = np.zeros(solver.rows_n, dtype=np.uint8)
-        rhs[: R1.shape[0]] = matmul_mod(R1, x[:, None], self.p)[:, 0]
-        z = solver.solve(rhs)
-        if z is None:
-            raise AssertionError("no Bockstein partner inside the image")
-        return z
 
     def _lift_from_image(self, degree: int, target: np.ndarray) -> Cocycle:
         def make():

@@ -232,6 +232,23 @@ def test_cli_cess_trivial_group(capsys, tmp_path, p):
     assert data["e_prime"] == 0 and data["e_double_prime"] == 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("c", [1, 3])
+def test_cli_cess_of_an_elementary_abelian_at_degree_one(capsys, tmp_path, p, c):
+    # at odd p each degree-one generator x of the image has the partner
+    # beta(x) in degree 2, past the bound, so it is not lifted
+    path = str(tmp_path / f"E{p}_{c}.pcp")
+    with open(path, "w") as fh:
+        fh.write(format_pcp(PcPresentation(p, c, [(0,) * c] * c, {})))
+    got = {}
+    for N in (1, 2):
+        code, out = run_cli(capsys, "cess", path, "--degree", str(N))
+        assert code == 0
+        got[N] = json.loads(out)
+    want = {key: v[:2] if isinstance(v, list) else v for key, v in got[2].items()}
+    assert got[1] == {**want, "degree_bound": 1}
+
+
 def test_cli_table_csv(capsys, tmp_path):
     csv_path = str(tmp_path / "rows.csv")
     code, out = run_cli(capsys, "table", "Q8", "Z4", "SD16",

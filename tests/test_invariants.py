@@ -16,7 +16,13 @@ from centdet.invariants import (
     GroupType,
     Workspace,
 )
-from centdet.resolution import Cocycle, MinimalResolution, cup_product, product_span
+from centdet.resolution import (
+    Cocycle,
+    MinimalResolution,
+    TensorResolution,
+    cup_product,
+    product_span,
+)
 
 WS = Workspace()
 
@@ -138,14 +144,90 @@ def test_odd_p_type_below_degree_two_is_uncertified():
 
 @pytest.mark.parametrize("G", [W23, direct_product(cyclic(5, 1), cyclic(5, 2))])
 def test_order_p_subgroups_of_c_share_the_canonical_presentation(G):
-    # the odd-p Bockstein representatives are fixed only up to the scalar
-    # that the resolution of each order-p subgroup U of C picks; one
-    # presentation for every U makes that scalar common to all of them
+    # the level-1 reference below pins M_1 on every order-p subgroup U of
+    # C up to the scalar that the resolution of U picks; one presentation
+    # for every U, that of Z/p, makes that scalar the one of M_1
     C = omega1_center(G)
     subs = {Subgroup.generate(G, [x]).elems for x in C.elems[1:]}
     assert len(subs) == (C.order - 1) // (G.p - 1)
     hashes = {subgroup_presentation(G, Subgroup(G, U))[0].hash_key() for U in subs}
     assert hashes == {cyclic(G.p, 1).hash_key()}
+
+
+def _order_p_restrictions(a):
+    """The restriction matrices H^1(C) -> H^1(U) and H^2(C) -> H^2(U),
+    each stacked over the subgroups U of order p in C, one row per U."""
+    R1, R2 = [], []
+    seen = set()
+    for x in a.C.elems[1:]:
+        U = Subgroup.generate(a.G, [x])
+        if U.elems in seen:
+            continue
+        seen.add(U.elems)
+        rmap = a._conj_map(U, a.C, 0, 2, keep=False)
+        R1.append(rmap.matrix(1))
+        R2.append(rmap.matrix(2))
+    return np.vstack(R1), np.vstack(R2)
+
+
+@pytest.mark.parametrize("G", [
+    Q8,
+    builtin("32#18").pres,
+    builtin("D8xZ4").pres,
+    W23,
+    H27,
+    direct_product(cyclic(3, 2), cyclic(3, 2)),
+    direct_product(cyclic(3, 1), cyclic(3, 2)),
+    direct_product(cyclic(5, 1), cyclic(5, 2)),
+    elem_abelian(3, 3),
+    direct_product(H27, cyclic(3, 1)),
+], ids=["Q8", "32#18", "D8xZ4", "W23", "H27", "Z9xZ9", "Z3xZ9", "Z5xZ25", "E27", "H27xZ3"])
+def test_bockstein_level_restricts_like_the_order_p_subgroups(G):
+    # M_1 e_t = lambda beta(e_t) restricts on each U to e_t|U times the unit
+    # class of H^2(U), with one lambda for every U: each is presented as Z/p
+    a = Analyzer(G, 2, workspace=Workspace())
+    R1, R2 = _order_p_restrictions(a)
+    assert R1.shape[0] == (a.C.order - 1) // (a.p - 1)
+    assert np.array_equal(matmul_mod(R2, a._frobenius_matrix(1), a.p), R1)
+
+
+def _slot_class(res, slot: int, degree: int) -> np.ndarray:
+    """1 (x) ... (x) w (x) ... (x) 1 in the pair coordinates of a served
+    (Z/p)^c, with the unit class w of H^degree(Z/p) in factor `slot`."""
+    if not isinstance(res, TensorResolution):
+        return np.ones(1, dtype=np.uint8)
+    nA = _cyclic_factors(res.resA)
+    one = np.ones(1, dtype=np.uint8)
+    if slot < nA:
+        a, b, i = _slot_class(res.resA, slot, degree), one, degree
+    else:
+        a, b, i = one, _slot_class(res.resB, slot - nA, degree), 0
+    v = np.zeros(res.rank(degree), dtype=np.uint8)
+    v[res.block(degree, i)] = np.kron(a, b)
+    return v
+
+
+def _cyclic_factors(res) -> int:
+    if not isinstance(res, TensorResolution):
+        return 1
+    return _cyclic_factors(res.resA) + _cyclic_factors(res.resB)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("c", [2, 3])
+def test_bockstein_level_of_a_served_elementary_abelian(p, c):
+    # beta(1 (x) x (x) 1) = 1 (x) beta(x) (x) 1, with no products of
+    # degree-one classes, and M_1 x = u on Z/p itself
+    G = cyclic(p, 1)
+    for _ in range(c - 1):
+        G = direct_product(G, cyclic(p, 1))
+    a = Analyzer(G, 2, workspace=Workspace())
+    assert isinstance(a.resC, TensorResolution)
+    M = a._frobenius_matrix(1)
+    for slot in range(c):
+        x = _slot_class(a.resC, slot, 1)
+        assert x.sum() == 1
+        assert np.array_equal(M[:, int(np.argmax(x))], _slot_class(a.resC, slot, 2))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -200,12 +282,12 @@ def test_duflot_restrictions_are_targets():
 
 def _cup_power_target(a, x: np.ndarray, k: int) -> Cocycle:
     """The level-k Frobenius image of x in H^1(C) by repeated cup products:
-    x^(2^k) at p = 2, (Z x)^(p^(k-1)) at odd p, Z the Bockstein columns."""
+    x^(2^k) at p = 2, (M_1 x)^(p^(k-1)) at odd p, M_1 the Bockstein level."""
     p = a.p
     if p == 2:
         v, n = Cocycle(1, x), 2 ** k
     else:
-        v, n = Cocycle(2, matmul_mod(a._bockstein_reps(), x[:, None], p)[:, 0]), p ** (k - 1)
+        v, n = Cocycle(2, matmul_mod(a._frobenius_matrix(1), x[:, None], p)[:, 0]), p ** (k - 1)
     out = v
     for _ in range(n - 1):
         out = cup_product(a.resC, out, v)
@@ -217,11 +299,14 @@ def _cup_power_target(a, x: np.ndarray, k: int) -> Cocycle:
     (cyclic(2, 2), 6),
     (builtin("64#187").pres, 8),
     (H27, 10),
+    # served: the cup powers are read off the factors of C = Z/3 x Z/3
+    (direct_product(H27, cyclic(3, 1)), 10),
 ])
 def test_flag_targets_match_explicit_cup_powers(G, N):
     # reference path for the Frobenius matrices M_k of the flag and for the
-    # Duflot targets M_k x read off them; below level `first` the matrix is
-    # the identity (p = 2) or holds representatives modulo products (odd p)
+    # Duflot targets M_k x read off them, by cup powers in H*(C); below
+    # level `first` the matrix is the identity (p = 2) or the Bockstein
+    # level M_1 that the odd-p reference starts from
     a = WS.analyzer(G, N)
     flag = a.group_type().flag
     first = 1 if a.p == 2 else 2

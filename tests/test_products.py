@@ -47,6 +47,17 @@ from centdet.resolution import (
 Z3 = PcPresentation(3, 1, [(0,)], {})
 # extraspecial of order 27 and exponent 3
 H27 = PcPresentation(3, 3, [(0, 0, 0)] * 3, {(1, 0): (0, 0, 1)})
+# universal 3-central group of order 3^5
+W23 = PcPresentation(
+    3, 5,
+    [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0,) * 5, (0,) * 5, (0,) * 5],
+    {(1, 0): (0, 0, 0, 0, 1)},
+)
+
+
+def cyclic(p, k):
+    return PcPresentation(p, k, [tuple(int(j == i + 1) for j in range(k)) for i in range(k)], {})
+
 
 SERVED = [
     ("D8xZ4", builtin("D8xZ4").pres, 6),
@@ -340,16 +351,26 @@ def test_products_report_like_their_unfactored_copies(capsys, monkeypatch, gid, 
     assert outputs[2] == outputs[0]
 
 
-@pytest.mark.parametrize("gid", QUICK_CORPUS)
-def test_reports_like_relabelled_copies(capsys, monkeypatch, gid):
+RELABELLED = [pytest.param(gid, builtin(gid).pres, 8, id=gid) for gid in QUICK_CORPUS] + [
+    pytest.param(gid, G, N, id=f"{gid}@{N}") for gid, G, N in [
+        ("W23", W23, 2),
+        ("H27", H27, 10),
+        ("Z9xZ9", direct_product(cyclic(3, 2), cyclic(3, 2)), 8),
+        ("Z3xZ9", direct_product(Z3, cyclic(3, 2)), 8),
+        ("Z5xZ25", direct_product(cyclic(5, 1), cyclic(5, 2)), 6),
+    ]]
+
+
+@pytest.mark.parametrize("gid,G,N", RELABELLED)
+def test_reports_like_relabelled_copies(capsys, monkeypatch, gid, G, N):
     # each degree of a build spans rad*K from the Burnside generators of
-    # its presentation; a seeded relabelling presents G on other pc
-    # generators, for most of these groups with other relations too
-    G = builtin(gid).pres
+    # its presentation, and the Frobenius levels lift the projections of
+    # C onto Z/p; a seeded relabelling presents G on other pc generators,
+    # for most of these groups with other relations too
     outputs = []
     for pres in (G, relabelled_copy(G, seed=1), relabelled_copy(G, seed=2)):
         monkeypatch.setattr(cli, "resolve_group", lambda name, pres=pres: CatalogEntry(name, pres))
-        outputs.append(run_cli(capsys, "invariants", gid, "--degree", "8"))
+        outputs.append(run_cli(capsys, "invariants", gid, "--degree", str(N)))
     assert outputs[0][0] == 0
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
@@ -496,6 +517,14 @@ def test_no_solver_is_built_over_a_tensor_resolution(capsys, monkeypatch, comman
     assert by_class["MinimalResolution"] and not by_class["TensorResolution"], by_class
     if gid == "D8xD8xZ2":  # no order-16 subgroup of the nested product is resolved
         assert max(solvers) < 16 and max(complements) < 16
+
+
+def test_odd_p_served_report_builds_no_solver_over_a_tensor_resolution(monkeypatch):
+    # every Frobenius level lifts the projections of C = Z/3 x Z/3 onto
+    # Z/3 into the order-3 resolution, so C's tensor is only lifted from
+    _, _, by_class = count_group_work(monkeypatch)
+    Workspace().analyzer(direct_product(H27, Z3), 6).report()
+    assert by_class["MinimalResolution"] and not by_class["TensorResolution"], by_class
 
 
 @pytest.mark.parametrize("gid,N,largest", [("E8xD8", 5, 8), ("64#187xZ2", 6, 64)])
