@@ -5,14 +5,20 @@ module.  For p = 2, rows are packed into 64-bit words and eliminated in
 word panels: each panel's pivots are found on one word per row, and the
 rows are brought up to date from byte-indexed XOR tables of the panel's
 pivot rows, once per panel (the method of Four Russians; see
-``_rref_bits``).  Odd primes work on int64 rows in column panels: each
-panel is reduced in a narrow block that also records its row
-operations, and the columns right of it catch up in one integer product
-per panel (see ``_rref_generic``).  The odd-p panel width is a fixed
-constant, not a setting: the result does not depend on it, the sums in
-that product stay below _PANEL * p^2 for every input, and 16 was the
-fastest width from 8 to 32 on the odd-p reports.  All arithmetic is
-exact mod p, no floating point anywhere.
+``_rref_bits``).  Odd primes work on int32 rows in column panels: each
+panel is reduced in a narrow block that holds only the rows nonzero in
+the panel, the only rows the panel can change, and that also records
+their row operations; the columns right of it catch up in one int32
+product per panel, and row swaps only permute an index (see
+``_rref_generic``).  Inside the block only the entries that are read
+are reduced mod p.  The odd-p panel width is a fixed constant, not a
+setting: the result does not depend on it, every unreduced value is a
+residue plus at most _PANEL terms below p^2, so below
+17 * 251^2 < 2^31 for every prime up to MAX_PRIME, and 16 was the
+fastest width from 8 to 32 on the odd-p reports.  ``matmul_mod`` and
+the odd-p ``segment_sums`` take int32 under the same kind of bound
+and int64 past it.  All arithmetic is exact mod p, no floating point
+anywhere.
 
 ``LinSolver`` factors a matrix once, with its columns reversed, and
 reads both its particular solutions and the canonical RREF basis of its
@@ -97,8 +103,9 @@ def segment_sums(rows: np.ndarray, pick: np.ndarray, coeffs: np.ndarray,
     """Row i of the (n, width) result is the sum of coeffs[k] * rows[pick[k]]
     over the k with owner[k] == i, mod p; owner must be nondecreasing.
 
-    At p = 2 the packed rows are XOR-reduced, at odd p the int64 products
-    are add-reduced; either way one reduceat over the runs of owner."""
+    At p = 2 the packed rows are XOR-reduced, at odd p the products are
+    add-reduced, in int32 when the longest run's sums fit and in int64
+    otherwise; either way one reduceat over the runs of owner."""
     out = np.zeros((n, rows.shape[1]), dtype=np.uint8)
     if p == 2:
         odd = (coeffs & 1).astype(bool)
@@ -110,8 +117,10 @@ def segment_sums(rows: np.ndarray, pick: np.ndarray, coeffs: np.ndarray,
         sums = np.bitwise_xor.reduceat(_pack_rows(rows)[pick], starts, axis=0)
         out[owner[starts]] = _unpack_rows(sums, rows.shape[1])
     else:
-        terms = rows[pick].astype(np.int64) * coeffs[:, None].astype(np.int64)
-        out[owner[starts]] = np.add.reduceat(terms, starts, axis=0) % p
+        longest = int(np.diff(np.r_[starts, owner.size]).max())
+        wide = np.int32 if _sums_fit_int32(longest, p) else np.int64
+        terms = rows[pick].astype(wide) * coeffs[:, None].astype(wide)
+        out[owner[starts]] = np.add.reduceat(terms, starts, axis=0, dtype=wide) % p
     return out
 
 
@@ -250,71 +259,98 @@ def _rref_bits(rows: np.ndarray, ncols: int, pivot_limit: int | None = None):
 def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
     """Gauss-Jordan mod p on an integer array.  Returns (uint8 rref, pivots).
 
-    The pivot columns are taken in panels of _PANEL columns.  Within a
-    panel of w columns, the pivot search, swaps, scaling and eliminations
-    act on a narrow int64 block W: the panel's columns followed by a
-    tracker T, one column for each pivot the panel can hold.  When the
-    row at position r becomes the panel's t-th pivot, T[r, t] is set to
-    1, and every later row operation acts on T too.  Right of the panel,
-    row i should then end as its own entries plus T[i] @ src, where src
-    holds the pivot rows as they were when the panel began; a pivot row's
-    own entries are already counted through T, so they are zeroed first.
-    That one product, over the rows with a nonzero T row and the columns
-    where src is nonzero, brings every column right of the panel up to
-    date, augmented ones included, with one reduction mod p.
+    The pivot columns are taken in panels of _PANEL columns.  A row that
+    is zero in a panel's columns is never its pivot and never changed by
+    it, so the panel's pivot search, scaling and eliminations act only on
+    its active rows, the rows nonzero there, in a narrow int32 block W:
+    the panel's columns followed by a tracker T, one column for each
+    pivot the panel can hold.  When a row becomes the panel's t-th pivot,
+    its T[t] is set to 1, and every later row operation acts on T too.
+    Right of the panel, row i should then end as its own entries plus
+    T[i] @ src, where src holds the pivot rows as they were when the panel
+    began; a pivot row's own entries are already counted through T, so
+    they are zeroed first.  That one int32 einsum, over the rows with a
+    nonzero T row and the columns where src is nonzero, brings every
+    column right of the panel up to date, augmented ones included.
+
+    Swaps only change the order of the rows: ``order[pos]`` is the row of
+    R at position pos and ``where`` its inverse, and R is permuted once at
+    the end.  The pivot for column c is the active row nonzero at c with
+    the smallest position from r on, and it trades positions with the row
+    at r, active or not.  Within a panel only the values that are read
+    are reduced mod p, column c and the pivot row; every other entry of W
+    takes one unreduced rank-one step of size below p^2 per pivot.
 
     These are the row operations of column-by-column Gauss-Jordan in the
-    same order, so the result is the same exactly; what changes is that
-    the wide columns are reduced once per panel instead of once per pivot
-    (the delayed reduction of Dumas-Giorgi-Pernet's FFLAS-FFPACK).  The
-    width is a constant because the result does not depend on it and it
-    keeps every sum of the product below _PANEL * p^2, far inside int64.
+    same order, so the result is the same exactly, rows below the rank
+    included; what changes is that the wide columns are reduced once per
+    panel instead of once per pivot (the delayed reduction of
+    Dumas-Giorgi-Pernet's FFLAS-FFPACK).  The width is a constant because
+    the result does not depend on it and it bounds the unreduced sums:
+    an entry of W and a sum of the product are a residue plus at most
+    _PANEL terms below p^2, below 17 * 251^2 < 2^31 for every prime up
+    to MAX_PRIME.
     """
-    R = arr.astype(np.int64, copy=True) % p
+    R = _residues(arr, p).astype(np.int32)
     m, n = R.shape
     limit = n if pivot_limit is None else pivot_limit
     pivots: list[int] = []
+    order = np.arange(m, dtype=np.intp)
+    where = np.arange(m, dtype=np.intp)
+    slot = np.full(m, -1, dtype=np.intp)  # the row of W holding each row of R in a panel
     r = 0
     for c0 in range(0, limit, _PANEL):
         if r == m:
             break
         c1 = min(c0 + _PANEL, limit)
         w = c1 - c0
-        W = np.zeros((m, 2 * w), dtype=np.int64)
-        W[:, :w] = R[:, c0:c1]
-        r0 = r
+        act = np.flatnonzero(R[:, c0:c1].any(axis=1))
+        if act.size == 0:
+            continue
+        # column-major: a column, and the block right of it, are contiguous
+        W = np.zeros((act.size, 2 * w), dtype=np.int32, order="F")
+        W[:, :w] = R[act, c0:c1]
+        key = where[act]  # a row's position, or m once it is a pivot row
+        key[key < r] = m
+        slot[act] = np.arange(act.size, dtype=np.intp)
+        src_rows: list[int] = []
         for c in range(w):
-            if r == m:
-                break
-            hits = np.flatnonzero(W[r:, c])
-            if hits.size == 0:
+            col = W[:, c]
+            col %= p
+            cand = np.where(col != 0, key, m)
+            k = int(cand.argmin())
+            if cand[k] == m:
                 continue
-            pr = r + int(hits[0])
-            if pr != r:
-                W[[r, pr]] = W[[pr, r]]
-                R[[r, pr], c1:] = R[[pr, r], c1:]
-            W[r, w + r - r0] = 1
-            inv = pow(int(W[r, c]), p - 2, p)
+            pr, i, q = int(cand[k]), int(act[k]), int(order[r])
+            order[r], order[pr] = i, q
+            where[i], where[q] = r, pr
+            if slot[q] >= 0:
+                key[slot[q]] = pr
+            key[k] = m
+            e = w + len(src_rows) + 1  # the tracker's columns end at this pivot's
+            W[k, e - 1] = 1
+            row = W[k, c:e] % p
+            inv = pow(int(row[0]), p - 2, p)
             if inv != 1:
-                W[r] = (W[r] * inv) % p
-            others = np.flatnonzero(W[:, c])
-            others = others[others != r]
-            if others.size:
-                # the pivot row is zero left of c, so only columns >= c change
-                W[others, c:] = (W[others, c:] - np.outer(W[others, c], W[r, c:])) % p
+                row = row * inv % p
+            # the pivot row is zero left of c, so only columns >= c change
+            W[:, c:e] -= col[:, None] * row
+            W[k, c:e] = row
             pivots.append(c0 + c)
+            src_rows.append(i)
             r += 1
-        R[:, c0:c1] = W[:, :w]
-        if r > r0 and c1 < n:
-            T = W[:, w:w + r - r0]
-            src = R[r0:r, c1:].copy()
-            R[r0:r, c1:] = 0
-            rows = np.flatnonzero(T.any(axis=1))
+        slot[act] = -1
+        W %= p
+        R[act, c0:c1] = W[:, :w]
+        if src_rows and c1 < n:
+            T = W[:, w:w + len(src_rows)]
+            src = R[src_rows, c1:]
+            R[src_rows, c1:] = 0
+            live = np.flatnonzero(T.any(axis=1))
             cols = np.flatnonzero(src.any(axis=0))
-            block = np.ix_(rows, c1 + cols)
-            # entries below p and at most _PANEL terms: no int64 overflow
-            R[block] = (R[block] + T[rows] @ src[:, cols]) % p
-    return R.astype(np.uint8), pivots
+            block = np.ix_(act[live], c1 + cols)
+            R[block] = (R[block] + np.einsum("ik,kj->ij", T[live], src[:, cols])) % p
+    return R.astype(np.uint8)[order], pivots
 
 
 def _rref_array(arr: np.ndarray, p: int):
@@ -373,7 +409,7 @@ class QuotientCoords:
         if self.p == 2:
             return C[:, self.kept] ^ _parity_products(self._block_t, _pack_rows(at_red))
         sub = matmul_mod(at_red, self._block_t.T, self.p)
-        return ((C[:, self.kept].astype(np.int64) - sub) % self.p).astype(np.uint8)
+        return ((C[:, self.kept].astype(np.int32) - sub) % self.p).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +472,23 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols})"
 
 
+def _sums_fit_int32(terms: int, p: int) -> bool:
+    """Whether a sum of ``terms`` products of residues mod p fits in int32."""
+    return terms * (p - 1) ** 2 < 2**31
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p via int64 accumulation."""
-    out = (a.astype(np.int64) @ b.astype(np.int64)) % p
+    """Exact (a @ b) % p for 2-d arrays of residues mod p, as uint8.
+
+    Each entry is a sum of k = a.shape[1] products below p^2.  While
+    k (p - 1)^2 < 2^31 it is taken by an int32 einsum, else by an int64
+    matmul; numpy runs neither through BLAS, and the int32 einsum is the
+    faster of the two, about three times on a (300 x 16) @ (16 x 900)
+    product at p = 3."""
+    if _sums_fit_int32(a.shape[1], p):
+        out = np.einsum("ik,kj->ij", a.astype(np.int32), b.astype(np.int32)) % p
+    else:
+        out = (a.astype(np.int64) @ b.astype(np.int64)) % p
     return out.astype(np.uint8)
 
 

@@ -1,3 +1,4 @@
+import os
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from centdet import fplinalg
+from centdet.catalog import load_pcp
 from centdet.fplinalg import (
     FpMatrix,
     FpSubspace,
@@ -21,10 +23,15 @@ from centdet.fplinalg import (
     kernel_basis,
     matmul_mod,
     rref,
+    segment_sums,
     solve_preimage,
     stacked_pivots,
     subspace_sum,
 )
+from centdet.resolution import build_minimal_resolution
+
+INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "inputs")
 
 
 def random_matrix(rng, p, rows, cols):
@@ -248,14 +255,16 @@ def test_rref_generic_matches_textbook_gauss_jordan(p, rows, cols, limit_frac, s
     rows=st.integers(0, 60),
     cols=st.integers(2 * fplinalg._PANEL + 1, 70),
     limit_frac=st.floats(0, 1),
-    density=st.sampled_from([1.0, 0.1]),
+    density=st.sampled_from([1.0, 0.1, 0.02]),
     seed=st.integers(0, 10_000),
 )
 @settings(max_examples=100, deadline=None)
 def test_rref_generic_across_panels_matches_textbook_gauss_jordan(
         p, rows, cols, limit_frac, density, seed):
     # at least three panels wide; columns past the limit are an augmented
-    # block; sparse inputs leave rows and columns out of a panel's update
+    # block; sparse inputs leave rows and columns out of a panel's update,
+    # swap pivots with rows inactive in the panel, and leave some panels
+    # with no active rows
     rng = np.random.default_rng(seed)
     arr = low_rank_array(seed, p, rows, cols)
     arr[rng.random(arr.shape) > density] = 0
@@ -276,6 +285,113 @@ def test_rref_generic_across_panels_matches_textbook_gauss_jordan(
     K = solver.kernel_rows()
     assert K.shape == (cols - solver.rank, cols)
     assert not matmul_mod(M, K.T, p).any()
+
+
+def test_rref_generic_swaps_with_inactive_rows_and_skips_empty_panels():
+    # the second panel's pivots are rows 2 and 4, each swapped with row 1,
+    # which is zero there; the third panel is zero in every row
+    P, p = fplinalg._PANEL, fplinalg.MAX_PRIME
+    arr = np.zeros((5, 4 * P + 3), dtype=np.uint8)
+    arr[0, [0, 4 * P]] = p - 1
+    arr[1, [3 * P + 1, 4 * P + 1]] = [3, 7]
+    arr[2, [P + 2, P + 5, 4 * P + 2]] = [p - 1, 5, 1]
+    arr[3, [3 * P, 3 * P + 1]] = [2, p - 1]
+    arr[4, [P + 5, 4 * P]] = [9, 2]
+    for limit in (arr.shape[1], 4 * P):
+        R, pivots = _rref_generic(arr, p, pivot_limit=limit)
+        want_R, want_pivots = gauss_jordan(arr.tolist(), p, limit)
+        assert pivots == want_pivots == [0, P + 2, P + 5, 3 * P, 3 * P + 1]
+        assert R.tolist() == want_R
+
+
+@pytest.mark.parametrize("limit", [None, 2 * fplinalg._PANEL + 3])
+@pytest.mark.parametrize("diagonal", [True, False], ids=["all", "off-diagonal"])
+def test_rref_generic_at_the_largest_prime_matches_python_ints(limit, diagonal):
+    # every entry p - 1 makes multipliers and pivot rows as large as they
+    # get; zeroing the diagonal gives a pivot in nearly every column, so
+    # each panel takes _PANEL unreduced steps
+    p = fplinalg.MAX_PRIME
+    n = 3 * fplinalg._PANEL + 5
+    arr = np.full((n - 2, n), p - 1, dtype=np.uint8)
+    if not diagonal:
+        np.fill_diagonal(arr, 0)
+    R, pivots = _rref_generic(arr, p, pivot_limit=limit)
+    want_R, want_pivots = gauss_jordan(arr.tolist(), p, n if limit is None else limit)
+    assert pivots == want_pivots
+    assert R.tolist() == want_R
+
+
+def test_rref_generic_reduces_wide_integers_before_narrowing():
+    # entries past int32 and below zero: a cast to int32 would wrap them
+    p = 7
+    base = low_rank_array(5, p, 20, 3 * fplinalg._PANEL)
+    rng = np.random.default_rng(5)
+    wide = base + p * rng.integers(-2**40, 2**40, size=base.shape)
+    assert wide.max() >= 2**31 and wide.min() < 0
+    for limit in (None, 2 * fplinalg._PANEL):
+        R, pivots = _rref_generic(wide, p, pivot_limit=limit)
+        want_R, want_pivots = _rref_generic(base.astype(np.uint8), p, pivot_limit=limit)
+        assert pivots == want_pivots
+        assert np.array_equal(R, want_R)
+
+
+@pytest.mark.parametrize("k", [34_359, 40_000])
+def test_matmul_mod_at_the_largest_prime_matches_python_ints(k):
+    # k (p - 1)^2 < 2^31 holds at k = 34359 and fails at 40000, where
+    # int32 sums would wrap
+    p = fplinalg.MAX_PRIME
+    rng = np.random.default_rng(k)
+    a = np.full((2, k), p - 1, dtype=np.uint8)
+    a[1] = rng.integers(0, p, k)
+    b = np.full((k, 3), p - 1, dtype=np.uint8)
+    b[:, 2] = rng.integers(0, p, k)
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
+            for row in a.tolist()]
+    assert matmul_mod(a, b, p).tolist() == want
+
+
+@pytest.mark.parametrize("run", [34_359, 34_400])
+def test_segment_sums_at_the_largest_prime_match_python_ints(run):
+    # owner 1 sums run terms (p - 1)^2: past the int32 bound at 34400
+    p = fplinalg.MAX_PRIME
+    rows = np.array([[p - 1, 1, 0], [p - 1, p - 1, 2]], dtype=np.uint8)
+    owner = np.repeat([0, 1, 3], [2, run, 1])
+    pick = np.r_[[0, 1], np.ones(run, dtype=np.intp), [0]]
+    coeffs = np.full(owner.size, p - 1, dtype=np.uint8)
+    coeffs[0] = 3
+    want = [[0] * 3 for _ in range(4)]
+    for i, r, c in zip(owner.tolist(), pick.tolist(), coeffs.tolist()):
+        want[i] = [(x + c * y) % p for x, y in zip(want[i], rows[r].tolist())]
+    assert segment_sums(rows, pick, coeffs, owner, 4, p).tolist() == want
+
+
+@pytest.fixture
+def rref_generic_calls(monkeypatch):
+    """The (input, p, pivot_limit) of every _rref_generic call the test
+    makes through the module, recorded as they are made."""
+    calls = []
+
+    def recording(arr, p, pivot_limit=None):
+        calls.append((np.array(arr, copy=True), p, pivot_limit))
+        return _rref_generic(arr, p, pivot_limit)
+
+    monkeypatch.setattr(fplinalg, "_rref_generic", recording)
+    return calls
+
+
+def test_rref_generic_does_not_depend_on_the_panel_width(rref_generic_calls, monkeypatch):
+    # width 1 is column-by-column Gauss-Jordan; every output is compared
+    # byte for byte, rows below the rank included
+    build_minimal_resolution(load_pcp(os.path.join(INPUTS, "H27.pcp")), 6)
+    build_minimal_resolution(load_pcp(os.path.join(INPUTS, "Z9xZ9.pcp")), 4)
+    assert len(rref_generic_calls) > 20
+    want = [_rref_generic(*call) for call in rref_generic_calls]
+    for width in (1, 64):
+        monkeypatch.setattr(fplinalg, "_PANEL", width)
+        for call, (R, pivots) in zip(rref_generic_calls, want):
+            got_R, got_pivots = _rref_generic(*call)
+            assert got_pivots == pivots
+            assert got_R.shape == R.shape and got_R.tobytes() == R.tobytes()
 
 
 @given(
