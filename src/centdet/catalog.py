@@ -15,6 +15,7 @@ from .pgroup import (
     PcPresentation,
     PcPresentationError,
     check_order,
+    cyclic_presentation,
     direct_product,
     is_p_central,
     omega1_center,
@@ -75,16 +76,6 @@ class CatalogEntry:
 
 # ---------------------------------------------------------------------------
 # presentation builders
-
-
-def cyclic_presentation(p: int, k: int) -> PcPresentation:
-    rels = []
-    for i in range(k):
-        w = [0] * k
-        if i + 1 < k:
-            w[i + 1] = 1
-        rels.append(tuple(w))
-    return PcPresentation(p, k, rels, {})
 
 
 def elementary_abelian_presentation(p: int, n: int) -> PcPresentation:

@@ -9,7 +9,7 @@ import sys
 
 from .catalog import CatalogEntry, CatalogError, builtin, load_pcp
 from .invariants import DegreeBoundError, Workspace
-from .pgroup import PcPresentation
+from .pgroup import PcPresentation, split_central_factors
 from .resolution import BudgetExceededError, CohomologyFragment
 
 CSV_HEADER = "order,id,type,e,h,d0,d1,e_prime,e_dprime,p_central,certified"
@@ -34,11 +34,15 @@ def degree_bound(command: str, degree: int | None, pres: PcPresentation) -> int:
 
 
 def resolve_group(name: str) -> CatalogEntry:
-    """A catalog id, or a path to a .pcp file."""
+    """A catalog id, or a path to a .pcp file, presented with its central
+    cyclic direct factors split off (``split_central_factors``), so that
+    a Workspace serves it from those factors."""
     if name.endswith(".pcp") or os.path.sep in name:
-        pres = load_pcp(name)
-        return CatalogEntry(os.path.basename(name).rsplit(".", 1)[0], pres)
-    return builtin(name)
+        entry = CatalogEntry(os.path.basename(name).rsplit(".", 1)[0], load_pcp(name))
+    else:
+        entry = builtin(name)
+    entry.pres = split_central_factors(entry.pres)
+    return entry
 
 
 def _report(entry: CatalogEntry, N: int, ws: Workspace) -> dict:

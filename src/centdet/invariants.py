@@ -61,6 +61,7 @@ from .pgroup import (
     omega1_center,
     p_rank,
     quillen_category_AC,
+    split_central_factors,
     subgroup_presentation,
     whole_group,
 )
@@ -851,4 +852,7 @@ def d0_d1_via_sylow_transfer(sylow_type: GroupType) -> tuple[int, int]:
 
 def report(G: PcPresentation, N: int, group_id: str | None = None,
            ws: Workspace | None = None) -> InvariantReport:
-    return (ws or Workspace()).analyzer(G, N).report(group_id)
+    """The report of G, presented with its central cyclic direct factors
+    split off (``split_central_factors``); a Workspace or Analyzer given
+    G itself serves exactly that presentation."""
+    return (ws or Workspace()).analyzer(split_central_factors(G), N).report(group_id)

@@ -18,19 +18,24 @@ the action.  A homomorphism's generator images pass the same check
 evaluator (``_evaluate``) serves that build and ``GroupHom.table``, so
 ``mult`` and ``GroupHom.apply`` only read tables.
 
-The subgroup predicates (center, centralizer, normalizer, Omega_1 of a
-center, the elementary abelian enumeration) read two memoized arrays
-derived from the multiplication table: ``commute_table`` (xy = yx) and
-``order_p_mask`` (x^p = 1).  Of the element accessors, ``pth_power``
+The subgroup predicates (Omega_1 of a center, the elementary abelian
+enumeration) read two memoized arrays derived from the multiplication
+table: ``commute_table`` (xy = yx) and ``order_p_mask`` (x^p = 1); a
+centralizer, the center among them, compares only the table's columns
+of the generators it centralizes.  Of the element accessors, ``pth_power``
 remains for ``element_order``, ``conj`` for conjugate subgroups, and
 ``comm`` for the tests' count of central elements by enumeration.
 
 A group's structure is worked out once per presentation and kept on
 it: A_C (``quillen_category_AC``, C = Omega_1 Z(G)), which ``p_rank``
 reads since every maximal elementary abelian E contains C, each
-``subgroup_presentation``, under which G presents itself, the Frattini
-subgroup and the Burnside generators.  The last two, and the maximal
-subgroups, are read off one basis of Hom(G, Z/p) (``_hom_basis``).
+``subgroup_presentation``, under which G presents itself, and the
+Burnside generators.  Those, the Frattini subgroup and the maximal
+subgroups are read off one basis of Hom(G, Z/p) (``_hom_basis``).
+
+``split_central_factors`` presents a group as the ``direct_product`` of
+its central cyclic direct factors and a complement, checked as an
+isomorphism, so that a Workspace serves it from those factors.
 """
 
 from __future__ import annotations
@@ -127,7 +132,6 @@ class PcPresentation:
         self._left_inv_gather: np.ndarray | None = None
         self._sub_pres_cache: dict = {}
         self._category: QuillenCategoryAC | None = None
-        self._frattini: Subgroup | None = None
         self._burnside: tuple[int, ...] | None = None
         self.factors: tuple[PcPresentation, PcPresentation] | None = None
 
@@ -240,11 +244,15 @@ class PcPresentation:
         return int(self.inv_table()[a])
 
     def inv_table(self) -> np.ndarray:
+        """Entry x: x^-1 = x^(p^L - 1) for p^L the exponent of G, the
+        product over k < L of (x^(p^k))^(p-1), by gathers through the table
+        rather than a search of all of it."""
         if self._inv_table is None:
             tbl = self.mult_table()
-            inv = np.empty(self.order, dtype=np.int32)
-            rows, cols = np.nonzero(tbl == 0)
-            inv[rows] = cols
+            inv = np.zeros(self.order, dtype=np.int32)
+            for power in _power_table(self)[:-1]:
+                for _ in range(self.p - 1):
+                    inv = tbl[inv, power]
             self._inv_table = inv
         return self._inv_table
 
@@ -425,8 +433,10 @@ def is_p_central(G: PcPresentation) -> bool:
 
 
 def centralizer(G: PcPresentation, S: Subgroup) -> Subgroup:
-    commute = G.commute_table()[:, S.gens or S.elems]
-    return Subgroup(G, np.flatnonzero(commute.all(axis=1)))
+    """Elements that commute with the generators of S (with all of S when
+    it records none), compared on those columns of the table only."""
+    tbl, cols = G.mult_table(), list(S.gens or S.elems)
+    return Subgroup(G, np.flatnonzero((tbl[:, cols] == tbl[cols, :].T).all(axis=1)))
 
 
 def normalizer(G: PcPresentation, S: Subgroup) -> Subgroup:
@@ -526,11 +536,11 @@ def maximal_subgroups(G: PcPresentation) -> list[Subgroup]:
 
 def frattini_subgroup(G: PcPresentation) -> Subgroup:
     """Phi(G), the intersection of the maximal subgroups: the common
-    kernel of Hom(G, Z/p), built once per presentation and kept on it."""
-    if G._frattini is None:
-        images = _exponents(G) @ _hom_basis(G).T.astype(np.int64) % G.p
-        G._frattini = Subgroup(G, np.flatnonzero(~images.any(axis=1)))
-    return G._frattini
+    kernel of Hom(G, Z/p).  It is not kept on G: a Subgroup refers to its
+    parent, and that cycle would keep the tables of an input that
+    ``split_central_factors`` replaces alive until the next collection."""
+    images = _exponents(G) @ _hom_basis(G).T.astype(np.int64) % G.p
+    return Subgroup(G, np.flatnonzero(~images.any(axis=1)))
 
 
 @dataclass
@@ -798,6 +808,210 @@ def direct_product(G: PcPresentation, H: PcPresentation) -> PcPresentation:
     prod = PcPresentation(G.p, n, power_rels, comm_rels)
     prod.factors = (G, H)
     return prod
+
+
+def cyclic_presentation(p: int, k: int) -> PcPresentation:
+    """Z/p^k on the pc generators g_i = g^(p^(i-1)), so g_i^p = g_(i+1)."""
+    rels = []
+    for i in range(k):
+        w = [0] * k
+        if i + 1 < k:
+            w[i + 1] = 1
+        rels.append(tuple(w))
+    return PcPresentation(p, k, rels, {})
+
+
+def split_central_factors(G: PcPresentation) -> PcPresentation:
+    """G presented as ``direct_product(cyclic_presentation(p, a_1),
+    direct_product(..., H))`` with every central cyclic direct factor split
+    off, a_1 >= a_2 >= ..., or G itself when none splits.  A cyclic group,
+    and a presentation that records factors already, come back unchanged.
+    Which central z generate a factor is ``central_factor_mask``.
+
+    **The map chi.** For such a z of order p^a, a chi: G -> Z/p^a with
+    chi(z) = 1 has kernel H with G = <z> x H.  Z/p^a is abelian, so
+    chi(g_1^e_1 ... g_n^e_n) = sum_t e_t chi(g_t), and values chi(g_t)
+    define a homomorphism iff they satisfy the relations: p chi(g_i) =
+    chi(w_i) for each power relation and chi(w_ji) = 0 for each commutator
+    relation.  With chi(z) = 1 that is a linear system over Z/p^a, solvable
+    exactly when the criterion holds (``_retraction_kernel``).
+
+    **Repeating.** Inside H, N_a(H) = N_a(G) n H, since [G,G] = [H,H] and
+    G^(p^a) = <z^(p^a)> x H^(p^a), so G's mask serves H; and a chi on G
+    with chi(z') = 1 restricts to H.  So each later factor is split on G's
+    table and relations, largest a first, until the complement is cyclic
+    or has no such factor.  That complement is given one ``pc_structure``
+    presentation, or a cyclic one, and the isomorphism onto G is checked
+    as a ``GroupHom`` that is a bijection, a hard error otherwise."""
+    p, order = G.p, G.order
+    if G.factors is not None or len(_hom_basis(G)) < 2:  # G is cyclic
+        return G
+    mask = central_factor_mask(G)
+    if not mask.any():
+        return G
+    powers = _power_table(G)
+    levels = (powers != 0).sum(axis=0)  # x has order p^levels[x]
+    H = np.ones(order, dtype=bool)
+    split = []  # (z, a): <z> is a factor of order p^a
+    while H.sum() > p ** levels[H].max():  # H is not cyclic
+        cands = np.flatnonzero(mask & H)
+        if not cands.size:
+            break
+        z = int(cands[levels[cands].argmax()])
+        a = int(levels[z])
+        H &= _retraction_kernel(G, z, a)
+        split.append((z, a))
+    if H.sum() == p ** levels[H].max():
+        h = int(np.flatnonzero(H & (p ** levels == H.sum()))[0])
+        split.append((h, int(levels[h])))
+        pres, images = None, []
+    else:
+        pres, images, _ = pc_structure(np.flatnonzero(H).tolist(), G.mult, G.inv, p)
+    for z, a in reversed(split):
+        C = cyclic_presentation(p, a)
+        pres = C if pres is None else direct_product(C, pres)
+        images = [int(powers[k][z]) for k in range(a)] + images
+    iso = GroupHom(pres, G, images)
+    if np.unique(iso.table()).size != order:
+        raise PcPresentationError("the split of central factors is not a bijection")
+    return pres
+
+
+def central_factor_mask(G: PcPresentation) -> np.ndarray:
+    """Entry z: whether z is central and <z> is a direct factor of G.
+
+    A central z of order p^a generates a direct factor iff z^(p^(a-1)) is
+    not in N_a = [G,G] G^(p^a):
+
+    - if G = <z> x H, the projection onto <z> = Z/p^a is a retraction; its
+      kernel H contains [G,G] (the target is abelian) and G^(p^a) (its
+      exponent is p^a), so N_a lies in H, which misses z^(p^(a-1));
+    - conversely G/N_a is abelian of exponent dividing p^a, and the image
+      of z there has order p^a.  A cyclic subgroup of order p^a in an
+      abelian group of exponent p^a is a direct summand (Z/p^a is
+      self-injective), so some chi: G -> Z/p^a has chi(z) = 1.  Its kernel
+      H is normal of index p^a and meets <z> trivially, and z is central,
+      so G = <z> x H.
+
+    For a = 1 this reads z not in Phi(G).  Only an element outside Phi(G)
+    can pass (Phi(<z> x H) = <z^p> x Phi(H)), which rules out most groups
+    before any N_a is built."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[list(center(G).elems)] = True
+    mask[list(frattini_subgroup(G).elems)] = False
+    if mask.any():
+        powers = _power_table(G)
+        levels = (powers != 0).sum(axis=0)
+        for a in set(levels[mask].tolist()):
+            cands = np.flatnonzero(mask & (levels == a))
+            mask[cands] = ~_verbal_subgroup(G, powers[a])[powers[a - 1][cands]]
+    return mask
+
+
+def _power_table(G: PcPresentation) -> np.ndarray:
+    """Row k: x^(p^k) for every x, down to the first row of identities."""
+    tbl = G.mult_table()
+    powers = [np.arange(G.order)]
+    while powers[-1].any():
+        x = y = powers[-1]
+        for _ in range(G.p - 1):
+            y = tbl[y, x]
+        powers.append(y)
+    return np.array(powers)
+
+
+def _verbal_subgroup(G: PcPresentation, pth_powers: np.ndarray) -> np.ndarray:
+    """The mask of N = [G,G] G^q, given x^q for every x.  N is generated by
+    the commutators [x, g_t] over all x and pc generators g_t, which span
+    [G,G] ([x, g]^y = [xy, g] [y, g]^-1 keeps their span normal, and each
+    g_t is central modulo it), and the g_t^q, which span G^q modulo
+    [G,G].  Closure runs on those generators that lie outside the span of
+    the ones kept before them."""
+    tbl, inv, gens = G.mult_table(), G.inv_table(), G.generators()
+    x = np.arange(G.order)[:, None]
+    comms = tbl[tbl[inv[x], inv[gens]], tbl[x, gens]]
+    kept, elems = [], {0}
+    for g in np.unique(np.concatenate([comms.ravel(), pth_powers[gens]])).tolist():
+        if g not in elems:
+            kept.append(g)
+            elems = closure(G.mult, 0, kept)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[list(elems)] = True
+    return mask
+
+
+def _retraction_kernel(G: PcPresentation, z: int, a: int) -> np.ndarray:
+    """The kernel mask of a homomorphism chi: G -> Z/p^a with chi(z) = 1,
+    for z central of order p^a that generates a direct factor.  The values
+    chi(g_t) solve the relations of G (``split_central_factors``), and chi
+    is checked as a ``GroupHom`` into ``cyclic_presentation(p, a)``."""
+    p, n = G.p, G.n
+    rows = []
+    for i, w in enumerate(G.power_rels):
+        rows.append([p * (t == i) - w[t] for t in range(n)])
+    rows.extend(list(w) for w in G.comm_rels.values())
+    rows.append(list(G.exp_of(z)))
+    x = _solve_mod_prime_power(rows, [0] * (len(rows) - 1) + [1], p, a)
+    if x is None:
+        raise AssertionError("a split central factor has no retraction")
+    C = cyclic_presentation(p, a)
+    # g^c is g_1^e_1 ... g_a^e_a for e_k the base-p digits of c, lowest first
+    chi = GroupHom(G, C, [C.idx_of([c // p ** k % p for k in range(a)]) for c in x])
+    if chi.apply(z) != C.gen_idx(0):
+        raise AssertionError("the retraction does not send z to the generator")
+    return chi.table() == 0
+
+
+def _solve_mod_prime_power(rows, rhs, p: int, a: int) -> list[int] | None:
+    """A solution x of rows . x = rhs over Z/p^a, or None when there is
+    none.  Z/p^a is a chain ring, so an entry of least p-adic valuation in
+    the active block divides every other entry there: taking it as pivot
+    and clearing its row and column by unimodular operations diagonalizes
+    the system (Smith form), with x = Q y for Q the column operations."""
+    q, n = p ** a, len(rows[0])
+    A = [[int(v) % q for v in row] for row in rows]
+    b = [int(v) % q for v in rhs]
+    Q = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def valuation(v):
+        k = 0
+        while v % p == 0:
+            v //= p
+            k += 1
+        return k
+
+    rank = 0
+    for k in range(min(len(A), n)):
+        entries = [(valuation(A[i][j]), i, j)
+                   for i in range(k, len(A)) for j in range(k, n) if A[i][j]]
+        if not entries:
+            break
+        v, i, j = min(entries)
+        A[k], A[i], b[k], b[i] = A[i], A[k], b[i], b[k]
+        for row in A + Q:
+            row[k], row[j] = row[j], row[k]
+        unit_inv = pow(A[k][k] // p ** v, -1, q)
+        for i in range(len(A)):
+            if i != k and A[i][k]:
+                f = A[i][k] // p ** v * unit_inv % q
+                A[i] = [(s - f * t) % q for s, t in zip(A[i], A[k])]
+                b[i] = (b[i] - f * b[k]) % q
+        for j in range(k + 1, n):
+            if A[k][j]:
+                f = A[k][j] // p ** v * unit_inv % q
+                for row in A + Q:
+                    row[j] = (row[j] - f * row[k]) % q
+        rank = k + 1
+    y = [0] * n
+    for k in range(len(A)):
+        if k < rank:
+            v = valuation(A[k][k])
+            if b[k] % p ** v:
+                return None
+            y[k] = b[k] // p ** v * pow(A[k][k] // p ** v, -1, q) % q
+        elif b[k]:
+            return None
+    return [sum(Q[i][j] * y[j] for j in range(n)) % q for i in range(n)]
 
 
 def multiplication_hom(G: PcPresentation, C: Subgroup):

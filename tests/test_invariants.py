@@ -7,6 +7,7 @@ from centdet.fplinalg import FpSubspace, intersect, matmul_mod, subspace_sum
 from centdet.pgroup import (
     PcPresentation,
     Subgroup,
+    cyclic_presentation,
     direct_product,
     omega1_center,
     subgroup_presentation,
@@ -25,16 +26,6 @@ from centdet.resolution import (
 )
 
 WS = Workspace()
-
-
-def cyclic(p, k):
-    rels = []
-    for i in range(k):
-        w = [0] * k
-        if i + 1 < k:
-            w[i + 1] = 1
-        rels.append(tuple(w))
-    return PcPresentation(p, k, rels, {})
 
 
 def elem_abelian(p, n):
@@ -90,7 +81,7 @@ def test_restriction_image_elementary_abelian():
 
 
 def test_restriction_image_z4():
-    a = WS.analyzer(cyclic(2, 2), 8)
+    a = WS.analyzer(cyclic_presentation(2, 2), 8)
     assert a.restriction_image_dims() == (1, 0, 1, 0, 1, 0, 1, 0, 1)
 
 
@@ -103,12 +94,12 @@ def test_restriction_image_q8():
     "G,N,expected",
     [
         (Q8, 8, (4,)),
-        (cyclic(2, 2), 6, (2,)),
-        (cyclic(2, 4), 6, (2,)),
+        (cyclic_presentation(2, 2), 6, (2,)),
+        (cyclic_presentation(2, 4), 6, (2,)),
         (D8, 6, (2,)),
         (W32, 6, (2, 2, 2)),
         (elem_abelian(2, 3), 4, (1, 1, 1)),
-        (cyclic(2, 1), 4, (1,)),
+        (cyclic_presentation(2, 1), 4, (1,)),
         (semidihedral(4), 8, (4,)),
     ],
 )
@@ -119,10 +110,10 @@ def test_types_p2(G, N, expected):
 
 
 def test_types_odd_p():
-    assert WS.analyzer(cyclic(3, 2), 8).group_type().entries == (2,)
-    assert WS.analyzer(cyclic(3, 1), 6).group_type().entries == (1,)
+    assert WS.analyzer(cyclic_presentation(3, 2), 8).group_type().entries == (2,)
+    assert WS.analyzer(cyclic_presentation(3, 1), 6).group_type().entries == (1,)
     assert WS.analyzer(elem_abelian(3, 2), 6).group_type().entries == (1, 1)
-    t = WS.analyzer(direct_product(cyclic(3, 1), cyclic(3, 2)), 8).group_type()
+    t = WS.analyzer(direct_product(cyclic_presentation(3, 1), cyclic_presentation(3, 2)), 8).group_type()
     assert t.entries == (2, 1)
 
 
@@ -136,13 +127,13 @@ def test_uncertified_type_at_tiny_bound():
 def test_odd_p_type_below_degree_two_is_uncertified():
     # at N = 1 the Bockstein level (degree 2) is out of range: the walk
     # stops after the degree-one image instead of lifting into degree 2
-    a = Analyzer(direct_product(cyclic(3, 1), cyclic(3, 2)), 1, workspace=Workspace())
+    a = Analyzer(direct_product(cyclic_presentation(3, 1), cyclic_presentation(3, 2)), 1, workspace=Workspace())
     t = a.group_type()
     assert t.entries == (2, 1) and not t.certified
     assert [level.degree for level in t.flag] == [1]
 
 
-@pytest.mark.parametrize("G", [W23, direct_product(cyclic(5, 1), cyclic(5, 2))])
+@pytest.mark.parametrize("G", [W23, direct_product(cyclic_presentation(5, 1), cyclic_presentation(5, 2))])
 def test_order_p_subgroups_of_c_share_the_canonical_presentation(G):
     # the level-1 reference below pins M_1 on every order-p subgroup U of
     # C up to the scalar that the resolution of U picks; one presentation
@@ -151,7 +142,7 @@ def test_order_p_subgroups_of_c_share_the_canonical_presentation(G):
     subs = {Subgroup.generate(G, [x]).elems for x in C.elems[1:]}
     assert len(subs) == (C.order - 1) // (G.p - 1)
     hashes = {subgroup_presentation(G, Subgroup(G, U))[0].hash_key() for U in subs}
-    assert hashes == {cyclic(G.p, 1).hash_key()}
+    assert hashes == {cyclic_presentation(G.p, 1).hash_key()}
 
 
 def _order_p_restrictions(a):
@@ -176,11 +167,11 @@ def _order_p_restrictions(a):
     builtin("D8xZ4").pres,
     W23,
     H27,
-    direct_product(cyclic(3, 2), cyclic(3, 2)),
-    direct_product(cyclic(3, 1), cyclic(3, 2)),
-    direct_product(cyclic(5, 1), cyclic(5, 2)),
+    direct_product(cyclic_presentation(3, 2), cyclic_presentation(3, 2)),
+    direct_product(cyclic_presentation(3, 1), cyclic_presentation(3, 2)),
+    direct_product(cyclic_presentation(5, 1), cyclic_presentation(5, 2)),
     elem_abelian(3, 3),
-    direct_product(H27, cyclic(3, 1)),
+    direct_product(H27, cyclic_presentation(3, 1)),
 ], ids=["Q8", "32#18", "D8xZ4", "W23", "H27", "Z9xZ9", "Z3xZ9", "Z5xZ25", "E27", "H27xZ3"])
 def test_bockstein_level_restricts_like_the_order_p_subgroups(G):
     # M_1 e_t = lambda beta(e_t) restricts on each U to e_t|U times the unit
@@ -218,9 +209,9 @@ def _cyclic_factors(res) -> int:
 def test_bockstein_level_of_a_served_elementary_abelian(p, c):
     # beta(1 (x) x (x) 1) = 1 (x) beta(x) (x) 1, with no products of
     # degree-one classes, and M_1 x = u on Z/p itself
-    G = cyclic(p, 1)
+    G = cyclic_presentation(p, 1)
     for _ in range(c - 1):
-        G = direct_product(G, cyclic(p, 1))
+        G = direct_product(G, cyclic_presentation(p, 1))
     a = Analyzer(G, 2, workspace=Workspace())
     assert isinstance(a.resC, TensorResolution)
     M = a._frobenius_matrix(1)
@@ -233,7 +224,7 @@ def test_bockstein_level_of_a_served_elementary_abelian(p, c):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_canonical_cyclic_resolution(p):
     # d_1(e_1) = e - g^(p-1) and d_2(e_2) = sum of all g
-    res = MinimalResolution(cyclic(p, 1)).extend_to(2)
+    res = MinimalResolution(cyclic_presentation(p, 1)).extend_to(2)
     assert res.rank(1) == res.rank(2) == 1
     assert res.gen_image_row(1, 0).tolist() == [1] + [0] * (p - 2) + [p - 1]
     assert res.gen_image_row(2, 0).tolist() == [1] * p
@@ -266,12 +257,12 @@ def test_duflot_elementary_abelian_is_everything():
 
 
 def test_duflot_z4():
-    d = WS.analyzer(cyclic(2, 2), 6).duflot()
+    d = WS.analyzer(cyclic_presentation(2, 2), 6).duflot()
     assert [deg for deg, _ in d.generators] == [2]
 
 
 def test_duflot_restrictions_are_targets():
-    for G, N in ((Q8, 8), (H27, 6), (direct_product(cyclic(3, 1), cyclic(3, 2)), 8)):
+    for G, N in ((Q8, 8), (H27, 6), (direct_product(cyclic_presentation(3, 1), cyclic_presentation(3, 2)), 8)):
         a = WS.analyzer(G, N)
         d = a.duflot()
         rmap = a.restriction_to_C()
@@ -296,11 +287,11 @@ def _cup_power_target(a, x: np.ndarray, k: int) -> Cocycle:
 
 @pytest.mark.parametrize("G,N", [
     (Q8, 8),
-    (cyclic(2, 2), 6),
+    (cyclic_presentation(2, 2), 6),
     (builtin("64#187").pres, 8),
     (H27, 10),
     # served: the cup powers are read off the factors of C = Z/3 x Z/3
-    (direct_product(H27, cyclic(3, 1)), 10),
+    (direct_product(H27, cyclic_presentation(3, 1)), 10),
 ])
 def test_flag_targets_match_explicit_cup_powers(G, N):
     # reference path for the Frobenius matrices M_k of the flag and for the
@@ -328,7 +319,7 @@ def test_flag_targets_match_explicit_cup_powers(G, N):
 
 def test_duflot_odd_p_split():
     # Z/3 x Z/9 has one split entry (a=1) and one polynomial entry (a=2)
-    G = direct_product(cyclic(3, 1), cyclic(3, 2))
+    G = direct_product(cyclic_presentation(3, 1), cyclic_presentation(3, 2))
     a = WS.analyzer(G, 8)
     d = a.duflot()
     degs = sorted(deg for deg, _ in d.generators)
@@ -353,7 +344,7 @@ def _greedy_flag_basis(a):
     (Q8, 8),
     (builtin("64#187").pres, 8),
     (H27, 10),
-    (direct_product(cyclic(3, 1), cyclic(3, 2)), 8),
+    (direct_product(cyclic_presentation(3, 1), cyclic_presentation(3, 2)), 8),
     (W23, 2),
     (PcPresentation(2, 0, [], {}), 2),
 ])
@@ -375,7 +366,7 @@ def test_qa_w32():
 
 
 def test_qa_pcentral_palindrome_top_e():
-    for G, N in ((Q8, 8), (W32, 8), (cyclic(2, 2), 6), (direct_product(Q8, cyclic(2, 2)), 8)):
+    for G, N in ((Q8, 8), (W32, 8), (cyclic_presentation(2, 2), 6), (direct_product(Q8, cyclic_presentation(2, 2)), 8)):
         a = WS.analyzer(G, N)
         assert a.p_central
         q = list(a.qa_dims())
@@ -518,7 +509,7 @@ def test_d0_d8():
 
 def test_d0_product_law():
     # d0(Q8 x Z4) = d0(Q8) + d0(Z4) = 3 + 1
-    P = direct_product(Q8, cyclic(2, 2))
+    P = direct_product(Q8, cyclic_presentation(2, 2))
     a = WS.analyzer(P, 8)
     assert a.d0_d1_p_central() == (4, 6)
     val, cert = a.d0()
@@ -526,11 +517,11 @@ def test_d0_product_law():
 
 
 def test_product_laws_type_e_h():
-    P = direct_product(Q8, cyclic(2, 2))
+    P = direct_product(Q8, cyclic_presentation(2, 2))
     t = WS.analyzer(P, 8).group_type()
     assert t.entries == (4, 2)
     assert t.e == 4 and t.h == 2
-    P2 = direct_product(cyclic(2, 2), cyclic(2, 2))
+    P2 = direct_product(cyclic_presentation(2, 2), cyclic_presentation(2, 2))
     t2 = WS.analyzer(P2, 6).group_type()
     assert t2.entries == (2, 2)
     assert t2.e == 2 and t2.h == 1
@@ -540,7 +531,7 @@ def test_product_laws_type_e_h():
 
 def test_eprime_product_with_p_central_factor():
     # Cess(G x H) = Cess(G) (x) Cess(H); with H = Z/2, e'(SD16 x Z2) = 2 + 0
-    P = direct_product(semidihedral(4), cyclic(2, 1))
+    P = direct_product(semidihedral(4), cyclic_presentation(2, 1))
     a = WS.analyzer(P, 8)
     ep, cert = a.e_prime()
     assert ep == 2
@@ -579,13 +570,13 @@ def test_top_class_rejects_elementary_abelian():
 
 
 def test_lf_equals_pc_for_p_central():
-    for G, N in ((Q8, 6), (W32, 5), (cyclic(2, 2), 6)):
+    for G, N in ((Q8, 6), (W32, 5), (cyclic_presentation(2, 2), 6)):
         a = WS.analyzer(G, N)
         assert a.lf_dims() == a.pc_dims()
 
 
 def test_bar_rd_p_central_tensor_formula():
-    for G, N in ((Q8, 6), (cyclic(2, 2), 5)):
+    for G, N in ((Q8, 6), (cyclic_presentation(2, 2), 5)):
         a = WS.analyzer(G, N)
         pdims = a.pc_dims()
         for d in range(N + 1):

@@ -17,8 +17,10 @@ from centdet.pgroup import (
     Subgroup,
     center,
     centralizer,
+    central_factor_mask,
     closure,
     conjugacy_classes,
+    cyclic_presentation,
     direct_product,
     elementary_abelian_subgroups,
     factor_parts,
@@ -33,6 +35,7 @@ from centdet.pgroup import (
     pc_structure,
     quillen_category_AC,
     quotient_by_central,
+    split_central_factors,
     subgroup_presentation,
     whole_group,
 )
@@ -40,17 +43,6 @@ from centdet.pgroup import (
 
 def elem_abelian(p, n):
     return PcPresentation(p, n, [(0,) * n] * n, {})
-
-
-def cyclic(p, k):
-    """Z/p^k with generators g_i = g^(p^(i-1)), so g_i^p = g_{i+1}."""
-    rels = []
-    for i in range(k):
-        w = [0] * k
-        if i + 1 < k:
-            w[i + 1] = 1
-        rels.append(tuple(w))
-    return PcPresentation(p, k, rels, {})
 
 
 def quaternion(k):
@@ -100,7 +92,7 @@ V4 = elem_abelian(2, 2)
 def test_orders():
     assert Q8.order == 8
     assert D8.order == 8
-    assert cyclic(2, 3).order == 8
+    assert cyclic_presentation(2, 3).order == 8
     assert elem_abelian(3, 2).order == 9
 
 
@@ -125,7 +117,7 @@ def test_q8_classical_relations():
 
 def test_collection_strategies_agree():
     rng = np.random.default_rng(0)
-    for G in (Q8, D8, cyclic(2, 4), elem_abelian(3, 2)):
+    for G in (Q8, D8, cyclic_presentation(2, 4), elem_abelian(3, 2)):
         gens = G.generators()
         for _ in range(50):
             word = [int(rng.integers(0, len(gens))) for _ in range(8)]
@@ -158,7 +150,7 @@ def test_center_and_omega1():
     assert center(elem_abelian(2, 2)).order == 4
     assert omega1_center(Q8).rank == 1
     assert center(D8).order == 2
-    Z4 = cyclic(2, 2)
+    Z4 = cyclic_presentation(2, 2)
     assert center(Z4).order == 4
     assert omega1_center(Z4).order == 2
 
@@ -167,7 +159,7 @@ def test_p_centrality():
     assert is_p_central(Q8)
     assert not is_p_central(D8)
     assert is_p_central(elem_abelian(2, 3))
-    assert is_p_central(cyclic(2, 4))
+    assert is_p_central(cyclic_presentation(2, 4))
 
 
 def test_elementary_abelian_subgroups_v4():
@@ -203,7 +195,7 @@ def test_centralizer_normalizer():
 
 
 def test_maximal_subgroups():
-    assert len(maximal_subgroups(cyclic(2, 2))) == 1
+    assert len(maximal_subgroups(cyclic_presentation(2, 2))) == 1
     assert len(maximal_subgroups(V4)) == 3
     maxQ8 = maximal_subgroups(Q8)
     assert len(maxQ8) == 3
@@ -282,7 +274,7 @@ def test_conjugacy_recorded_conjugators():
 
 
 def test_direct_product():
-    P = direct_product(Q8, cyclic(2, 2))
+    P = direct_product(Q8, cyclic_presentation(2, 2))
     assert P.order == 32
     assert omega1_center(P).rank == 2
     assert is_p_central(P)
@@ -400,7 +392,7 @@ def test_pc_structure_from_table():
 def test_group_hom_validation():
     with pytest.raises(PcPresentationError):
         # sending the generator of Z/4 to an involution-free image violates g^2 = z
-        GroupHom(cyclic(2, 2), elem_abelian(2, 1), [0, 1][:2])
+        GroupHom(cyclic_presentation(2, 2), elem_abelian(2, 1), [0, 1][:2])
 
 
 @pytest.mark.parametrize("build,error,message", [
@@ -412,7 +404,7 @@ def test_group_hom_validation():
                             {(2, 1): (0, 0, 0, 1, 0), (3, 2): (0, 0, 0, 0, 1)}),
      InconsistentPresentationError, "commutator relation [g3,g2] fails under collection"),
     # the generator of Z/4 goes to 1, its square g2 to an involution
-    (lambda: GroupHom(cyclic(2, 2), elem_abelian(2, 1), [0, 1]),
+    (lambda: GroupHom(cyclic_presentation(2, 2), elem_abelian(2, 1), [0, 1]),
      PcPresentationError, "image violates power relation of g1"),
     # an abelian image cannot carry [g2, g1] = g3 to a nontrivial element
     (lambda: GroupHom(PcPresentation(3, 3, [(0,) * 3] * 3, {(1, 0): (0, 0, 1)}),
@@ -427,8 +419,8 @@ def test_relation_failures_name_the_relation(build, error, message):
 
 
 def test_p_central_iff_rank_equals_socle_rank():
-    for G in (Q8, D8, V4, cyclic(2, 3), quaternion(4), dihedral(4),
-              elem_abelian(3, 2), cyclic(3, 2)):
+    for G in (Q8, D8, V4, cyclic_presentation(2, 3), quaternion(4), dihedral(4),
+              elem_abelian(3, 2), cyclic_presentation(3, 2)):
         assert is_p_central(G) == (p_rank(G) == omega1_center(G).rank)
 
 
@@ -565,6 +557,13 @@ def test_center_and_p_centrality_match_definitions(name):
 
 
 @pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_inverses_match_definitions(name):
+    # inv_table takes x^-1 as a power of x, not by a search of the table
+    ref = _reference(name)
+    assert all(ref.mul[x][ref.inv[x]] == 0 for x in range(ref.n))
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
 def test_elementary_abelian_enumeration_matches_bfs_reference(name):
     ref = _reference(name)
     G = ref.G
@@ -676,3 +675,120 @@ def test_relabelled_tables_and_embeddings_match_the_source(gid):
     for S in {S.elems: S for S in subs + [centralizer(G, E) for E in subs]}.values():
         _, embed, to_idx = subgroup_presentation(G, S)
         assert [int(embed.table()[to_idx[x]]) for x in S.elems] == list(S.elems)
+
+
+# ---------------------------------------------------------------------------
+# central cyclic direct factors
+
+
+def plain(G):
+    """The same relations, with no recorded factors."""
+    return PcPresentation(G.p, G.n, G.power_rels, G.comm_rels)
+
+
+def has_complement(G, z):
+    """Whether <z> has a normal complement in G, by a search over the
+    subgroups that meet <z> trivially, each one grown by one element."""
+    Z = closure(G.mult, 0, [z])
+    target = G.order // len(Z)
+    seen, frontier = set(), [((0,), [])]
+    while frontier:
+        nxt = []
+        for elems, gens in frontier:
+            if len(elems) == target:
+                if all(G.conj(h, g) in elems for h in elems for g in G.generators()):
+                    return True
+                continue
+            for x in range(G.order):
+                if x in elems or x in Z:
+                    continue
+                S = closure(G.mult, 0, gens + [x])
+                key = tuple(sorted(S))
+                if len(S & Z) == 1 and key not in seen:
+                    seen.add(key)
+                    nxt.append((key, gens + [x]))
+        frontier = nxt
+    return False
+
+
+CRITERION_GROUPS = [
+    pytest.param(builtin(gid).pres, id=gid) for gid in QUICK_CORPUS
+    if builtin(gid).pres.order <= 32
+] + [
+    pytest.param(plain(builtin(gid).pres), id=f"plain {gid}")
+    for gid in ("D8xZ4", "Q8xZ4", "Z4xZ2", "Z8xZ2", "Z4xZ4", "D8xZ2", "SD16xZ2")
+] + [pytest.param(plain(direct_product(cyclic_presentation(3, 1), cyclic_presentation(3, 2))),
+                  id="plain Z3xZ9")]
+
+
+@pytest.mark.parametrize("G", CRITERION_GROUPS)
+def test_split_criterion_matches_a_search_for_complements(G):
+    # z^(p^(a-1)) outside [G,G] G^(p^a) against a search that knows no theory
+    mask = central_factor_mask(G)
+    central = center(G).elems
+    assert not mask[[x for x in range(G.order) if x not in central]].any()
+    for z in central[1:]:
+        assert mask[z] == has_complement(G, z), z
+
+
+def factor_orders(G):
+    return G.order if G.factors is None else tuple(factor_orders(F) for F in G.factors)
+
+
+Z3, Z9 = cyclic_presentation(3, 1), cyclic_presentation(3, 2)
+
+
+@pytest.mark.parametrize("G,want", [
+    (direct_product(Z9, Z9), (9, 9)),
+    (direct_product(Z3, Z9), (9, 3)),
+    (direct_product(cyclic_presentation(5, 1), cyclic_presentation(5, 2)), (25, 5)),
+    (direct_product(H27, Z3), (3, 27)),
+    (builtin("D8xZ4").pres, (4, 8)),
+    (builtin("E8xD8").pres, (2, (2, (2, 8)))),
+    (elem_abelian(3, 3), (3, (3, 3))),
+], ids=["Z9xZ9", "Z3xZ9", "Z5xZ25", "H27xZ3", "D8xZ4", "E8xD8", "E27"])
+@pytest.mark.parametrize("copy", ["plain", "relabelled"])
+def test_split_gives_the_expected_factor_orders(G, want, copy):
+    if copy == "plain":
+        G = plain(G)
+    else:
+        elems = list(range(G.order))
+        random.Random(3).shuffle(elems)
+        G, _, _ = pc_structure(elems, G.mult, G.inv, G.p)
+    split = split_central_factors(G)
+    assert factor_orders(split) == want
+    assert omega1_center(split).order == omega1_center(G).order
+    assert p_rank(split) == p_rank(G)
+
+
+@pytest.mark.parametrize("G", [
+    H27, W23, builtin("32#18").pres, builtin("64#187").pres, plain(builtin("D8xD8").pres),
+    builtin("SD16").pres, builtin("D8xZ4").pres, *(builtin(f"Z{2 ** k}").pres for k in range(1, 7)),
+    Z3, Z9, cyclic_presentation(3, 3), cyclic_presentation(5, 2),
+], ids=lambda G: repr(G))
+def test_groups_without_a_split_come_back_unchanged(G):
+    # a cyclic group would split off itself, with a trivial complement;
+    # a presentation that records factors is not split again
+    assert split_central_factors(G) is G
+
+
+def test_a_wrong_retraction_is_a_hard_error(monkeypatch):
+    monkeypatch.setattr(pgroup, "_solve_mod_prime_power", lambda rows, rhs, p, a: [0] * len(rows[0]))
+    with pytest.raises(AssertionError, match="does not send z"):
+        split_central_factors(plain(direct_product(Z9, Z9)))
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_solve_mod_prime_power_matches_an_exhaustive_search(p, a):
+    rng = np.random.default_rng(p * 10 + a)
+    q = p ** a
+    for _ in range(60):
+        m, n = rng.integers(1, 5), rng.integers(1, 4)
+        rows = rng.integers(0, q, (m, n)) * p ** rng.integers(0, a + 1, (m, 1))
+        rhs = rng.integers(0, q, m) * p ** rng.integers(0, a + 1, m)
+        every = np.array(list(itertools.product(range(q), repeat=n)))
+        solvable = not ((every @ rows.T - rhs) % q).any(axis=1).all()
+        x = pgroup._solve_mod_prime_power(rows.tolist(), rhs.tolist(), p, a)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert not ((rows @ x - rhs) % q).any()

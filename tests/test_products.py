@@ -8,7 +8,10 @@ product and the centralizers of the d0 recursion.  These tests compare
 that route with independent derivations: a from-scratch resolution of
 the same relations, each map lifted into the served resolution, the
 reports of copies of each product that record no factors, and the
-Kunneth laws for the dimensions the invariants are read from.
+Kunneth laws for the dimensions the invariants are read from.  A
+``.pcp`` input that splits off central cyclic factors is served the same
+way, and is compared with the from-scratch route on its literal
+presentation.
 """
 
 import json
@@ -21,12 +24,13 @@ import pytest
 
 from centdet import cli, resolution
 from centdet.acceptance import QUICK_CORPUS
-from centdet.catalog import CatalogEntry, builtin
+from centdet.catalog import CatalogEntry, builtin, format_pcp, load_pcp
 from centdet.fplinalg import FpMatrix, kernel_basis
-from centdet.invariants import Workspace
+from centdet.invariants import Workspace, report
 from centdet.pgroup import (
     PcPresentation,
     centralizer,
+    cyclic_presentation,
     direct_product,
     omega1_center,
     pc_structure,
@@ -53,10 +57,6 @@ W23 = PcPresentation(
     [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0,) * 5, (0,) * 5, (0,) * 5],
     {(1, 0): (0, 0, 0, 0, 1)},
 )
-
-
-def cyclic(p, k):
-    return PcPresentation(p, k, [tuple(int(j == i + 1) for j in range(k)) for i in range(k)], {})
 
 
 SERVED = [
@@ -355,9 +355,9 @@ RELABELLED = [pytest.param(gid, builtin(gid).pres, 8, id=gid) for gid in QUICK_C
     pytest.param(gid, G, N, id=f"{gid}@{N}") for gid, G, N in [
         ("W23", W23, 2),
         ("H27", H27, 10),
-        ("Z9xZ9", direct_product(cyclic(3, 2), cyclic(3, 2)), 8),
-        ("Z3xZ9", direct_product(Z3, cyclic(3, 2)), 8),
-        ("Z5xZ25", direct_product(cyclic(5, 1), cyclic(5, 2)), 6),
+        ("Z9xZ9", direct_product(cyclic_presentation(3, 2), cyclic_presentation(3, 2)), 8),
+        ("Z3xZ9", direct_product(Z3, cyclic_presentation(3, 2)), 8),
+        ("Z5xZ25", direct_product(cyclic_presentation(5, 1), cyclic_presentation(5, 2)), 6),
     ]]
 
 
@@ -573,3 +573,42 @@ def test_a_product_and_its_plain_copy_keep_their_routes_in_one_workspace():
         for dims in ("restriction_image_dims", "qa_dims", "cess_dims", "qa_cess_dims"):
             assert getattr(a, dims)() == getattr(b, dims)(), dims
         assert a.d0() == b.d0()
+
+
+# ---------------------------------------------------------------------------
+# a .pcp input is served from the central cyclic factors it splits off
+
+
+PLAIN_INPUTS = [pytest.param(gid, G, N, id=gid) for gid, G, N in [
+    ("Z9xZ9", direct_product(cyclic_presentation(3, 2), cyclic_presentation(3, 2)), 8),
+    ("Z3xZ9", direct_product(Z3, cyclic_presentation(3, 2)), 8),
+    ("Z5xZ25", direct_product(cyclic_presentation(5, 1), cyclic_presentation(5, 2)), 6),
+    ("D8xZ4", builtin("D8xZ4").pres, 6),
+    ("Q8xZ4", builtin("Q8xZ4").pres, 6),
+    ("E8xD8", builtin("E8xD8").pres, 4),
+    ("E27", PcPresentation(3, 3, [(0,) * 3] * 3, {}), 4),
+]]
+
+
+@pytest.mark.parametrize("gid,G,N", PLAIN_INPUTS)
+def test_split_inputs_report_like_the_from_scratch_route(capsys, monkeypatch, tmp_path,
+                                                         gid, G, N):
+    # the CLI splits the file's presentation and serves it from the
+    # factors; the library resolves the presentation it is given, so
+    # a Workspace on load_pcp(path) is the from-scratch reference
+    path = str(tmp_path / f"{gid}.pcp")
+    with open(path, "w") as fh:
+        fh.write(format_pcp(G))
+    commands = ("invariants", "cess", "cohomology")
+    solvers, complements, by_class = count_group_work(monkeypatch)
+    served = [run_cli(capsys, command, path, "--degree", str(N)) for command in commands]
+    assert served[0][0] == 0
+    assert not solvers[G.order] and not complements[G.order]
+    assert by_class["MinimalResolution"] and not by_class["TensorResolution"], by_class
+    literal = load_pcp(path)
+    assert report(literal, N, gid).to_json_dict() == json.loads(served[0][1])
+    assert not complements[G.order]
+    monkeypatch.setattr(cli, "resolve_group", lambda name: CatalogEntry(gid, literal))
+    scratch = [run_cli(capsys, command, path, "--degree", str(N)) for command in commands]
+    assert complements[G.order]
+    assert served == scratch

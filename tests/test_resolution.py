@@ -20,6 +20,7 @@ from centdet.fplinalg import (
 from centdet.invariants import Workspace
 from centdet.pgroup import (
     PcPresentation,
+    cyclic_presentation,
     direct_product,
     maximal_subgroups,
     omega1_center,
@@ -36,16 +37,6 @@ from centdet.resolution import (
     build_minimal_resolution,
     cup_product,
 )
-
-
-def cyclic(p, k):
-    rels = []
-    for i in range(k):
-        w = [0] * k
-        if i + 1 < k:
-            w[i + 1] = 1
-        rels.append(tuple(w))
-    return PcPresentation(p, k, rels, {})
 
 
 def elem_abelian(p, n):
@@ -68,14 +59,14 @@ def binom(n, k):
 
 
 def test_betti_z2():
-    res = build_minimal_resolution(cyclic(2, 1), 6)
+    res = build_minimal_resolution(cyclic_presentation(2, 1), 6)
     assert res.betti == [1] * 7
     res.verify()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_betti_cyclic_2_power(k):
-    res = build_minimal_resolution(cyclic(2, k), 6)
+    res = build_minimal_resolution(cyclic_presentation(2, k), 6)
     assert res.betti == [1] * 7
     res.verify()
 
@@ -100,7 +91,7 @@ def test_betti_d8():
 
 
 def test_betti_odd_p():
-    res = build_minimal_resolution(cyclic(3, 2), 6)
+    res = build_minimal_resolution(cyclic_presentation(3, 2), 6)
     assert res.betti == [1] * 7
     res.verify()
     res2 = build_minimal_resolution(elem_abelian(3, 2), 5)
@@ -153,7 +144,7 @@ def greedy_generators(G, res, i):
     return np.array(chosen, dtype=np.uint8).reshape(-1, K.shape[1])
 
 
-@pytest.mark.parametrize("G", [Q8, D8, direct_product(cyclic(2, 2), cyclic(2, 1)), E27],
+@pytest.mark.parametrize("G", [Q8, D8, direct_product(cyclic_presentation(2, 2), cyclic_presentation(2, 1)), E27],
                          ids=["Q8", "D8", "Z4xZ2", "E27"])
 def test_generator_choice_matches_greedy_reference(G):
     res = build_minimal_resolution(G, 5)
@@ -163,7 +154,7 @@ def test_generator_choice_matches_greedy_reference(G):
 
 
 def test_b1_is_minimal_generator_count():
-    for G in (Q8, D8, cyclic(2, 3), elem_abelian(2, 3)):
+    for G in (Q8, D8, cyclic_presentation(2, 3), elem_abelian(2, 3)):
         res = build_minimal_resolution(G, 1)
         from centdet.pgroup import maximal_subgroups as maxsub
         # b1 = rank of G/Phi(G) = log_p of (number of index-p subgroups ... )
@@ -279,7 +270,7 @@ def test_restriction_to_whole_group_is_identity():
 
 
 def test_restriction_z4_to_z2_pattern():
-    Z4 = cyclic(2, 2)
+    Z4 = cyclic_presentation(2, 2)
     res4 = build_minimal_resolution(Z4, 8)
     C = omega1_center(Z4)
     presC, embed, _ = subgroup_presentation(Z4, C)
@@ -291,7 +282,7 @@ def test_restriction_z4_to_z2_pattern():
 
 
 def test_restriction_functoriality():
-    Z8 = cyclic(2, 3)
+    Z8 = cyclic_presentation(2, 3)
     res8 = build_minimal_resolution(Z8, 6)
     # Z2 < Z4 < Z8
     from centdet.pgroup import Subgroup
@@ -360,7 +351,7 @@ def test_induced_map_refuses_resolutions_of_other_groups():
 
 
 def test_kunneth_betti_convolution():
-    Z4 = cyclic(2, 2)
+    Z4 = cyclic_presentation(2, 2)
     resq = build_minimal_resolution(Q8, 8)
     res4 = build_minimal_resolution(Z4, 8)
     prod = direct_product(Q8, Z4)
@@ -383,7 +374,7 @@ def test_kunneth_trivial_factor():
 def test_kunneth_products_match_tensor_structure():
     # (x (x) 1) * (1 (x) y) agrees with the pair indexing, and the tensor
     # resolution's own cup product respects the factorwise products
-    Z2 = cyclic(2, 1)
+    Z2 = cyclic_presentation(2, 1)
     res2 = build_minimal_resolution(Z2, 6)
     prod = direct_product(Z2, Z2)
     kun = TensorResolution(res2, res2, prod)
@@ -416,7 +407,7 @@ def test_kunneth_products_match_tensor_structure():
 def test_kunneth_extend_to():
     # extending the tensor resolution extends both factors and keeps the
     # Betti numbers equal to those of the product resolved directly
-    Z4 = cyclic(2, 2)
+    Z4 = cyclic_presentation(2, 2)
     resq = build_minimal_resolution(Q8, 3)
     res4 = build_minimal_resolution(Z4, 2)
     kun = TensorResolution(resq, res4)
@@ -428,7 +419,7 @@ def test_kunneth_extend_to():
 
 
 def test_kunneth_verify_odd_p():
-    Z3 = cyclic(3, 1)
+    Z3 = cyclic_presentation(3, 1)
     res3 = build_minimal_resolution(Z3, 5)
     kun = TensorResolution(res3, res3)
     kun.verify(4)
@@ -463,7 +454,7 @@ def test_negative_degree_raises():
 
 
 def test_comodule_counit():
-    for G in (Q8, D8, cyclic(2, 2)):
+    for G in (Q8, D8, cyclic_presentation(2, 2)):
         res, resC, cm = build_comodule(G, 5)
         for k in range(5):
             M = cm.matrix(k)
@@ -534,7 +525,7 @@ def test_comodule_primitives_of_self():
 def test_comodule_coassociativity_z4():
     # (Delta_C (x) 1) m* = (1 (x) m*) m* in fully unpacked coordinates; C
     # presents itself, so Delta is read on resC in resC's own coordinates
-    G = cyclic(2, 2)
+    G = cyclic_presentation(2, 2)
     N = 5
     res, resC, cm = build_comodule(G, N)
     delta = ComoduleMap(resC, whole_group(resC.pres), resC)
@@ -691,7 +682,7 @@ RESTRICTED_CASES = {
 # products a Workspace serves as TensorResolutions of their factors
 SERVED_CASES = {
     "D8xZ4@5-served": lambda: (builtin("D8xZ4").pres, 5),
-    "H27xZ3@3-served": lambda: (direct_product(load_pcp(H27), cyclic(3, 1)), 3),
+    "H27xZ3@3-served": lambda: (direct_product(load_pcp(H27), cyclic_presentation(3, 1)), 3),
 }
 
 
@@ -763,7 +754,7 @@ TOP_CASES = {
     "32#18@4": lambda: (builtin("32#18").pres, 4),
     "H27@5": lambda: (load_pcp(H27), 5),
     "W23@2": lambda: (load_pcp(W23), 2),
-    "Z5xZ25@3": lambda: (direct_product(cyclic(5, 1), cyclic(5, 2)), 3),
+    "Z5xZ25@3": lambda: (direct_product(cyclic_presentation(5, 1), cyclic_presentation(5, 2)), 3),
 }
 
 
