@@ -16,7 +16,7 @@ setting: the result does not depend on it, every unreduced value is a
 residue plus at most _PANEL terms below p^2, so below
 17 * 251^2 < 2^31 for every prime up to MAX_PRIME, and 16 was the
 fastest width from 8 to 32 on the odd-p reports.  ``matmul_mod`` and
-the odd-p ``segment_sums`` take int32 under the same kind of bound
+the odd-p ``SegmentSums`` take int32 under the same kind of bound
 and int64 past it.  All arithmetic is exact mod p, no floating point
 anywhere.
 
@@ -98,30 +98,52 @@ def _parity_products(packed: np.ndarray, bpacked: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_sums(rows: np.ndarray, pick: np.ndarray, coeffs: np.ndarray,
-                 owner: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Row i of the (n, width) result is the sum of coeffs[k] * rows[pick[k]]
-    over the k with owner[k] == i, mod p; owner must be nondecreasing.
+class SegmentSums:
+    """n rows of width residues mod p, zero at first, that ``add`` adds
+    segment sums into; at p = 2 they are kept packed, and adding is XOR."""
 
-    At p = 2 the packed rows are XOR-reduced, at odd p the products are
-    add-reduced, in int32 when the longest run's sums fit and in int64
-    otherwise; either way one reduceat over the runs of owner."""
-    out = np.zeros((n, rows.shape[1]), dtype=np.uint8)
-    if p == 2:
-        odd = (coeffs & 1).astype(bool)
-        pick, owner = pick[odd], owner[odd]
-    if owner.size == 0:
-        return out
-    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-    if p == 2:
-        sums = np.bitwise_xor.reduceat(_pack_rows(rows)[pick], starts, axis=0)
-        out[owner[starts]] = _unpack_rows(sums, rows.shape[1])
-    else:
-        longest = int(np.diff(np.r_[starts, owner.size]).max())
-        wide = np.int32 if _sums_fit_int32(longest, p) else np.int64
-        terms = rows[pick].astype(wide) * coeffs[:, None].astype(wide)
-        out[owner[starts]] = np.add.reduceat(terms, starts, axis=0, dtype=wide) % p
-    return out
+    def __init__(self, n: int, width: int, p: int):
+        self.width = width
+        self.p = p
+        if p == 2:
+            self._acc = np.zeros((n, (width + _WORD - 1) // _WORD), dtype=np.uint64)
+        else:
+            self._acc = np.zeros((n, width), dtype=np.uint8)
+
+    def add(self, rows: np.ndarray, pick: np.ndarray, coeffs: np.ndarray,
+            owner: np.ndarray) -> "SegmentSums":
+        """Add coeffs[k] * rows[pick[k]] to row owner[k], for every k, mod p;
+        owner must be nondecreasing.
+
+        At p = 2 the packed rows are XOR-reduced, at odd p the products are
+        add-reduced together with the row they are added to, in int32 when
+        the longest run's sums fit and in int64 otherwise; either way one
+        reduceat over the runs of owner."""
+        if self.p == 2:
+            odd = (coeffs & 1).astype(bool)
+            pick, owner = pick[odd], owner[odd]
+        if owner.size == 0:
+            return self
+        starts = np.concatenate(([0], np.flatnonzero(owner[1:] != owner[:-1]) + 1))
+        at = owner[starts]
+        if self.p == 2:
+            self._acc[at] ^= np.bitwise_xor.reduceat(_pack_rows(rows)[pick], starts, axis=0)
+        else:
+            # the row added to counts as one more residue term of its run
+            longest = int(np.diff(starts, append=owner.size).max()) + 1
+            wide = np.int32 if _sums_fit_int32(longest, self.p) else np.int64
+            terms = rows[pick].astype(wide)
+            terms *= coeffs[:, None]
+            sums = np.add.reduceat(terms, starts, axis=0, dtype=wide)
+            sums += self._acc[at]
+            self._acc[at] = sums % self.p
+        return self
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi - 1 as uint8 residues."""
+        if self.p == 2:
+            return _unpack_rows(self._acc[lo:hi], self.width)
+        return self._acc[lo:hi]
 
 
 # ---------------------------------------------------------------------------

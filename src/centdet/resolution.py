@@ -18,12 +18,14 @@ elementary abelian subgroup) are computed by lifting module maps
 through the resolutions degree by degree, or read off the factors of
 a tensor product; any particular solution of the lifting systems gives
 the same answer on cohomology.  The generators of a degree are lifted
-together: their right-hand sides are assembled in chunks of bounded
-size and solved by one product each, against the factorization of the
-target differential on the rows that determine it.  At the target's
-top degree N a map is read modulo the radical instead of lifted, from
-the elimination of rad*K that chose the degree-N generators, so no
-factorization of d_N is built just to read H^N.
+together: their right-hand sides are assembled for the whole degree,
+translating each distinct (group element, generator) pair of its terms
+once in slices of bounded size, and solved in row slices by one product
+each, against the factorization of the target differential on the rows
+that determine it.  At the target's top degree N a map is read modulo
+the radical instead of lifted, from the elimination of rad*K that chose
+the degree-N generators, so no factorization of d_N is built just to
+read H^N.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from .fplinalg import (
     FpSubspace,
     LinSolver,
     QuotientCoords,
+    SegmentSums,
     free_columns,
     kernel_basis,
     matmul_mod,
     rref,
-    segment_sums,
     stacked_pivots,
 )
 from .pgroup import GroupHom, PcPresentation, Subgroup, direct_product, multiplication_hom
@@ -390,8 +392,40 @@ def _betti_through(res: MinimalResolution, k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # chain maps
 
-# bound on the temporaries of one chunk of right-hand sides, in bytes
+# bound, in bytes, on what one degree of a lift holds at a time besides its
+# right-hand sides and its solutions: the translated rows of one slice of
+# the degree's (g, w) pairs with the products of their terms, the folded
+# terms of one block of source generators, and the temporaries of one row
+# slice of the solve
 _LIFT_CHUNK_BYTES = 2 << 20
+
+
+def _slices(cost: np.ndarray):
+    """(lo, hi) bounds of consecutive runs of items, each starting in its own
+    _LIFT_CHUNK_BYTES window of the running cost: a run costs at most that
+    much plus its last item."""
+    ends = np.cumsum(cost)
+    if ends.size == 0 or ends[-1] <= _LIFT_CHUNK_BYTES:
+        return [(0, ends.size)] if ends.size else []
+    at = (ends - cost) // max(1, _LIFT_CHUNK_BYTES)
+    return _runs(at)
+
+
+def _runs(keys: np.ndarray):
+    """(lo, hi) bounds of the runs of equal entries of keys."""
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return zip([0] + cuts, cuts + [len(keys)])
+
+
+def _translate(prev_blocks: np.ndarray, g: np.ndarray, w: np.ndarray,
+               gather: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[k] = g[k].prev[w[k]], with prev_blocks[w] the row prev[w] cut into
+    the target's blocks of |G| coordinates; g must be nondecreasing, and
+    each run of one g is one np.take.  Every translation of a lift is made
+    here."""
+    for a, b in _runs(g):
+        np.take(prev_blocks[w[a:b]], gather[g[a]], axis=2, out=out[a:b])
+    return out
 
 
 class ChainMap:
@@ -415,9 +449,10 @@ class ChainMap:
 
     def extend_to(self, t_max: int):
         """Lift through degree t_max.  Degree t solves d_t x = b for the
-        images b of the source generators under the degree t - 1 map, in
-        chunks, by ``tgt.lift_rows``; an image outside ker d_{t-1} is a
-        hard error, as no chain map would then exist."""
+        images b of the source generators under the degree t - 1 map, all
+        of one degree assembled together and then solved in row slices by
+        ``tgt.lift_rows``; an image outside ker d_{t-1} is a hard error, as
+        no chain map would then exist."""
         while len(self.maps) <= t_max:
             t = len(self.maps)
             self.maps.append(self._solve_degree(
@@ -426,58 +461,88 @@ class ChainMap:
 
     def _solve_degree(self, t: int, solve, per_gen: int) -> np.ndarray:
         """Row j is solve(B) at the image b of d(e_j) under maps[t - 1], over
-        the source generators e_j of degree shift + t, taken in chunks; a
-        solution has per_gen columns per target generator, and solve
-        returns None when some b lies outside ker d_{t-1}."""
+        the source generators e_j of degree shift + t; a solution has
+        per_gen columns per target generator, and solve returns None when
+        some b lies outside ker d_{t-1}.  The images of the whole degree
+        are assembled first (``_images``) and solved in slices of rows, so
+        each solve's temporaries stay near _LIFT_CHUNK_BYTES."""
         src_deg = self.shift + t
         if src_deg > self.src.top_degree or t > self.tgt.top_degree:
             raise IndexError("lift exceeds built resolution range")
-        rows = np.empty((self.src.rank(src_deg), self.tgt.rank(t) * per_gen), dtype=np.uint8)
-        for lo, hi, images in self._image_chunks(src_deg, self.maps[t - 1]):
-            x = solve(images)
+        prev = self.maps[t - 1]
+        images = self._images(src_deg, prev)
+        n = self.src.rank(src_deg)
+        rows = np.empty((n, self.tgt.rank(t) * per_gen), dtype=np.uint8)
+        for lo, hi in _slices(np.full(n, 8 * prev.shape[1], dtype=np.int64)):
+            x = solve(images.rows(lo, hi))
             if x is None:
                 raise AssertionError("chain-map lift system inconsistent")
             rows[lo:hi] = x
         return rows
 
-    def _image_chunks(self, src_deg: int, prev: np.ndarray):
-        """Yield (lo, hi, B): row j - lo of B is the image of d(e_j) under
-        the previous degree's map, for the source generators lo <= j < hi.
-
-        A chunk takes generators until their sparse images hold enough
-        terms to fill about _LIFT_CHUNK_BYTES of translated rows."""
-        width = prev.shape[1]  # 0 when the target has rank 0 (the trivial group)
-        cap = _LIFT_CHUNK_BYTES // max(1, width if self.tgt.p == 2 else 8 * width)
-        parts: list = []
-        size = lo = 0
-        n_gens = self.src.rank(src_deg)
-        for j in range(n_gens):
-            parts.append(self.src.gen_image_sparse(src_deg, j))
-            size += parts[-1][0].size
-            if size >= cap or j == n_gens - 1:
-                yield lo, j + 1, self._images(parts, prev)
-                parts, size, lo = [], 0, j + 1
-
-    def _images(self, parts: list, prev: np.ndarray) -> np.ndarray:
-        """Row i is the image of the source vector given sparsely by parts[i].
+    def _images(self, src_deg: int, prev: np.ndarray) -> SegmentSums:
+        """Row j is the image of d(e_j) under the previous degree's map, over
+        the source generators e_j of degree src_deg.
 
         prev[w] is the image of source generator w, so a term v.s.e_w maps
-        to v.phi(s).prev[w]; each distinct (phi(s), w) is translated once."""
-        order, n_prev, width = self.tgt.order, len(prev), prev.shape[1]
-        owner = np.repeat(np.arange(len(parts)), [c.size for c, _ in parts])
-        coords = np.concatenate([c for c, _ in parts])
-        keys = self.phi[coords % self.src.order] * n_prev + coords // self.src.order
-        pairs, pick = np.unique(keys, return_inverse=True)
-        g, w = np.divmod(pairs, n_prev)
+        to v.phi(s).prev[w].  The degree's terms are sorted by their pair
+        (phi(s), w), and each distinct pair is translated once
+        (``_translate``), in slices of consecutive pairs whose translated
+        rows and term products fill about _LIFT_CHUNK_BYTES; a slice's
+        terms are added into the rows of their generators before the next
+        slice is translated."""
+        p, order = self.tgt.p, self.tgt.order
+        n, n_prev, width = self.src.rank(src_deg), len(prev), prev.shape[1]
+        sums = SegmentSums(n, width, p)
+        terms = self._sorted_terms(src_deg, n_prev)
+        if terms.size == 0:
+            return sums
+        pair = terms // (n * p)
+        firsts = np.flatnonzero(pair[1:] != pair[:-1]) + 1
+        g, w = np.divmod(np.concatenate(([pair[0]], pair[firsts])), n_prev)
+        del pair
+        bounds = np.concatenate(([0], firsts, [terms.size]))
+        counts = np.diff(bounds)
+        # a translated row and its packed copy, and the gathered rows and
+        # sums of a term: packed words at p = 2, int32 products at odd p
+        pair_bytes, term_bytes = (2 * width, width // 4 + 16) if p == 2 else (width, 8 * width)
         prev_blocks = prev.reshape(n_prev, width // order, order)
-        moved = np.empty((len(pairs),) + prev_blocks.shape[1:], dtype=np.uint8)
         gather = self.tgt.pres.left_inv_gather()
-        cuts = np.flatnonzero(np.r_[True, g[1:] != g[:-1], True])
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            np.take(prev_blocks[w[a:b]], gather[g[a]], axis=2, out=moved[a:b])
-        vals = np.concatenate([v for _, v in parts])
-        return segment_sums(moved.reshape(len(pairs), width), pick, vals, owner,
-                            len(parts), self.tgt.p)
+        for a, b in _slices(pair_bytes + counts * term_bytes):
+            moved = _translate(prev_blocks, g[a:b], w[a:b], gather,
+                               np.empty((b - a,) + prev_blocks.shape[1:], dtype=np.uint8))
+            rest, coeffs = np.divmod(terms[bounds[a]:bounds[b]], p)
+            # a stable sort of 8- or 16-bit keys is a radix sort
+            owner = (rest % n).astype(np.min_scalar_type(n))
+            by_owner = np.argsort(owner, kind="stable")
+            pick = np.repeat(np.arange(b - a), counts[a:b])
+            sums.add(moved.reshape(b - a, width), pick[by_owner],
+                     coeffs[by_owner].astype(np.uint8), owner[by_owner])
+        return sums
+
+    def _sorted_terms(self, src_deg: int, n_prev: int) -> np.ndarray:
+        """The terms v.s.e_w of the images d(e_j) of the source generators of
+        degree src_deg, as the sorted integers ((phi(s) n_prev + w) n + j) p + v:
+        grouped by their pair (phi(s), w), and by j within a pair.  They
+        are folded in blocks of generators, at about 32 bytes of temporaries
+        a term."""
+        n, p, so = self.src.rank(src_deg), self.tgt.p, self.src.order
+        if self.tgt.order * n_prev * n * p >= 2**63:
+            raise OverflowError("lift terms do not fit in int64")
+        parts = [self.src.gen_image_sparse(src_deg, j) for j in range(n)]
+        sizes = np.array([c.size for c, _ in parts], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        terms = np.empty(int(ends[-1]) if n else 0, dtype=np.int64)
+        for a, b in _slices(32 * sizes):
+            coords = np.concatenate([c for c, _ in parts[a:b]])
+            key = self.phi[coords % so].astype(np.int64) * n_prev + coords // so
+            key *= n
+            key += np.repeat(np.arange(a, b), sizes[a:b])
+            key *= p
+            key += np.concatenate([v for _, v in parts[a:b]])
+            terms[ends[a] - sizes[a]:ends[b - 1]] = key
+        terms.sort()
+        return terms
 
     def functional_matrix(self, t: int) -> np.ndarray:
         """Matrix of f -> f o (this map) in degree t: shape (src rank, tgt rank).

@@ -12,6 +12,7 @@ from centdet.fplinalg import (
     FpSubspace,
     LinSolver,
     QuotientCoords,
+    SegmentSums,
     _rref_bits,
     _rref_generic,
     _free_column_rows,
@@ -23,7 +24,6 @@ from centdet.fplinalg import (
     kernel_basis,
     matmul_mod,
     rref,
-    segment_sums,
     solve_preimage,
     stacked_pivots,
     subspace_sum,
@@ -362,7 +362,31 @@ def test_segment_sums_at_the_largest_prime_match_python_ints(run):
     want = [[0] * 3 for _ in range(4)]
     for i, r, c in zip(owner.tolist(), pick.tolist(), coeffs.tolist()):
         want[i] = [(x + c * y) % p for x, y in zip(want[i], rows[r].tolist())]
-    assert segment_sums(rows, pick, coeffs, owner, 4, p).tolist() == want
+    sums = SegmentSums(4, 3, p)
+    assert sums.add(rows, pick, coeffs, owner).rows(0, 4).tolist() == want
+    # adding the same terms again doubles every row mod p, past 255 in uint8
+    twice = [[2 * x % p for x in row] for row in want]
+    assert sums.add(rows, pick, coeffs, owner).rows(0, 4).tolist() == twice
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_segment_sums_accumulate_across_adds(p):
+    # terms split over several adds, as a lift adds one slice of its pairs
+    # at a time, sum like one pass in Python integers
+    rng = np.random.default_rng(p)
+    rows = rng.integers(0, p, size=(9, 70), dtype=np.uint8)
+    want = np.zeros((5, 70), dtype=np.int64)
+    sums = SegmentSums(5, 70, p)
+    for _ in range(4):
+        owner = np.sort(rng.integers(0, 5, size=12))
+        pick = rng.integers(0, 9, size=12)
+        coeffs = rng.integers(0, p, size=12, dtype=np.uint8)
+        for i, r, c in zip(owner, pick, coeffs):
+            want[i] += int(c) * rows[r].astype(np.int64)
+        sums.add(rows, pick, coeffs, owner)
+    assert sums.rows(0, 5).dtype == np.uint8
+    assert np.array_equal(sums.rows(0, 5), want % p)
+    assert np.array_equal(sums.rows(2, 4), want[2:4] % p)
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ from centdet.pgroup import (
     direct_product,
     omega1_center,
     pc_structure,
+    split_central_factors,
     subgroup_presentation,
 )
 from centdet.resolution import (
@@ -374,6 +375,61 @@ def test_reports_like_relabelled_copies(capsys, monkeypatch, gid, G, N):
     assert outputs[0][0] == 0
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def sylow_2_of_s8() -> PcPresentation:
+    """Z2 wr Z2 wr Z2, generated by (1 2), (1 3)(2 4), (1 5)(2 6)(3 7)(4 8)."""
+    def perm(*cycles):
+        images = list(range(8))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a - 1] = b - 1
+        return tuple(images)
+
+    def mult(x, y):  # x, then y
+        return tuple(y[i] for i in x)
+
+    def inv(x):
+        out = [0] * 8
+        for i, image in enumerate(x):
+            out[image] = i
+        return tuple(out)
+
+    gens = [perm((1, 2)), perm((1, 3), (2, 4)), perm((1, 5), (2, 6), (3, 7), (4, 8))]
+    elems, frontier = {tuple(range(8))}, [tuple(range(8))]
+    while frontier:
+        frontier = [y for x in frontier for y in {mult(x, g) for g in gens} if y not in elems]
+        elems.update(frontier)
+    pres, _, _ = pc_structure(sorted(elems), mult, inv, 2)
+    return pres
+
+
+@pytest.mark.stretch
+@pytest.mark.skipif(not os.environ.get("CENTDET_STRETCH"),
+                    reason="stretch tier: set CENTDET_STRETCH=1")
+def test_sylow_2_of_s8_reports_like_a_relabelled_copy(capsys, tmp_path):
+    # order 128, not a product and no central factor splits off: every
+    # invariant is read off lifts into from-scratch resolutions
+    G = sylow_2_of_s8()
+    assert G.order == 128 and split_central_factors(G) is G
+    outputs = []
+    for copy, pres in (("plain", G), ("relabelled", relabelled_copy(G, seed=1))):
+        (tmp_path / copy).mkdir()
+        path = tmp_path / copy / "Syl2S8.pcp"
+        path.write_text(format_pcp(pres))
+        outputs.append(run_cli(capsys, "--budget", "100000000", "invariants", str(path),
+                               "--degree", "6"))
+    assert outputs[1] == outputs[0]
+    code, out = outputs[0]
+    assert code == 0
+    assert json.loads(out) == {
+        "group_id": "Syl2S8", "p": 2, "order": 128, "rank": 4, "center_rank": 1,
+        "p_central": False, "type": [4], "e": 3, "h": 2, "d0": 0, "d1": None,
+        "e_prime": -1, "e_double_prime": -1, "cess_nonzero": False,
+        "truncation_degree": 6,
+        "certified": {"type": True, "e_prime": False, "e_double_prime": False,
+                      "d0": False},
+    }
 
 
 # ---------------------------------------------------------------------------

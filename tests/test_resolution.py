@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -643,7 +644,27 @@ LIFT_CASES = {
     "E27-restriction": lambda: restriction_case(E27, 6),
     "D8-comodule": lambda: comodule_case(D8, 5),
     "E27-comodule": lambda: comodule_case(E27, 4),
+    # p > 128: two residues can sum past 255 when slices add into one row
+    "Z251-cocycle": lambda: cocycle_case(cyclic_presentation(251, 1), 6, 2, 3),
 }
+
+
+def record_translations(monkeypatch):
+    """Per lifted degree, the (g, w) pairs handed to resolution._translate."""
+    degrees: list[list[tuple[int, int]]] = []
+    translate, solve_degree = resolution._translate, resolution.ChainMap._solve_degree
+
+    def counting_translate(prev_blocks, g, w, gather, out):
+        degrees[-1].extend(zip(g.tolist(), w.tolist()))
+        return translate(prev_blocks, g, w, gather, out)
+
+    def counting_solve_degree(cm, *args):
+        degrees.append([])
+        return solve_degree(cm, *args)
+
+    monkeypatch.setattr(resolution, "_translate", counting_translate)
+    monkeypatch.setattr(resolution.ChainMap, "_solve_degree", counting_solve_degree)
+    return degrees
 
 
 @pytest.mark.parametrize("one_per_chunk", [False, True], ids=["chunked", "one-per-chunk"])
@@ -652,14 +673,82 @@ def test_batched_lifts_match_per_generator_reference(case, one_per_chunk, monkey
     if one_per_chunk:
         monkeypatch.setattr(resolution, "_LIFT_CHUNK_BYTES", 0)
     cm, t_max = LIFT_CASES[case]()
-    if one_per_chunk:
-        chunks = list(cm._image_chunks(cm.shift + 1, cm.maps[0]))
-        assert [hi - lo for lo, hi, _ in chunks] == [1] * cm.src.rank(cm.shift + 1)
+    sizes, solved = [], []
+    translate, lift_rows = resolution._translate, cm.tgt.lift_rows
+
+    def sized_translate(prev_blocks, g, w, gather, out):
+        sizes.append(len(w))
+        return translate(prev_blocks, g, w, gather, out)
+
+    def sized_lift_rows(t, B):
+        solved.append(len(B))
+        return lift_rows(t, B)
+
+    monkeypatch.setattr(resolution, "_translate", sized_translate)
+    monkeypatch.setattr(cm.tgt, "lift_rows", sized_lift_rows)
     cm.extend_to(t_max)
+    n_rows = sum(cm.src.rank(cm.shift + t) for t in range(1, t_max + 1))
+    assert sum(solved) == n_rows
+    if one_per_chunk:
+        # with no room, every slice of pairs holds one pair and every solve one row
+        assert sizes and set(sizes) == {1}
+        assert solved == [1] * n_rows
     want = reference_maps(cm, t_max)
     assert len(cm.maps) == len(want)
     for t, (got, ref) in enumerate(zip(cm.maps, want)):
         assert got.dtype == np.uint8 and np.array_equal(got, ref), t
+
+
+@pytest.mark.parametrize("cap", [None, 4096], ids=["default-cap", "4k-cap"])
+@pytest.mark.parametrize("case", ["32#18-cocycle", "E27-comodule"])
+def test_each_pair_is_translated_once_per_degree(case, cap, monkeypatch):
+    # a 4k cap cuts most degrees into several slices of pairs
+    if cap is not None:
+        monkeypatch.setattr(resolution, "_LIFT_CHUNK_BYTES", cap)
+    cm, t_max = LIFT_CASES[case]()
+    degrees = record_translations(monkeypatch)
+    cm.extend_to(t_max)
+    assert len(degrees) == t_max
+    for t, moved in enumerate(degrees, start=1):
+        src_deg, want = cm.shift + t, set()
+        for j in range(cm.src.rank(src_deg)):
+            coords, _ = cm.src.gen_image_sparse(src_deg, j)
+            want |= set(zip(cm.phi[coords % cm.src.order].tolist(),
+                            (coords // cm.src.order).tolist()))
+        assert len(moved) == len(want) and set(moved) == want, t
+    for t, (got, ref) in enumerate(zip(cm.maps, reference_maps(cm, t_max))):
+        assert np.array_equal(got, ref), t
+
+
+@pytest.mark.parametrize("t", [9, 10])
+def test_one_degree_of_a_coaction_lift_stays_within_its_memory_bound(t):
+    # H27 at degree 10, the largest coaction lift of the report_p3 ladder:
+    # one degree may hold twice _LIFT_CHUNK_BYTES besides its right-hand
+    # sides and its solutions.  Degree 9 is lifted; degree 10, the top, is
+    # read modulo the radical.  Assembling a whole degree in one slice peaks
+    # at 6.2 and 10.3 MB here, against a bound of 4.2 MB.
+    res, _, comodule = build_comodule(load_pcp(H27), 10)
+    cm = comodule._induced._chain
+    cm.extend_to(t - 1)
+    for j in range(cm.src.rank(t)):  # the source's sparse rows are kept
+        cm.src.gen_image_sparse(t, j)
+    res.solver(t - 1)
+    if t < res.top_degree:
+        res.solver(t)
+    n, width = cm.src.rank(t), cm.maps[t - 1].shape[1]
+    per_gen = res.order if t < res.top_degree else 1
+    output = n * width + n * res.rank(t) * per_gen
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if t < res.top_degree:
+            cm.extend_to(t)
+        else:
+            cm.functional_matrix(t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * resolution._LIFT_CHUNK_BYTES + output, (peak, output)
 
 
 # ---------------------------------------------------------------------------
