@@ -301,7 +301,9 @@ def criterion_6(ws: Workspace, corpus=None, N: int = 8):
 
 
 def coassociativity_defect(ws: Workspace, pres, k_max: int) -> str | None:
-    """Compare (Delta (x) 1) m* with (1 (x) m*) m* degreewise; None if equal."""
+    """Compare (Delta (x) 1) m* with (1 (x) m*) m* degreewise; None if equal.
+    A basis class whose image is empty is reported too: by the counit,
+    the image of x holds 1 (x) x."""
     from .fplinalg import matmul_mod
     from .pgroup import whole_group
     from .resolution import ComoduleMap
@@ -335,6 +337,8 @@ def coassociativity_defect(ws: Workspace, pres, k_max: int) -> str | None:
                         rhs[key] = (rhs.get(key, 0) + int(img[j]) * int(mimg[jj])) % p
             lhs = {kk: vv for kk, vv in lhs.items() if vv}
             rhs = {kk: vv for kk, vv in rhs.items() if vv}
+            if not lhs:
+                return f"coaction of basis class {x_idx} is empty in degree {k}"
             if lhs != rhs:
                 return f"coassociativity fails in degree {k}"
     return None

@@ -339,11 +339,15 @@ class PcpFormatError(PcPresentationError):
         self.line_no = line_no
 
 
-def _parse_word(text: str, n: int, line_no: int) -> tuple:
+def _parse_word(text: str, p: int, n: int, line_no: int) -> tuple:
+    """A word in normal form: factors g_k^e with k strictly increasing and
+    1 <= e <= p - 1, or "1".  Any other word is refused, as reading it
+    would need collection."""
     text = text.strip()
     w = [0] * n
     if text == "1":
         return tuple(w)
+    last = 0
     for factor in text.split():
         if not factor.startswith("g") or "^" not in factor:
             raise PcpFormatError(line_no, f"bad word factor {factor!r}")
@@ -354,7 +358,16 @@ def _parse_word(text: str, n: int, line_no: int) -> tuple:
             raise PcpFormatError(line_no, f"bad word factor {factor!r}") from None
         if not (1 <= k <= n):
             raise PcpFormatError(line_no, f"generator g{k} out of range")
-        w[k - 1] += e
+        if k <= last:
+            raise PcpFormatError(
+                line_no, f"word not in normal form: g{k} after g{last}, generators must increase"
+            )
+        if not (1 <= e <= p - 1):
+            raise PcpFormatError(
+                line_no, f"word not in normal form: exponent {e} of g{k} outside 1..{p - 1}"
+            )
+        w[k - 1] = e
+        last = k
     return tuple(w)
 
 
@@ -384,7 +397,7 @@ def parse_pcp(text: str) -> PcPresentation:
             i = int(parts[1])
             if not (1 <= i <= n):
                 raise PcpFormatError(line_no, f"generator g{i} out of range")
-            word = _parse_word(line.split("=", 1)[1], n, line_no)
+            word = _parse_word(line.split("=", 1)[1], p, n, line_no)
             if any(word[: i]):
                 raise PcpFormatError(
                     line_no, f"power word of g{i} may only use later generators"
@@ -399,7 +412,7 @@ def parse_pcp(text: str) -> PcPresentation:
             j, i = int(parts[1]), int(parts[2])
             if not (1 <= i < j <= n):
                 raise PcpFormatError(line_no, f"need j > i, got comm {j} {i}")
-            word = _parse_word(line.split("=", 1)[1], n, line_no)
+            word = _parse_word(line.split("=", 1)[1], p, n, line_no)
             if any(word[: j]):
                 raise PcpFormatError(
                     line_no, f"commutator word [g{j},g{i}] may only use later generators"

@@ -10,7 +10,8 @@ A minimal resolution carries, per homological degree i, the images of
 the free-module generators under the differential d_i.  Minimality
 (images inside the radical) makes every functional on F_i a cocycle
 and none a coboundary, so Betti numbers are cohomology dimensions and
-cocycles are plain coordinate vectors.
+cocycles are plain coordinate vectors.  Every resolution gives those
+images a whole degree at a time, in one sparse form (``gen_terms``).
 
 Cohomology operations (cup products, restriction, inflation, maps
 induced by arbitrary homomorphisms, the coaction of a central
@@ -18,14 +19,14 @@ elementary abelian subgroup) are computed by lifting module maps
 through the resolutions degree by degree, or read off the factors of
 a tensor product; any particular solution of the lifting systems gives
 the same answer on cohomology.  The generators of a degree are lifted
-together: their right-hand sides are assembled for the whole degree,
-translating each distinct (group element, generator) pair of its terms
-once in slices of bounded size, and solved in row slices by one product
-each, against the factorization of the target differential on the rows
-that determine it.  At the target's top degree N a map is read modulo
-the radical instead of lifted, from the elimination of rad*K that chose
-the degree-N generators, so no factorization of d_N is built just to
-read H^N.
+together: their right-hand sides are assembled for the whole degree
+from its sparse form, translating each distinct (group element,
+generator) pair of its terms once in slices of bounded size, and solved
+in row slices by one product each, against the factorization of the
+target differential on the rows that determine it.  At the target's
+top degree N a map is read modulo the radical instead of lifted, from
+the elimination of rad*K that chose the degree-N generators, so no
+factorization of d_N is built just to read H^N.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class MinimalResolution:
         self.order = pres.order
         self.budget = budget
         self.betti: list[int] = [1]
-        self._gen_images: list[np.ndarray | None] = [None]
+        self._gen_images: list[np.ndarray] = [np.zeros((1, 0), dtype=np.uint8)]  # d_0 = 0: no terms
         self._solvers: dict[int, LinSolver] = {}
         self._cup_lifts: dict = {}
         # (P, coordinates modulo rad*K) of the top degree, once it is >= 1
@@ -101,13 +102,19 @@ class MinimalResolution:
     def rank(self, k: int) -> int:
         return self.betti[k]
 
-    def gen_image_row(self, k: int, j: int) -> np.ndarray:
-        return self._gen_images[k][j]
+    def gen_terms(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, coords, vals): the rows d(e_j) of every generator e_j of
+        degree k in compressed sparse rows.  Row j has its nonzero entries
+        vals[indptr[j]:indptr[j+1]] (uint8) at the ascending coordinates
+        coords[indptr[j]:indptr[j+1]] (int64) of F_{k-1}."""
+        rows = self._gen_images[k]
+        owner, coords = np.nonzero(rows)
+        indptr = np.searchsorted(owner, np.arange(len(rows) + 1))
+        return indptr, coords, rows[owner, coords]
 
-    def gen_image_sparse(self, k: int, j: int):
-        row = self._gen_images[k][j]
-        coords = np.flatnonzero(row)
-        return coords, row[coords]
+    def _gen_rows(self, k: int) -> np.ndarray:
+        """The rows d(e_j) of degree k as one dense (b_k, b_{k-1}|G|) block."""
+        return self._gen_images[k]
 
     # -- construction -----------------------------------------------------------
 
@@ -189,9 +196,10 @@ class MinimalResolution:
             raise BudgetExceededError(i, b_i * order, self.budget)
         at = rows % order
         idx = (rows - at)[:, None] + self.pres.left_inv_gather()[:, at].T
+        gens = self._gen_rows(i)
         D = np.empty((len(rows), b_i * order), dtype=np.uint8)
         for j in range(b_i):
-            D[:, j * order:(j + 1) * order] = self.gen_image_row(i, j)[idx]
+            D[:, j * order:(j + 1) * order] = gens[j][idx]
         return D
 
     def solver(self, i: int) -> LinSolver:
@@ -253,9 +261,7 @@ class MinimalResolution:
         described, or None when every built degree passes both checks."""
         top = self.top_degree if up_to is None else min(up_to, self.top_degree)
         for i in range(1, top + 1):
-            gens = np.zeros((self.betti[i], self.betti[i - 1] * self.order), dtype=np.uint8)
-            for j in range(self.betti[i]):
-                gens[j] = self.gen_image_row(i, j)
+            gens = self._gen_rows(i)
             if self.block_sums(gens, self.betti[i - 1]).any():
                 return f"differential d_{i} is not minimal"
             if i >= 2 and matmul_mod(self.expanded_diff(i - 1), gens.T, self.p).any():
@@ -287,9 +293,9 @@ class TensorResolution(MinimalResolution):
     Minimal again since both factors are; generator (i, u, v) of total
     degree k maps to (d e_u) x e_v + (-1)^i e_u x (d e_v).  The pair
     indexing realizes H*(A) (x) H*(B) = H*(A x B) on dual generators.
-    Rows are kept sparse.  The budget is that of a from-scratch build:
-    degree k is refused once b_k |G| exceeds it, whether or not a dense
-    matrix of that degree is ever materialized.
+    The budget is that of a from-scratch build: degree k is refused once
+    b_k |G| exceeds it, whether or not a dense matrix of that degree is
+    ever materialized.
     """
 
     def __init__(self, resA: MinimalResolution, resB: MinimalResolution,
@@ -300,8 +306,7 @@ class TensorResolution(MinimalResolution):
         self.resB = resB
         self.orderA = resA.order
         self.orderB = resB.order
-        self._pairs: dict[int, list[tuple[int, int, int]]] = {}
-        self._sparse: dict = {}
+        self._terms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         try:
             self.extend_to(min(resA.top_degree, resB.top_degree))
         except BudgetExceededError:
@@ -321,16 +326,8 @@ class TensorResolution(MinimalResolution):
         return self
 
     def pairs(self, k: int) -> list[tuple[int, int, int]]:
-        got = self._pairs.get(k)
-        if got is None:
-            got = [
-                (i, u, v)
-                for i in range(k + 1)
-                for u in range(self.resA.betti[i])
-                for v in range(self.resB.betti[k - i])
-            ]
-            self._pairs[k] = got
-        return got
+        return [(i, u, v) for i in range(k + 1)
+                for u in range(self.resA.betti[i]) for v in range(self.resB.betti[k - i])]
 
     def pair_pos(self, k: int, triple):
         """Position of (i, u, v) in pairs(k); u and v may be integer arrays."""
@@ -343,42 +340,43 @@ class TensorResolution(MinimalResolution):
         lo = self.pair_pos(k, (i, 0, 0))
         return slice(lo, lo + self.resA.rank(i) * self.resB.rank(k - i))
 
-    def gen_image_sparse(self, k: int, j: int):
-        key = (k, j)
-        got = self._sparse.get(key)
+    def gen_terms(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``MinimalResolution.gen_terms`` of degree k, built once from the
+        factors' forms and kept.  A term s.e_u' of d(e_u) gives
+        (s, 1).(e_u' x e_v), at the pair (i - 1, u', v) of degree k - 1, and
+        a term s.e_v' of d(e_v) gives (1, s).(e_u x e_v') at (i, u, v'):
+        the pairs (i - 1, ., .) come first, so each row stays ascending.
+        Each block i is filled for all its (u, v) at once."""
+        got = self._terms.get(k)
         if got is not None:
             return got
-        i, u, v = self.pairs(k)[j]
-        jj = k - i
-        coords: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        if i >= 1:
-            alpha = self.resA.gen_image_row(i, u)
-            nz = np.flatnonzero(alpha)
-            u_prime, a = nz // self.orderA, nz % self.orderA
-            pos = self.pair_pos(k - 1, (i - 1, u_prime, v))
-            coords.append(pos * self.order + a * self.orderB)
-            vals.append(alpha[nz])
-        if jj >= 1:
-            beta = self.resB.gen_image_row(jj, v)
-            nz = np.flatnonzero(beta)
-            v_prime, b = nz // self.orderB, nz % self.orderB
-            pos = self.pair_pos(k - 1, (i, u, v_prime))
-            sign = 1 if i % 2 == 0 else self.p - 1
-            coords.append(pos * self.order + b)
-            vals.append((beta[nz].astype(np.int64) * sign % self.p).astype(np.uint8))
-        if coords:
-            got = (np.concatenate(coords), np.concatenate(vals))
-        else:
-            got = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
-        self._sparse[key] = got
+        p, order, oA, oB = self.p, self.order, self.orderA, self.orderB
+        forms = [(self.resA.gen_terms(i), self.resB.gen_terms(k - i)) for i in range(k + 1)]
+        lens = [np.add.outer(np.diff(A[0]), np.diff(B[0])).ravel() for A, B in forms]
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(lens))))
+        coords = np.empty(indptr[-1], dtype=np.int64)
+        vals = np.empty(indptr[-1], dtype=np.uint8)
+        for i, ((ipA, cA, xA), (ipB, cB, xB)) in enumerate(forms):
+            nA, bu, bv = np.diff(ipA), len(ipA) - 1, len(ipB) - 1
+            start = indptr[self.block(k, i)].reshape(bu, bv)
+            u = np.repeat(np.arange(bu), nA)
+            dst = start[u] + (np.arange(cA.size) - ipA[u])[:, None]
+            pos = self.pair_pos(k - 1, (i - 1, cA // oA, 0))
+            coords[dst] = (pos * order + cA % oA * oB)[:, None] + np.arange(bv) * order
+            vals[dst] = xA[:, None]
+            v = np.repeat(np.arange(bv), np.diff(ipB))
+            dst = start[:, v] + nA[:, None] + (np.arange(cB.size) - ipB[v])
+            pos = self.pair_pos(k - 1, (i, np.arange(bu), 0))
+            coords[dst] = (pos * order)[:, None] + (cB // oB * order + cB % oB)
+            vals[dst] = xB.astype(np.int64) * (1 if i % 2 == 0 else p - 1) % p
+        got = self._terms[k] = (indptr, coords, vals)
         return got
 
-    def gen_image_row(self, k: int, j: int) -> np.ndarray:
-        row = np.zeros(self.betti[k - 1] * self.order, dtype=np.uint8)
-        coords, vals = self.gen_image_sparse(k, j)
-        row[coords] = vals
-        return row
+    def _gen_rows(self, k: int) -> np.ndarray:
+        indptr, coords, vals = self.gen_terms(k)
+        rows = np.zeros((self.betti[k], self.betti[k - 1] * self.order), dtype=np.uint8)
+        rows[np.repeat(np.arange(self.betti[k]), np.diff(indptr)), coords] = vals
+        return rows
 
 
 def _betti_through(res: MinimalResolution, k: int) -> list[int]:
@@ -524,23 +522,23 @@ class ChainMap:
         """The terms v.s.e_w of the images d(e_j) of the source generators of
         degree src_deg, as the sorted integers ((phi(s) n_prev + w) n + j) p + v:
         grouped by their pair (phi(s), w), and by j within a pair.  They
-        are folded in blocks of generators, at about 32 bytes of temporaries
-        a term."""
+        are folded straight from the degree's sparse rows (``gen_terms``),
+        in blocks of generators of about 32 bytes of temporaries a term."""
         n, p, so = self.src.rank(src_deg), self.tgt.p, self.src.order
         if self.tgt.order * n_prev * n * p >= 2**63:
             raise OverflowError("lift terms do not fit in int64")
-        parts = [self.src.gen_image_sparse(src_deg, j) for j in range(n)]
-        sizes = np.array([c.size for c, _ in parts], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        terms = np.empty(int(ends[-1]) if n else 0, dtype=np.int64)
+        indptr, coords, vals = self.src.gen_terms(src_deg)
+        sizes = np.diff(indptr)
+        terms = np.empty(coords.size, dtype=np.int64)
         for a, b in _slices(32 * sizes):
-            coords = np.concatenate([c for c, _ in parts[a:b]])
-            key = self.phi[coords % so].astype(np.int64) * n_prev + coords // so
+            lo, hi = indptr[a], indptr[b]
+            c = coords[lo:hi]
+            key = self.phi[c % so].astype(np.int64) * n_prev + c // so
             key *= n
             key += np.repeat(np.arange(a, b), sizes[a:b])
             key *= p
-            key += np.concatenate([v for _, v in parts[a:b]])
-            terms[ends[a] - sizes[a]:ends[b - 1]] = key
+            key += vals[lo:hi]
+            terms[lo:hi] = key
         terms.sort()
         return terms
 
@@ -625,6 +623,7 @@ def multiplication_matrix(res, g: Cocycle, m: int) -> np.ndarray:
     (-1)^(|a||b|) a x b in degree |a| + |b|, so G_(a x b) is
     (-1)^(|a||b|) T.  Hence (x' x y').(a x b) = (-1)^(|a||y'|)
     (x'.a) x (y'.b) on dual generators, which is the block above."""
+    g = Cocycle(g.degree, g.vec % res.p)  # every lift, key and block reads residues
     if g.degree == 0:
         return np.eye(res.rank(m), dtype=np.uint8) * g.vec[0]
     if not isinstance(res, TensorResolution):

@@ -309,6 +309,32 @@ def test_cli_rejects_prime_above_251(capsys, tmp_path):
                      "message": "p must be at most 251, got 257"}
 
 
+# line 3 holds a word that is not in normal form.  Adding up its exponents
+# and reducing them mod p misreads it: the p = 2 text, Q8 with g2^2 for
+# g3, would be read as D8.
+NON_NORMAL_WORDS = [
+    ("p 2\ngens 3\npow 1 = g2^2\npow 2 = g3^1\ncomm 2 1 = g3^1\n", "exponent 2 of g2"),
+    ("p 3\ngens 3\npow 1 = g2^1 g2^1\n", "g2 after g2"),
+    ("p 3\ngens 3\npow 1 = g3^1 g2^1\n", "g2 after g3"),
+    ("p 3\ngens 3\npow 1 = g2^-1\n", "exponent -1 of g2"),
+    ("p 3\ngens 3\npow 1 = g2^3\n", "exponent 3 of g2"),
+]
+
+
+@pytest.mark.parametrize("text,why", NON_NORMAL_WORDS, ids=[w for _, w in NON_NORMAL_WORDS])
+def test_cli_refuses_words_not_in_normal_form(capsys, tmp_path, text, why):
+    path = str(tmp_path / "word.pcp")
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, out = run_cli(capsys, "info", path)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "PcpFormatError"
+    assert err["message"].startswith("line 3: word not in normal form") and why in err["message"]
+    # the same word with exponent 2 < p is in normal form at p = 3
+    assert parse_pcp("p 3\ngens 3\npow 1 = g2^2\n").power_rels[0] == (0, 2, 0)
+
+
 def test_cli_error_is_machine_readable(capsys):
     code, out = run_cli(capsys, "info", "NOPE")
     assert code == 1

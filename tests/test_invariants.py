@@ -226,8 +226,11 @@ def test_canonical_cyclic_resolution(p):
     # d_1(e_1) = e - g^(p-1) and d_2(e_2) = sum of all g
     res = MinimalResolution(cyclic_presentation(p, 1)).extend_to(2)
     assert res.rank(1) == res.rank(2) == 1
-    assert res.gen_image_row(1, 0).tolist() == [1] + [0] * (p - 2) + [p - 1]
-    assert res.gen_image_row(2, 0).tolist() == [1] * p
+    for k, want in ((1, [1] + [0] * (p - 2) + [p - 1]), (2, [1] * p)):
+        indptr, coords, vals = res.gen_terms(k)
+        row = np.zeros(p, dtype=np.uint8)
+        row[coords] = vals
+        assert indptr.tolist() == [0, len(coords)] and row.tolist() == want
 
 
 def test_e_h_values():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from centdet import cli, resolution
-from centdet.acceptance import QUICK_CORPUS
+from centdet.acceptance import QUICK_CORPUS, coassociativity_defect
 from centdet.catalog import builtin, load_pcp
 from centdet.fplinalg import (
     FpMatrix,
@@ -191,6 +191,30 @@ def test_cup_commutative_p2():
         g = Cocycle(int(n), rng.integers(0, 2, size=res.betti[n]))
         assert np.array_equal(cup_product(res, f, g).vec,
                               cup_product(res, g, f).vec)
+
+
+CUP_MOD_P_CASES = {
+    "D8": lambda: build_minimal_resolution(D8, 4),
+    "E27": lambda: build_minimal_resolution(E27, 4),
+    "D8xZ4-served": lambda: Workspace().resolution(builtin("D8xZ4").pres, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(CUP_MOD_P_CASES))
+def test_cup_reads_class_vectors_mod_p(case):
+    # a class vector with entries >= p is the class of its residues: on D8,
+    # [2, 0] is zero, and f.[2, 0] read 2 as 1 in the p = 2 packing
+    res = CUP_MOD_P_CASES[case]()
+    p, rng = res.p, np.random.default_rng(11)
+    if case == "D8":
+        f, zero = Cocycle(1, [1, 0]), Cocycle(1, [2, 0])
+        assert cup_product(res, f, zero).is_zero() and cup_product(res, zero, f).is_zero()
+    for m, n in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
+        f = Cocycle(m, rng.integers(0, p, size=res.rank(m)))
+        g = Cocycle(n, rng.integers(0, p, size=res.rank(n)))
+        lifted = Cocycle(n, g.vec + p * rng.integers(0, 256 // p, size=res.rank(n)))
+        assert np.array_equal(cup_product(res, f, lifted).vec, cup_product(res, f, g).vec)
+        assert np.array_equal(cup_product(res, lifted, f).vec, cup_product(res, g, f).vec)
 
 
 def test_cup_associative():
@@ -428,6 +452,62 @@ def test_kunneth_verify_odd_p():
     assert kun.betti[:5] == direct.betti[:5]
 
 
+def reference_terms(res, k, j):
+    """(coords, vals) of d(e_j) in degree k, one generator at a time: off
+    the dense row of a resolution built by elimination, and for a
+    TensorResolution by (d e_u) x e_v + (-1)^i e_u x (d e_v), (i, u, v)
+    the pair of e_j, from its factors' reference terms."""
+    if not isinstance(res, TensorResolution):
+        row = res._gen_images[k][j]
+        nz = np.flatnonzero(row)
+        return nz, row[nz]
+    i, u, v = res.pairs(k)[j]
+    coords, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
+    if i >= 1:
+        nz, alpha = reference_terms(res.resA, i, u)
+        pos = res.pair_pos(k - 1, (i - 1, nz // res.orderA, v))
+        coords.append(pos * res.order + nz % res.orderA * res.orderB)
+        vals.append(alpha)
+    if k - i >= 1:
+        nz, beta = reference_terms(res.resB, k - i, v)
+        pos = res.pair_pos(k - 1, (i, u, nz // res.orderB))
+        sign = 1 if i % 2 == 0 else res.p - 1
+        coords.append(pos * res.order + nz % res.orderB)
+        vals.append((beta.astype(np.int64) * sign % res.p).astype(np.uint8))
+    return np.concatenate(coords), np.concatenate(vals)
+
+
+TENSOR_CASES = {
+    "D8xZ4@8": lambda: Workspace().resolution(builtin("D8xZ4").pres, 8),
+    "Q8xD8@6": lambda: Workspace().resolution(builtin("Q8xD8").pres, 6),
+    "D8xZ4xZ2@5": lambda: Workspace().resolution(builtin("D8xZ4xZ2").pres, 5),
+    # Z3 x H27 at p = 3, where the Koszul sign is not 1
+    "H27-coaction@10": lambda: build_comodule(load_pcp(H27), 10)[2].kun,
+}
+
+
+@pytest.mark.parametrize("case", list(TENSOR_CASES))
+def test_tensor_terms_match_the_per_generator_formula(case):
+    res = TENSOR_CASES[case]()
+    assert isinstance(res, TensorResolution)
+    if case == "D8xZ4xZ2@5":
+        assert TensorResolution in {type(res.resA), type(res.resB)}
+    for k in range(1, res.top_degree + 1):
+        indptr, coords, vals = res.gen_terms(k)
+        n = res.rank(k)
+        assert indptr.shape == (n + 1,) and indptr[-1] == coords.size == vals.size
+        assert coords.dtype == np.int64 and vals.dtype == np.uint8
+        want = set()
+        for j in range(n):
+            c, v = reference_terms(res, k, j)
+            lo, hi = indptr[j], indptr[j + 1]
+            assert np.array_equal(coords[lo:hi], c) and np.array_equal(vals[lo:hi], v), (k, j)
+            want |= set(zip([j] * len(c), c.tolist(), v.tolist()))
+        owner = np.repeat(np.arange(n), np.diff(indptr))
+        assert set(zip(owner.tolist(), coords.tolist(), vals.tolist())) == want, k
+        assert res.gen_terms(k)[1] is coords, k  # built once per degree
+
+
 # ---------------------------------------------------------------------------
 # comodule structure
 
@@ -523,41 +603,16 @@ def test_comodule_primitives_of_self():
         assert cm.primitive_basis(k).dim == 0
 
 
-def test_comodule_coassociativity_z4():
-    # (Delta_C (x) 1) m* = (1 (x) m*) m* in fully unpacked coordinates; C
-    # presents itself, so Delta is read on resC in resC's own coordinates
-    G = cyclic_presentation(2, 2)
-    N = 5
-    res, resC, cm = build_comodule(G, N)
-    delta = ComoduleMap(resC, whole_group(resC.pres), resC)
-    p = 2
-    for k in range(N):
-        for x_idx in range(res.betti[k]):
-            x = np.eye(res.betti[k], dtype=np.uint8)[x_idx]
-            img = matmul_mod(cm.matrix(k), x[:, None], p)[:, 0]
-            lhs = {}
-            rhs = {}
-            for j, (i, u, v) in enumerate(cm.kun.pairs(k)):
-                if not img[j]:
-                    continue
-                # left side: expand the C part by Delta
-                eu = np.eye(resC.betti[i], dtype=np.uint8)[u]
-                dimg = matmul_mod(delta.matrix(i), eu[:, None], p)[:, 0]
-                for jj, (a, w, y) in enumerate(delta.kun.pairs(i)):
-                    if dimg[jj]:
-                        key = (a, w, i - a, y, k - i, v)
-                        lhs[key] = (lhs.get(key, 0) + int(img[j]) * int(dimg[jj])) % p
-                # right side: expand the G part by m*
-                ev = np.eye(res.betti[k - i], dtype=np.uint8)[v]
-                mimg = matmul_mod(cm.matrix(k - i), ev[:, None], p)[:, 0]
-                for jj, (b, y, vg) in enumerate(cm.kun.pairs(k - i)):
-                    if mimg[jj]:
-                        key = (i, u, b, y, k - i - b, vg)
-                        rhs[key] = (rhs.get(key, 0) + int(img[j]) * int(mimg[jj])) % p
-            lhs = {kk: vv for kk, vv in lhs.items() if vv}
-            rhs = {kk: vv for kk, vv in rhs.items() if vv}
-            assert lhs
-            assert lhs == rhs
+def test_comodule_coassociativity_z4(monkeypatch):
+    # (Delta_C (x) 1) m* = (1 (x) m*) m* in degrees 0..4, on images that
+    # are never empty; a coaction that sends every class to 0 is refused
+    Z4 = cyclic_presentation(2, 2)
+    assert coassociativity_defect(Workspace(), Z4, 4) is None
+    monkeypatch.setattr(ComoduleMap, "matrix",
+                        lambda self, k: np.zeros((self.kun.rank(k), self.res_G.rank(k)),
+                                                 dtype=np.uint8))
+    assert coassociativity_defect(Workspace(), Z4, 4) == (
+        "coaction of basis class 0 is empty in degree 0")
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +667,11 @@ def reference_maps(cm, t_max):
         src_deg = cm.shift + t
         solver = LinSolver(FpMatrix(p, cm.tgt.expanded_diff(t), check=False))
         rows = np.zeros((cm.src.rank(src_deg), solver.cols_n), dtype=np.uint8)
+        indptr, coords, vals = cm.src.gen_terms(src_deg)
         for j in range(len(rows)):
-            coords, vals = cm.src.gen_image_sparse(src_deg, j)
-            rhs = apply_map_to_vec(maps[t - 1], coords, vals, cm.src.order, cm.phi,
-                                   cm.tgt, maps[t - 1].shape[1], p)
+            lo, hi = indptr[j], indptr[j + 1]
+            rhs = apply_map_to_vec(maps[t - 1], coords[lo:hi], vals[lo:hi], cm.src.order,
+                                   cm.phi, cm.tgt, maps[t - 1].shape[1], p)
             rows[j] = solver.solve(rhs)
         maps.append(rows)
     return maps
@@ -710,11 +766,9 @@ def test_each_pair_is_translated_once_per_degree(case, cap, monkeypatch):
     cm.extend_to(t_max)
     assert len(degrees) == t_max
     for t, moved in enumerate(degrees, start=1):
-        src_deg, want = cm.shift + t, set()
-        for j in range(cm.src.rank(src_deg)):
-            coords, _ = cm.src.gen_image_sparse(src_deg, j)
-            want |= set(zip(cm.phi[coords % cm.src.order].tolist(),
-                            (coords // cm.src.order).tolist()))
+        _, coords, _ = cm.src.gen_terms(cm.shift + t)
+        want = set(zip(cm.phi[coords % cm.src.order].tolist(),
+                       (coords // cm.src.order).tolist()))
         assert len(moved) == len(want) and set(moved) == want, t
     for t, (got, ref) in enumerate(zip(cm.maps, reference_maps(cm, t_max))):
         assert np.array_equal(got, ref), t
@@ -730,8 +784,7 @@ def test_one_degree_of_a_coaction_lift_stays_within_its_memory_bound(t):
     res, _, comodule = build_comodule(load_pcp(H27), 10)
     cm = comodule._induced._chain
     cm.extend_to(t - 1)
-    for j in range(cm.src.rank(t)):  # the source's sparse rows are kept
-        cm.src.gen_image_sparse(t, j)
+    cm.src.gen_terms(t)  # the source's sparse rows are kept
     res.solver(t - 1)
     if t < res.top_degree:
         res.solver(t)
