@@ -337,6 +337,12 @@ class PcpFormatError(PcPresentationError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from its constructor's arguments, so a pool worker's
+        # refusal reaches the parent process whole
+        return type(self), (self.line_no, self.message)
 
 
 def _parse_word(text: str, p: int, n: int, line_no: int) -> tuple:

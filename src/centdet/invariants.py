@@ -27,6 +27,17 @@ maximal central elementary abelian subgroup:
   degree d is its j = 0 row, because H^0(V) = F_p and every map
   induces 1 on it.
 
+Each question has one route.  Every map induced by conjugation between
+subgroups, restriction included, is ``Analyzer._conj_map``, and every
+coaction primitive P_V of a central elementary abelian V is
+``Analyzer._primitives``; the restriction image, the Cess kernels and
+the equalizer all read them, and the centralizers of the d0 recursion
+and the equalizer come from one ``Analyzer._centralizer``.  On a
+presentation that records factors A and B, a map whose two ends are
+products S_A x S_B and the primitives of a product V are read off the
+factors' analyzers, so nothing is lifted into the product's own
+resolution; any other map or V is lifted.
+
 Degree bounds are honest: every result that could change past the
 computed range carries a certification flag.
 """
@@ -284,7 +295,7 @@ class Analyzer:
     def restriction_to_C(self) -> InducedMap | TensorInducedMap:
         """res*: H*(G) -> H*(C), in the coordinates of the shared resolution
         of C's presentation; on a product it is read off the factors."""
-        return self._restriction(self.C, self.N, keep=True)
+        return self._conj_map(self.C, whole_group(self.G), 0, self.N)
 
     def res_image(self, k: int) -> FpSubspace:
         def make():
@@ -474,36 +485,56 @@ class Analyzer:
                     f"{what} is not free over the Duflot subalgebra at degree {k}"
                 )
 
+    def _comodule(self, V: Subgroup) -> ComoduleMap:
+        """The coaction H*(G) -> H*(V) (x) H*(G) of a central elementary
+        abelian V, lifted into the Kunneth resolution of V x G and kept."""
+        def make():
+            presV, _, _ = subgroup_presentation(self.G, V)
+            return ComoduleMap(self.res, V, self.ws.resolution(presV, self.N))
+        return self._memo(("comodule", V.elems), make)
+
     def comodule(self) -> ComoduleMap:
-        """The coaction of C on H*(G): the equalizer's data at V = C."""
-        return self._object_data(self.category.objects[0])[1]
+        """The lifted coaction of C on H*(G), on every presentation: the
+        reference that the served P_C and the comodule axioms are checked
+        against."""
+        return self._comodule(self.C)
 
-    def pc_basis(self, k: int) -> FpSubspace:
-        """P_C H^k(G), the C-coaction primitives: the one reader of them.
+    def _primitives(self, V: Subgroup, k: int) -> FpSubspace:
+        """P_V H^k(G), the primitives of the coaction of a central
+        elementary abelian V: the one reader of them.
 
-        A presentation that records factors A and B reads them off the
-        factors' readers, in its (i, u, v) pair coordinates:
+        When G records factors A and B and V = V_A x V_B (``factor_parts``),
+        they are read off the factors' readers, in G's (i, u, v) pair
+        coordinates:
 
-            P_C H^k(A x B) = sum over i of P_{C_A} H^i(A) (x) P_{C_B} H^(k-i)(B),
+            P_V H^k(A x B) = sum over i of P_{V_A} H^i(A) (x) P_{V_B} H^(k-i)(B),
 
         the row space of the block-diagonal Kronecker assembly of the
         factors' basis matrices (``TensorInducedMap``), so the coaction
-        of C on the product is never lifted.  Proof:
-        Omega_1 Z(A x B) = Omega_1 Z(A) x Omega_1 Z(B), so C = C_A x C_B;
-        under Kunneth the coaction of C is Delta_A (x) Delta_B; over a
-        field the primitives of a tensor product of comodules are the
-        tensor product of the primitives.  The Koszul signs scale whole
-        (i, u, v) blocks, so they change no span.  Any other presentation
-        lifts the coaction (``comodule``)."""
+        of V on the product is never lifted.  Proof: V_A and V_B, the
+        projections of V, are central elementary abelian in A and B; the
+        multiplication V x G -> G, (v, g) -> vg, is the product of the
+        factors' multiplications V_A x A -> A and V_B x B -> B, so under
+        Kunneth the coaction of V is Delta_A (x) Delta_B, a coaction of
+        H*(V) = H*(V_A) (x) H*(V_B) on H*(A) (x) H*(B); over a field the
+        primitives of a tensor product of comodules are the tensor product
+        of the primitives.  The Koszul signs scale whole (i, u, v) blocks,
+        so they change no span.  For V = C this reads P_C:
+        Omega_1 Z(A x B) = Omega_1 Z(A) x Omega_1 Z(B), so C = C_A x C_B.
+        Any other V lifts its coaction (``_comodule``)."""
         def make():
-            factors = self._factors()
-            if factors is None:
-                return self.comodule().primitive_basis(k)
-            fA, fB = factors
-            spans = TensorInducedMap(self.res, lambda i: fA.pc_basis(i).basis.arr,
-                                     lambda i: fB.pc_basis(i).basis.arr)
+            parts = factor_parts(self.G, V)
+            if parts is None:
+                return self._comodule(V).primitive_basis(k)
+            spans = TensorInducedMap(self.res, *(
+                lambda i, f=f, Vx=Vx: f._primitives(Vx, i).basis.arr
+                for f, Vx in zip(self._factors(), parts)))
             return FpSubspace.from_spanning(self.p, self.res.rank(k), spans.matrix(k))
-        return self._memo(("pc_basis", k), make)
+        return self._memo(("primitives", V.elems, k), make)
+
+    def pc_basis(self, k: int) -> FpSubspace:
+        """P_C H^k(G), the C-coaction primitives (``_primitives``)."""
+        return self._primitives(self.C, k)
 
     def _pc(self, subs: list[FpSubspace] | None) -> tuple[int, ...]:
         """P_C dimensions of a graded subspace of H* (None: all of H*)."""
@@ -519,39 +550,17 @@ class Analyzer:
 
     # -- central essential classes ---------------------------------------------------
 
-    def _restriction(self, S: Subgroup, top: int, keep: bool = False
-                     ) -> InducedMap | TensorInducedMap:
-        """res*: H*(G) -> H*(S) in the coordinates of S's shared resolution,
-        read in degrees <= top.  A kept map is made once; one not kept is
-        freed after use.
-
-        S = S_A x S_B in G = A x B is presented as such a product
-        (``subgroup_presentation``) and restricts by r_A (x) r_B
-        (``TensorInducedMap``), each factor's kept ``_restriction``, so
-        nested products split at every level.  C and every centralizer
-        C_G(U) = C_A(U_A) x C_B(U_B) split, since (a, b) commutes with
-        (u, v) iff a commutes with u and b with v.  Any other S is lifted."""
-        parts = factor_parts(self.G, S)
-        if parts is None:
-            return self._conj_map(S, whole_group(self.G), 0, top, keep=keep)
-        res = self.ws.resolution(self.G, top)
-        mats = [None if Sx.order == f.G.order else f._restriction(Sx, top, keep=True).matrix
-                for f, Sx in zip(self._factors(), parts)]
-        got = self._cache.get(("res", S.elems)) or TensorInducedMap(res, *mats)
-        if keep:
-            self._cache[("res", S.elems)] = got
-        return got
-
     def _restriction_kernels(self, family: list[Subgroup], top: int) -> list[FpSubspace]:
         """Per degree 0..top, the classes of H* that restrict to zero on
-        every subgroup in family.  The maps are made one at a time, and
-        each is dropped once its matrices are read.  Only the kernel is
-        read, so a served map's pair coordinates on H*(S) serve: an
-        isomorphism of the target changes no kernel."""
+        every subgroup in family.  The maps are made one at a time, not
+        kept, and each is dropped once its matrices are read.  Only the
+        kernel is read, so a served map's pair coordinates on H*(S) serve:
+        an isomorphism of the target changes no kernel."""
         resG = self.ws.resolution(self.G, top)
+        whole = whole_group(self.G)
         mats = [[np.zeros((0, resG.rank(k)), dtype=np.uint8)] for k in range(top + 1)]
         for S in family:
-            rmap = self._restriction(S, top)
+            rmap = self._conj_map(S, whole, 0, top, keep=False)
             for k in range(top + 1):
                 mats[k].append(rmap.matrix(k))
         return [kernel_basis(FpMatrix(self.p, np.vstack(m), check=False)) for m in mats]
@@ -652,10 +661,7 @@ class Analyzer:
             best = -1
             certified = True
             for V in self.qualifying_reps():
-                presK = subgroup_presentation(self.G, centralizer(self.G, V))[0]
-                sub = self if presK is self.G else self.ws.analyzer(
-                    presK, self.N, label=f"{self.label}:centralizer")
-                val, cert = sub.e_double_prime()
+                val, cert = self._centralizer(V)[1].e_double_prime()
                 best = max(best, val)
                 certified = certified and cert
             return best, certified
@@ -685,24 +691,41 @@ class Analyzer:
 
     # -- locally finite part and reduced layers ------------------------------------------
 
-    def _object_data(self, obj) -> tuple[Subgroup, ComoduleMap]:
-        """The centralizer K = C_G(V) of the class rep V, and the coaction
-        of V on H*(K) whose primitives P_V make the equalizer's unknowns."""
+    def _centralizer(self, V: Subgroup) -> tuple[Subgroup, "Analyzer", Subgroup]:
+        """K = C_G(V), the analyzer of K's presentation (G's own when K is
+        presented as G), and V in that presentation, made once per V."""
         def make():
-            K = centralizer(self.G, obj.rep)
-            presK, _, to_idxK = subgroup_presentation(self.G, K)
-            V_in_K = Subgroup(presK, [to_idxK[x] for x in obj.rep.elems])
-            presV_K, _, _ = subgroup_presentation(presK, V_in_K)
-            return K, ComoduleMap(self.ws.resolution(presK, self.N), V_in_K,
-                                  self.ws.resolution(presV_K, self.N))
-        return self._memo(("objdata", obj.rep.elems), make)
+            K = centralizer(self.G, V)
+            presK, _, to_idx = subgroup_presentation(self.G, K)
+            aK = self if presK is self.G else self.ws.analyzer(
+                presK, self.N, label=f"{self.label}:centralizer")
+            return K, aK, Subgroup(aK.G, [to_idx[x] for x in V.elems])
+        return self._memo(("centralizer", V.elems), make)
 
     def _conj_map(self, S_from: Subgroup, S_to: Subgroup, g: int, k: int,
-                  keep: bool = True) -> InducedMap:
+                  keep: bool = True) -> InducedMap | TensorInducedMap:
         """The map induced by y -> g y g^-1 from pres(S_from) to pres(S_to),
-        where pres(G) is G itself.  Resolutions grow only to the degree k
-        asked for.  A kept map is lifted once and read at every degree; a
-        map read only once is not kept, so its lift is freed after use."""
+        where pres(G) is G itself; with S_to = G and g = 1 it is the
+        restriction to S_from.  Every call extends both resolutions to the
+        degree k asked for, and only to it, whether or not the map is
+        kept.  A kept map is made once and read at every degree; a map
+        read only once is not kept, so it is freed after use.
+
+        When G records factors A and B and both ends are products,
+        S_from = F_A x F_B and S_to = T_A x T_B (``factor_parts``), each is
+        presented as that product (``subgroup_presentation``) and the map
+        is m_A (x) m_B (``TensorInducedMap``), with m_x the factor's kept
+        map F_x -> T_x by g_x, for (g_A, g_B) = divmod(g, |B|) the pair of
+        g, and the identity where F_x = T_x and g_x = 1.  Proof: an element
+        (a, b) of A x B has index a |B| + b, and
+        (g_A, g_B)(a, b)(g_A, g_B)^-1 = (g_A a g_A^-1, g_B b g_B^-1), so
+        conjugation by g is the product of the factors' conjugations, and
+        it maps F_A x F_B into T_A x T_B exactly when each g_x maps F_x
+        into T_x.  The factors split their maps the same way, so nested
+        products split at every level.  The restrictions to C and to every
+        centralizer C_G(U) = C_A(U_A) x C_B(U_B) split, since (a, b)
+        commutes with (u, v) iff a commutes with u and b with v.  Any
+        other map is lifted into the resolution of pres(S_to)."""
         G = self.G
         presF, embedF, _ = subgroup_presentation(G, S_from)
         resF = self.ws.resolution(presF, k)
@@ -711,10 +734,18 @@ class Analyzer:
         key = ("conj", S_from.elems, S_to.elems, g)
         got = self._cache.get(key)
         if got is None:
-            ginv = G.inv(g)
-            images = [to_idxT[G.mult(G.mult(g, embedF.apply(presF.gen_idx(t))), ginv)]
-                      for t in range(presF.n)]
-            got = InducedMap(GroupHom(presF, presT, images), resF, resT)
+            partsF, partsT = factor_parts(G, S_from), factor_parts(G, S_to)
+            if partsF is not None and partsT is not None:
+                pairs = divmod(g, G.factors[1].order)
+                got = TensorInducedMap(resT, *(
+                    None if F.elems == T.elems and gx == 0
+                    else f._conj_map(F, T, gx, k).matrix
+                    for f, F, T, gx in zip(self._factors(), partsF, partsT, pairs)))
+            else:
+                ginv = G.inv(g)
+                images = [to_idxT[G.mult(G.mult(g, embedF.apply(presF.gen_idx(t))), ginv)]
+                          for t in range(presF.n)]
+                got = InducedMap(GroupHom(presF, presT, images), resF, resT)
             if keep:
                 self._cache[key] = got
         return got
@@ -742,8 +773,8 @@ class Analyzer:
         prims: list[np.ndarray] = []
         offsets = [0]
         for obj in cat.objects:
-            _, com = self._object_data(obj)
-            prims.append(com.primitive_basis(d).basis.arr.T)  # (b_d(K), dim)
+            _, aK, V_K = self._centralizer(obj.rep)
+            prims.append(aK._primitives(V_K, d).basis.arr.T)  # (b_d(K), dim)
             presV, _, _ = subgroup_presentation(self.G, obj.rep)
             bV = self.ws.resolution(presV, j).rank(j)
             offsets.append(offsets[-1] + bV * prims[-1].shape[1])
@@ -766,7 +797,7 @@ class Analyzer:
             P = prims[pos]
             if P.shape[1] == 0:
                 continue
-            K, _ = self._object_data(obj)
+            K = self._centralizer(obj.rep)[0]
             for w in cat.weyl_reps(obj):
                 if w == 0:
                     continue
@@ -777,14 +808,14 @@ class Analyzer:
         # compatibility along inclusions V1' < V2 (V2 a representative)
         for pos2, obj2 in enumerate(cat.objects):
             V2 = obj2.rep
-            K2, _ = self._object_data(obj2)
+            K2 = self._centralizer(V2)[0]
             v2set = set(V2.elems)
             for elems, (pos1, g) in cat.member_index.items():
                 if elems == V2.elems or not set(elems) <= v2set:
                     continue
                 V1p = Subgroup(self.G, elems)
                 obj1 = cat.objects[pos1]
-                K1, _ = self._object_data(obj1)
+                K1 = self._centralizer(obj1.rep)[0]
                 # conjugation by g maps V1' onto V1 and K2 into K1
                 Mrho = self._conj_map(V1p, obj1.rep, g, j).matrix(j)
                 Mpsi = self._conj_map(K2, K1, g, d).matrix(d)

@@ -23,8 +23,9 @@ enumeration) read two memoized arrays derived from the multiplication
 table: ``commute_table`` (xy = yx) and ``order_p_mask`` (x^p = 1); a
 centralizer, the center among them, compares only the table's columns
 of the generators it centralizes.  Of the element accessors, ``pth_power``
-remains for ``element_order``, ``conj`` for conjugate subgroups, and
-``comm`` for the tests' count of central elements by enumeration.
+remains for ``element_order``, and ``conj`` and ``comm`` for the tests'
+checks by enumeration; ``Subgroup.conjugate`` reads conjugate subgroups
+off the tables.
 
 A group's structure is worked out once per presentation and kept on
 it: A_C (``quillen_category_AC``, C = Omega_1 Z(G)), which ``p_rank``

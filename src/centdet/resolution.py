@@ -62,6 +62,11 @@ class BudgetExceededError(RuntimeError):
         self.needed = needed
         self.budget = budget
 
+    def __reduce__(self):
+        # rebuilt from its constructor's arguments, so a pool worker's
+        # refusal reaches the parent process whole
+        return type(self), (self.degree, self.needed, self.budget)
+
 
 @dataclass
 class Cocycle:
@@ -90,6 +95,8 @@ class MinimalResolution:
         self.budget = budget
         self.betti: list[int] = [1]
         self._gen_images: list[np.ndarray] = [np.zeros((1, 0), dtype=np.uint8)]  # d_0 = 0: no terms
+        self._terms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
+            0: _sparse_rows(self._gen_images[0])}
         self._solvers: dict[int, LinSolver] = {}
         self._cup_lifts: dict = {}
         # (P, coordinates modulo rad*K) of the top degree, once it is >= 1
@@ -106,11 +113,10 @@ class MinimalResolution:
         """(indptr, coords, vals): the rows d(e_j) of every generator e_j of
         degree k in compressed sparse rows.  Row j has its nonzero entries
         vals[indptr[j]:indptr[j+1]] (uint8) at the ascending coordinates
-        coords[indptr[j]:indptr[j+1]] (int64) of F_{k-1}."""
-        rows = self._gen_images[k]
-        owner, coords = np.nonzero(rows)
-        indptr = np.searchsorted(owner, np.arange(len(rows) + 1))
-        return indptr, coords, rows[owner, coords]
+        coords[indptr[j]:indptr[j+1]] (int64) of F_{k-1}.  The build makes
+        each degree's form once, beside the dense rows that the minimality
+        check and ``_diff_rows`` read."""
+        return self._terms[k]
 
     def _gen_rows(self, k: int) -> np.ndarray:
         """The rows d(e_j) of degree k as one dense (b_k, b_{k-1}|G|) block."""
@@ -133,6 +139,7 @@ class MinimalResolution:
             if self.block_sums(gens, self.betti[i - 1]).any():
                 raise AssertionError(f"differential d_{i} is not minimal")
             self._gen_images.append(gens)
+            self._terms[i] = _sparse_rows(gens)
             self.betti.append(len(gens))
             self._top = (free_columns(below), radical)
         return self
@@ -278,6 +285,13 @@ class MinimalResolution:
             self.solver(i)  # asserts exactness at degree i - 1
 
 
+def _sparse_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``gen_terms`` form of a dense block of rows."""
+    owner, coords = np.nonzero(rows)
+    indptr = np.searchsorted(owner, np.arange(len(rows) + 1))
+    return indptr, coords, rows[owner, coords]
+
+
 def build_minimal_resolution(
     pres: PcPresentation, N: int, budget: int = 20000
 ) -> MinimalResolution:
@@ -306,7 +320,6 @@ class TensorResolution(MinimalResolution):
         self.resB = resB
         self.orderA = resA.order
         self.orderB = resB.order
-        self._terms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         try:
             self.extend_to(min(resA.top_degree, resB.top_degree))
         except BudgetExceededError:

@@ -1,9 +1,14 @@
+import importlib
+import inspect
 import io
 import json
 import os
+import pickle
+import pkgutil
 
 import pytest
 
+import centdet
 from centdet import catalog, pgroup
 from centdet.catalog import (
     CatalogError,
@@ -16,7 +21,15 @@ from centdet.catalog import (
     sz8_sylow_presentation,
 )
 from centdet.cli import CSV_HEADER, main, run_verify
-from centdet.pgroup import PcPresentation, PcPresentationError, direct_product
+from centdet.fplinalg import DimensionMismatchError
+from centdet.invariants import DegreeBoundError
+from centdet.pgroup import (
+    InconsistentPresentationError,
+    PcPresentation,
+    PcPresentationError,
+    direct_product,
+)
+from centdet.resolution import BudgetExceededError
 
 
 def test_builtin_fingerprints_all():
@@ -444,6 +457,52 @@ def test_table_parallel_jobs(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
+
+
+def test_table_parallel_jobs_report_a_malformed_file(capsys, tmp_path):
+    # the refusal is raised in a pool worker and must reach the parent
+    # whole, as the same JSON error a sequential run prints
+    path = str(tmp_path / "bad.pcp")
+    with open(path, "w") as fh:
+        fh.write("p 2\ngens 2\npow 1 = g2^2\n")
+    outputs = [run_cli(capsys, "table", path, "Q8", "--degree", "2", "--jobs", jobs)
+               for jobs in ("2", "1")]
+    assert outputs[0] == outputs[1]
+    code, out = outputs[0]
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "PcpFormatError" and err["message"].startswith("line 3:")
+
+
+def _exception_classes():
+    """Every exception class defined in a centdet module."""
+    found = {}
+    for info in pkgutil.iter_modules(centdet.__path__):
+        module = importlib.import_module(f"centdet.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__.startswith("centdet."):
+                found[cls.__qualname__] = cls
+    return found
+
+
+def test_every_exception_survives_a_pickle_round_trip():
+    # a process pool pickles a worker's exception and rebuilds it in the
+    # parent; one that cannot be rebuilt breaks the pool
+    samples = [
+        PcpFormatError(3, "word not in normal form"),
+        BudgetExceededError(10, 2112, 2000),
+        CatalogError("unknown group id 'Z7'"),
+        PcPresentationError("factors must share the prime"),
+        InconsistentPresentationError("relation fails"),
+        DimensionMismatchError("ambient spaces differ"),
+        DegreeBoundError("the type is not certified"),
+    ]
+    assert {type(e).__qualname__ for e in samples} == set(_exception_classes())
+    for exc in samples:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,14 +28,18 @@ from centdet.catalog import CatalogEntry, builtin, format_pcp, load_pcp
 from centdet.fplinalg import FpMatrix, kernel_basis
 from centdet.invariants import Workspace, report
 from centdet.pgroup import (
+    GroupHom,
     PcPresentation,
+    Subgroup,
     centralizer,
     cyclic_presentation,
     direct_product,
+    factor_parts,
     omega1_center,
     pc_structure,
     split_central_factors,
     subgroup_presentation,
+    whole_group,
 )
 from centdet.resolution import (
     BudgetExceededError,
@@ -125,13 +129,23 @@ FACTOR_MAPS = [
 ]
 
 
+def lifted_conj(ws, G, S_from, S_to, g, k):
+    """The map y -> g y g^-1 from pres(S_from) to pres(S_to), lifted into
+    ws's resolution of pres(S_to) from the embedding of S_from."""
+    presF, embedF, _ = subgroup_presentation(G, S_from)
+    presT, _, to_idxT = subgroup_presentation(G, S_to)
+    images = [to_idxT[G.mult(G.mult(g, embedF.apply(x)), G.inv(g))]
+              for x in presF.generators()]
+    return InducedMap(GroupHom(presF, presT, images),
+                      ws.resolution(presF, k), ws.resolution(presT, k))
+
+
 def lifted_restriction(ws, G, S, N):
     """res*: H*(G) -> H*(S) lifted into ws's resolution of G, from ws's
     resolution of S's presentation; a product subgroup of a product is
     presented as one, so its rows are then the pair coordinates of
     S_A x S_B."""
-    presS, embed, _ = subgroup_presentation(G, S)
-    return InducedMap(embed, ws.resolution(presS, N), ws.resolution(G, N))
+    return lifted_conj(ws, G, S, whole_group(G), 0, N)
 
 
 def strict_centralizers(a):
@@ -170,7 +184,8 @@ def assert_maps_match_their_lifts(ws, a):
         assert np.array_equal(a.restriction_to_C().matrix(k), lifted.matrix(k)), ("res_C", k)
     family = strict_centralizers(a)
     for K in family:
-        served, ref = a._restriction(K, N), lifted_restriction(ws, a.G, K, N)
+        served = a._conj_map(K, whole_group(a.G), 0, N)
+        ref = lifted_restriction(ws, a.G, K, N)
         for k in range(N + 1):
             assert np.array_equal(served.matrix(k), ref.matrix(k)), ("cess map", k)
     kernels = a.cess_subspaces()
@@ -191,7 +206,7 @@ def test_factor_maps_match_their_lifts(gid, G, N):
     ws = Workspace()
     a = ws.analyzer(G, N)
     assert isinstance(a.restriction_to_C(), TensorInducedMap)
-    assert all(isinstance(a._restriction(K, N), TensorInducedMap)
+    assert all(isinstance(a._conj_map(K, whole_group(a.G), 0, N), TensorInducedMap)
                for K in strict_centralizers(a))
     assert_maps_match_their_lifts(ws, a)
 
@@ -231,6 +246,106 @@ def test_every_class_multiplies_like_its_lift(gid, G, N):
 
 
 # ---------------------------------------------------------------------------
+# the equalizer reads its primitives and maps off the factors
+
+
+EQUALIZER = [
+    ("D8xD8", builtin("D8xD8").pres, 4),
+    ("E8xD8", builtin("E8xD8").pres, 4),
+    ("Q8xZ4", builtin("Q8xZ4").pres, 4),
+    ("H27xZ3", direct_product(H27, Z3), 5),
+]
+
+
+@pytest.mark.parametrize("gid,G,N", EQUALIZER, ids=[g for g, _, _ in EQUALIZER])
+def test_object_primitives_match_the_lifted_coaction(gid, G, N):
+    # every object V of A_C, in its centralizer K; a product V is read
+    # off the factors, a diagonal one (in D8 x D8) lifts
+    ws = Workspace()
+    a = ws.analyzer(G, N)
+    served = 0
+    for obj in a.category.objects:
+        _, aK, V_K = a._centralizer(obj.rep)
+        presV, _, _ = subgroup_presentation(aK.G, V_K)
+        lifted = ComoduleMap(aK.res, V_K, ws.resolution(presV, N))
+        for d in range(N + 1):
+            got, want = aK._primitives(V_K, d).basis.arr, lifted.primitive_basis(d).basis.arr
+            assert got.shape == want.shape and np.array_equal(got, want), (obj.rep.elems, d)
+        if factor_parts(aK.G, V_K) is not None:
+            served += 1
+            assert ("comodule", V_K.elems) not in aK._cache
+    assert served
+
+
+def equalizer_maps(a):
+    """(S_from, S_to, g) of every Weyl and inclusion map ``_equalizer_dim``
+    reads, on the class reps V and on their centralizers."""
+    cat, maps = a.category, []
+    for obj in cat.objects:
+        K = a._centralizer(obj.rep)[0]
+        maps += [m for w in cat.weyl_reps(obj) if w
+                 for m in ((obj.rep, obj.rep, w), (K, K, w))]
+    for obj2 in cat.objects:
+        V2, K2 = obj2.rep, a._centralizer(obj2.rep)[0]
+        for elems, (pos1, g) in cat.member_index.items():
+            if elems != V2.elems and set(elems) <= set(V2.elems):
+                V1p, obj1 = Subgroup(a.G, elems), cat.objects[pos1]
+                maps += [(V1p, obj1.rep, g), (K2, a._centralizer(obj1.rep)[0], g),
+                         (V1p, V2, 0)]
+    return maps
+
+
+# Q8 x Z4 is p-central, so its A_C is C alone, with no map to read
+EQUALIZER_MAPS = [case for case in EQUALIZER if case[0] != "Q8xZ4"] + [
+    ("D8xZ4", builtin("D8xZ4").pres, 4)]
+
+
+@pytest.mark.parametrize("gid,G,N", EQUALIZER_MAPS, ids=[g for g, _, _ in EQUALIZER_MAPS])
+def test_equalizer_maps_match_their_lifts(gid, G, N):
+    ws = Workspace()
+    a = ws.analyzer(G, N)
+    twisted = 0
+    for S_from, S_to, g in equalizer_maps(a):
+        top = N if S_from.order > a.C.order else 2
+        served, ref = a._conj_map(S_from, S_to, g, top), lifted_conj(ws, a.G, S_from, S_to, g, top)
+        for k in range(top + 1):
+            assert np.array_equal(served.matrix(k), ref.matrix(k)), (S_from.elems, g, k)
+        twisted += isinstance(served, TensorInducedMap) and g != 0
+    assert twisted  # some served map conjugates by g != 1
+
+
+LAYERS = [
+    ("D8xZ4", builtin("D8xZ4").pres, 4),
+    ("D8xD8", builtin("D8xD8").pres, 3),
+    ("E8xD8", builtin("E8xD8").pres, 3),
+    ("Q8xZ4", builtin("Q8xZ4").pres, 4),
+    ("H27xZ3", direct_product(H27, Z3), 4),
+]
+
+
+@pytest.mark.parametrize("gid,G,N", LAYERS, ids=[g for g, _, _ in LAYERS])
+def test_layers_match_the_plain_copy(gid, G, N):
+    # the plain copy records no factors, so it lifts every primitive and map
+    a, b = (Workspace().analyzer(pres, N) for pres in (G, plain_copy(G)))
+    assert isinstance(a.res, TensorResolution) and not isinstance(b.res, TensorResolution)
+    assert a.lf_dims() == b.lf_dims()
+    for d in range(N + 1):
+        assert a.bar_rd_dims(d) == b.bar_rd_dims(d), d
+
+
+@pytest.mark.parametrize("gid,G,N", [("E8xD8", builtin("E8xD8").pres, 4),
+                                     ("H27xZ3", direct_product(H27, Z3), 8)],
+                         ids=["E8xD8", "H27xZ3"])
+def test_locally_finite_part_builds_no_tensor_solver(monkeypatch, gid, G, N):
+    # every object and centralizer is a product, so the equalizer lifts
+    # nothing into a tensor resolution
+    _, _, by_class = count_group_work(monkeypatch)
+    a = Workspace().analyzer(G, N)
+    assert a.lf_dims()[0] == 1
+    assert by_class["MinimalResolution"] and not by_class["TensorResolution"], by_class
+
+
+# ---------------------------------------------------------------------------
 # exact arithmetic: every map is uint8, so no Kronecker product is float
 
 
@@ -249,7 +364,7 @@ def test_every_map_route_is_uint8():
         "ChainMap.functional_matrix": _cocycle_lift(res.resA, g).functional_matrix(2),
         "lifted multiplication_matrix": multiplication_matrix(res.resA, g, 2),
         "tensor multiplication_matrix": multiplication_matrix(res, h, 2),
-        "TensorInducedMap.matrix": a._restriction(K, 4).matrix(3),
+        "TensorInducedMap.matrix": a._conj_map(K, whole_group(a.G), 0, 4).matrix(3),
         "TensorInducedMap.matrix to C": a.restriction_to_C().matrix(3),
     }
     assert {name: M.dtype for name, M in mats.items()} == dict.fromkeys(mats, np.dtype(np.uint8))

@@ -508,6 +508,30 @@ def test_tensor_terms_match_the_per_generator_formula(case):
         assert res.gen_terms(k)[1] is coords, k  # built once per degree
 
 
+def test_each_factor_degree_is_made_sparse_once(capsys, monkeypatch):
+    # a served product asks its factors for the form of every lower degree
+    # at each of its own degrees; the build makes each factor degree's
+    # form once, from its dense rows
+    seen, kept = {}, []
+    make = resolution._sparse_rows
+
+    def counted(rows):
+        seen[id(rows)] = seen.get(id(rows), 0) + 1
+        kept.append(rows)  # no id is reused while counting
+        return make(rows)
+
+    monkeypatch.setattr(resolution, "_sparse_rows", counted)
+    ws = Workspace()
+    monkeypatch.setattr(cli, "Workspace", lambda budget, **kw: ws)
+    assert cli.main(["invariants", "D8xZ4", "--degree", "10"]) == 0
+    capsys.readouterr()
+    factors = [ws.resolution(builtin(gid).pres, 0) for gid in ("D8", "Z4")]
+    assert [res.top_degree for res in factors] == [10, 10]
+    for res in factors:
+        assert [seen.get(id(rows)) for rows in res._gen_images] == [1] * 11
+    assert set(seen.values()) == {1}
+
+
 # ---------------------------------------------------------------------------
 # comodule structure
 
