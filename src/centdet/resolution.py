@@ -11,7 +11,8 @@ the free-module generators under the differential d_i.  Minimality
 (images inside the radical) makes every functional on F_i a cocycle
 and none a coboundary, so Betti numbers are cohomology dimensions and
 cocycles are plain coordinate vectors.  Every resolution gives those
-images a whole degree at a time, in one sparse form (``gen_terms``).
+images a whole degree at a time, in one sparse form (``gen_terms``), the
+only form of its differential that it keeps.
 
 Cohomology operations (cup products, restriction, inflation, maps
 induced by arbitrary homomorphisms, the coaction of a central
@@ -94,9 +95,8 @@ class MinimalResolution:
         self.order = pres.order
         self.budget = budget
         self.betti: list[int] = [1]
-        self._gen_images: list[np.ndarray] = [np.zeros((1, 0), dtype=np.uint8)]  # d_0 = 0: no terms
         self._terms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-            0: _sparse_rows(self._gen_images[0])}
+            0: _sparse_rows(np.zeros((1, 0), dtype=np.uint8))}  # d_0 = 0: no terms
         self._solvers: dict[int, LinSolver] = {}
         self._cup_lifts: dict = {}
         # (P, coordinates modulo rad*K) of the top degree, once it is >= 1
@@ -114,13 +114,18 @@ class MinimalResolution:
         degree k in compressed sparse rows.  Row j has its nonzero entries
         vals[indptr[j]:indptr[j+1]] (uint8) at the ascending coordinates
         coords[indptr[j]:indptr[j+1]] (int64) of F_{k-1}.  The build makes
-        each degree's form once, beside the dense rows that the minimality
-        check and ``_diff_rows`` read."""
+        each degree's form once, from the kernel rows it chose, and this is
+        the only stored form of the differential: ``_gen_rows``,
+        ``_diff_rows``, the lifts and ``complex_fault`` all read it."""
         return self._terms[k]
 
     def _gen_rows(self, k: int) -> np.ndarray:
-        """The rows d(e_j) of degree k as one dense (b_k, b_{k-1}|G|) block."""
-        return self._gen_images[k]
+        """The rows d(e_j) of degree k >= 1 as one dense (b_k, b_{k-1}|G|)
+        block, scattered from ``gen_terms(k)`` on each call and not kept."""
+        indptr, coords, vals = self.gen_terms(k)
+        rows = np.zeros((self.betti[k], self.betti[k - 1] * self.order), dtype=np.uint8)
+        rows[np.repeat(np.arange(self.betti[k]), np.diff(indptr)), coords] = vals
+        return rows
 
     # -- construction -----------------------------------------------------------
 
@@ -138,7 +143,6 @@ class MinimalResolution:
                 raise BudgetExceededError(i, needed, self.budget)
             if self.block_sums(gens, self.betti[i - 1]).any():
                 raise AssertionError(f"differential d_{i} is not minimal")
-            self._gen_images.append(gens)
             self._terms[i] = _sparse_rows(gens)
             self.betti.append(len(gens))
             self._top = (free_columns(below), radical)
@@ -189,24 +193,31 @@ class MinimalResolution:
     def expanded_diff(self, i: int) -> np.ndarray:
         """Full matrix of d_i: F_i -> F_{i-1}, shape (b_{i-1}|G|, b_i|G|).
 
-        Built afresh on each call and not kept.  Only the d o d check of
-        ``complex_fault`` reads it: solvers and lifts read d_i on the rows
-        that determine it (``solver``)."""
+        Built afresh on each call and not kept.  It is the tests' dense
+        reference and has no caller in the package: solvers read d_i on the
+        rows that determine it (``solver``), and lifts and ``complex_fault``
+        read its sparse rows."""
         return self._diff_rows(i, np.arange(self.betti[i - 1] * self.order))
 
     def _diff_rows(self, i: int, rows: np.ndarray) -> np.ndarray:
-        """The given rows of d_i, shape (len(rows), b_i|G|), gathered from
-        the generator images one generator's block of columns at a time:
-        column (j, g) is g.d(e_j), whose entry at (w, x) is d(e_j)[w, g^-1 x]."""
+        """The given rows of d_i, shape (len(rows), b_i|G|), gathered one
+        generator's block of columns at a time: column (j, g) is g.d(e_j),
+        whose entry at (w, x) is d(e_j)[w, g^-1 x].  Each row d(e_j) is
+        scattered from ``gen_terms(i)`` into one reused b_{i-1}|G| buffer,
+        gathered from, and cleared again."""
         b_i, order = self.betti[i], self.order
         if b_i * order > self.budget:
             raise BudgetExceededError(i, b_i * order, self.budget)
         at = rows % order
         idx = (rows - at)[:, None] + self.pres.left_inv_gather()[:, at].T
-        gens = self._gen_rows(i)
+        indptr, coords, vals = self.gen_terms(i)
+        row = np.zeros(self.betti[i - 1] * order, dtype=np.uint8)
         D = np.empty((len(rows), b_i * order), dtype=np.uint8)
         for j in range(b_i):
-            D[:, j * order:(j + 1) * order] = gens[j][idx]
+            nz = coords[indptr[j]:indptr[j + 1]]
+            row[nz] = vals[indptr[j]:indptr[j + 1]]
+            D[:, j * order:(j + 1) * order] = row[idx]
+            row[nz] = 0
         return D
 
     def solver(self, i: int) -> LinSolver:
@@ -265,13 +276,15 @@ class MinimalResolution:
 
     def complex_fault(self, up_to: int | None = None) -> str | None:
         """The first degree where d_i is not minimal or d_{i-1} o d_i != 0,
-        described, or None when every built degree passes both checks."""
+        described, or None when every built degree passes both checks.
+        d_{i-1}(d e_j) is the lifts' translate-and-sum (``ChainMap._images``)
+        with the identity phi on the rows d(e_w) of degree i - 1."""
         top = self.top_degree if up_to is None else min(up_to, self.top_degree)
+        identity = ChainMap(self, self, np.arange(self.order), 0, None)
         for i in range(1, top + 1):
-            gens = self._gen_rows(i)
-            if self.block_sums(gens, self.betti[i - 1]).any():
+            if self.block_sums(self._gen_rows(i), self.betti[i - 1]).any():
                 return f"differential d_{i} is not minimal"
-            if i >= 2 and matmul_mod(self.expanded_diff(i - 1), gens.T, self.p).any():
+            if i >= 2 and identity._images(i, self._gen_rows(i - 1)).rows(0, self.betti[i]).any():
                 return f"d_{i - 1} o d_{i} != 0"
         return None
 
@@ -384,12 +397,6 @@ class TensorResolution(MinimalResolution):
             vals[dst] = xB.astype(np.int64) * (1 if i % 2 == 0 else p - 1) % p
         got = self._terms[k] = (indptr, coords, vals)
         return got
-
-    def _gen_rows(self, k: int) -> np.ndarray:
-        indptr, coords, vals = self.gen_terms(k)
-        rows = np.zeros((self.betti[k], self.betti[k - 1] * self.order), dtype=np.uint8)
-        rows[np.repeat(np.arange(self.betti[k]), np.diff(indptr)), coords] = vals
-        return rows
 
 
 def _betti_through(res: MinimalResolution, k: int) -> list[int]:

@@ -108,9 +108,9 @@ def test_complex_fault_reads_the_generators_as_they_are():
     for i in range(1, 4):
         res.solver(i)
     assert res.complex_fault() is None
-    gens = res._gen_images[2].copy()
+    gens = res._gen_rows(2)
     gens[0] = (gens[0] + gens[1]) % 2  # still minimal, still in ker d_1
-    res._gen_images[2] = gens
+    res._terms[2] = resolution._sparse_rows(gens)  # the one stored form
     assert res.complex_fault() == "d_2 o d_3 != 0"
     with pytest.raises(AssertionError, match="d_2 o d_3"):
         res.verify()
@@ -151,7 +151,7 @@ def test_generator_choice_matches_greedy_reference(G):
     res = build_minimal_resolution(G, 5)
     res.verify()
     for i in range(1, 6):
-        assert np.array_equal(res._gen_images[i], greedy_generators(G, res, i)), i
+        assert np.array_equal(res._gen_rows(i), greedy_generators(G, res, i)), i
 
 
 def test_b1_is_minimal_generator_count():
@@ -452,24 +452,34 @@ def test_kunneth_verify_odd_p():
     assert kun.betti[:5] == direct.betti[:5]
 
 
-def reference_terms(res, k, j):
+def chosen_rows(res, k):
+    """The rows d(e_j) of degree k as the build chose them, made again
+    from its elimination: the ``kept`` rows of the kernel basis K below."""
+    K = res.solver(k - 1).kernel_rows()
+    return K[res._radical_complement(K).kept]
+
+
+def reference_terms(res, k, j, chosen):
     """(coords, vals) of d(e_j) in degree k, one generator at a time: off
-    the dense row of a resolution built by elimination, and for a
-    TensorResolution by (d e_u) x e_v + (-1)^i e_u x (d e_v), (i, u, v)
-    the pair of e_j, from its factors' reference terms."""
+    the dense row that the elimination of a resolution built by it chose
+    (``chosen_rows``, kept in the dict chosen), and for a TensorResolution
+    by (d e_u) x e_v + (-1)^i e_u x (d e_v), (i, u, v) the pair of e_j,
+    from its factors' reference terms."""
     if not isinstance(res, TensorResolution):
-        row = res._gen_images[k][j]
+        if (id(res), k) not in chosen:
+            chosen[id(res), k] = chosen_rows(res, k)
+        row = chosen[id(res), k][j]
         nz = np.flatnonzero(row)
         return nz, row[nz]
     i, u, v = res.pairs(k)[j]
     coords, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
     if i >= 1:
-        nz, alpha = reference_terms(res.resA, i, u)
+        nz, alpha = reference_terms(res.resA, i, u, chosen)
         pos = res.pair_pos(k - 1, (i - 1, nz // res.orderA, v))
         coords.append(pos * res.order + nz % res.orderA * res.orderB)
         vals.append(alpha)
     if k - i >= 1:
-        nz, beta = reference_terms(res.resB, k - i, v)
+        nz, beta = reference_terms(res.resB, k - i, v, chosen)
         pos = res.pair_pos(k - 1, (i, u, nz // res.orderB))
         sign = 1 if i % 2 == 0 else res.p - 1
         coords.append(pos * res.order + nz % res.orderB)
@@ -492,6 +502,7 @@ def test_tensor_terms_match_the_per_generator_formula(case):
     assert isinstance(res, TensorResolution)
     if case == "D8xZ4xZ2@5":
         assert TensorResolution in {type(res.resA), type(res.resB)}
+    chosen = {}
     for k in range(1, res.top_degree + 1):
         indptr, coords, vals = res.gen_terms(k)
         n = res.rank(k)
@@ -499,7 +510,7 @@ def test_tensor_terms_match_the_per_generator_formula(case):
         assert coords.dtype == np.int64 and vals.dtype == np.uint8
         want = set()
         for j in range(n):
-            c, v = reference_terms(res, k, j)
+            c, v = reference_terms(res, k, j, chosen)
             lo, hi = indptr[j], indptr[j + 1]
             assert np.array_equal(coords[lo:hi], c) and np.array_equal(vals[lo:hi], v), (k, j)
             want |= set(zip([j] * len(c), c.tolist(), v.tolist()))
@@ -510,26 +521,33 @@ def test_tensor_terms_match_the_per_generator_formula(case):
 
 def test_each_factor_degree_is_made_sparse_once(capsys, monkeypatch):
     # a served product asks its factors for the form of every lower degree
-    # at each of its own degrees; the build makes each factor degree's
-    # form once, from its dense rows
-    seen, kept = {}, []
-    make = resolution._sparse_rows
+    # at each of its own degrees; the build makes each degree's form once,
+    # from the rows it chose: one form per degree that each from-scratch
+    # resolution built, and degree 0's of every resolution, no more
+    made, created = [], []
+    make, init = resolution._sparse_rows, resolution.MinimalResolution.__init__
 
     def counted(rows):
-        seen[id(rows)] = seen.get(id(rows), 0) + 1
-        kept.append(rows)  # no id is reused while counting
-        return make(rows)
+        made.append(make(rows))  # kept, so no id is reused while counting
+        return made[-1]
+
+    def recorded(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(resolution, "_sparse_rows", counted)
+    monkeypatch.setattr(resolution.MinimalResolution, "__init__", recorded)
     ws = Workspace()
     monkeypatch.setattr(cli, "Workspace", lambda budget, **kw: ws)
     assert cli.main(["invariants", "D8xZ4", "--degree", "10"]) == 0
     capsys.readouterr()
     factors = [ws.resolution(builtin(gid).pres, 0) for gid in ("D8", "Z4")]
     assert [res.top_degree for res in factors] == [10, 10]
-    for res in factors:
-        assert [seen.get(id(rows)) for rows in res._gen_images] == [1] * 11
-    assert set(seen.values()) == {1}
+    assert {id(res) for res in factors} <= {id(res) for res in created}
+    assert any(isinstance(res, TensorResolution) for res in created)
+    built = [res.gen_terms(k) for res in created
+             for k in range(1 if isinstance(res, TensorResolution) else res.top_degree + 1)]
+    assert sorted(map(id, made)) == sorted(map(id, built))
 
 
 # ---------------------------------------------------------------------------
@@ -1062,20 +1080,115 @@ def test_radical_from_burnside_generators_matches_all_generators(case, monkeypat
         assert np.array_equal(got.kept, want.kept), i
         assert np.array_equal(got.red, want.red), i
         assert np.array_equal(got._block_t, want._block_t), i
-        assert np.array_equal(res._gen_images[i], K[want.kept]), i
+        assert np.array_equal(res._gen_rows(i), K[want.kept]), i
         betti.append(len(want.kept))
     assert res.betti == betti
 
 
 def test_dropping_a_generator_breaks_the_next_solver():
     res = build_minimal_resolution(D8, 4)
-    res._gen_images = res._gen_images[:3] + [res._gen_images[3][:-1]]
+    indptr, coords, vals = res.gen_terms(3)
+    res._terms = {k: t for k, t in res._terms.items() if k < 3}
+    res._terms[3] = (indptr[:-1], coords[:indptr[-2]], vals[:indptr[-2]])
     res.betti = res.betti[:3] + [res.betti[3] - 1]
     res._solvers = {i: s for i, s in res._solvers.items() if i < 3}
     with pytest.raises(AssertionError, match="not exact at degree 2"):
         res.solver(3)
     with pytest.raises(AssertionError, match="not exact at degree 2"):
         res.extend_to(4)
+
+
+# ---------------------------------------------------------------------------
+# d o d = 0 from the sparse rows
+
+
+def dense_fault(res):
+    """``complex_fault`` read off the full dense differential: the block sums
+    of the rows d(e_j) of degree i, then d_{i-1} times those rows."""
+    for i in range(1, res.top_degree + 1):
+        gens = res._gen_rows(i)
+        if res.block_sums(gens, res.betti[i - 1]).any():
+            return f"differential d_{i} is not minimal"
+        if i >= 2 and matmul_mod(res.expanded_diff(i - 1), gens.T, res.p).any():
+            return f"d_{i - 1} o d_{i} != 0"
+    return None
+
+
+def mutated_forms(res, rng):
+    """Seeded changes of one degree's sparse rows, as (degree, form): the sum
+    of two rows (minimal and in ker d_{i-1}, so d_i o d_{i+1} breaks), at
+    odd p one value scaled by 2, one row made non-minimal, and one row moved
+    by x - y inside a block (still minimal, so d_{i-1} o d_i breaks)."""
+    p, top = res.p, res.top_degree
+    i = int(rng.integers(2, top))
+    gens = res._gen_rows(i)
+    j0, j1 = rng.choice(len(gens), 2, replace=False)
+    gens[j0] = (gens[j0].astype(np.int64) + gens[j1]) % p
+    yield i, resolution._sparse_rows(gens)
+    if p > 2:
+        i = int(rng.integers(1, top + 1))
+        indptr, coords, vals = res.gen_terms(i)
+        vals = vals.copy()
+        t = rng.integers(vals.size)
+        vals[t] = int(vals[t]) * 2 % p
+        yield i, (indptr, coords, vals)
+    i = int(rng.integers(1, top + 1))
+    gens = res._gen_rows(i)
+    j, c = rng.integers(len(gens)), rng.integers(gens.shape[1])
+    gens[j, c] = (int(gens[j, c]) + 1) % p
+    yield i, resolution._sparse_rows(gens)
+    i = int(rng.integers(2, top + 1))
+    gens = res._gen_rows(i)
+    j, (c, c2) = rng.integers(len(gens)), rng.choice(res.order, 2, replace=False)
+    w = res.order * rng.integers(res.betti[i - 1])
+    gens[j, w + c] = (int(gens[j, w + c]) + 1) % p
+    gens[j, w + c2] = (int(gens[j, w + c2]) + p - 1) % p
+    yield i, resolution._sparse_rows(gens)
+
+
+DD_CASES = {
+    "D8@6": lambda: build_minimal_resolution(D8, 6),
+    "32#18@6": lambda: build_minimal_resolution(builtin("32#18").pres, 6),
+    "H27@6": lambda: build_minimal_resolution(load_pcp(H27), 6),
+    "E27@5": lambda: build_minimal_resolution(E27, 5),
+    "D8xZ4@5": lambda: Workspace().resolution(builtin("D8xZ4").pres, 5),
+    "H27-coaction@5": lambda: build_comodule(load_pcp(H27), 5)[2].kun,
+}
+
+
+@pytest.mark.parametrize("case", list(DD_CASES))
+def test_sparse_dd_check_matches_the_dense_reference(case):
+    res = DD_CASES[case]()
+    assert isinstance(res, TensorResolution) == (case in ("D8xZ4@5", "H27-coaction@5"))
+    assert res.complex_fault() is None
+    assert dense_fault(res) is None
+    for i, form in mutated_forms(res, np.random.default_rng(0)):
+        kept, res._terms[i] = res._terms[i], form
+        fault = res.complex_fault()
+        assert fault is not None and fault == dense_fault(res), (i, fault)
+        res._terms[i] = kept
+
+
+NO_DENSE_CASES = {
+    "plain-D8xD8@5": lambda: build_minimal_resolution(plain_d8xd8()[0], 5),
+    "D8xZ4@5": lambda: Workspace().resolution(builtin("D8xZ4").pres, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(NO_DENSE_CASES))
+def test_complex_checks_make_no_dense_differential(monkeypatch, case):
+    res = NO_DENSE_CASES[case]()
+    dense = []
+    expanded = resolution.MinimalResolution.expanded_diff
+
+    def counted_expanded(self, i):
+        dense.append((self.order, i))
+        return expanded(self, i)
+
+    monkeypatch.setattr(resolution.MinimalResolution, "expanded_diff", counted_expanded)
+    assert res.complex_fault() is None
+    res.verify()
+    assert dense == []
 
 
 # ---------------------------------------------------------------------------
