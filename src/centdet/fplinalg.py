@@ -8,15 +8,18 @@ pivot rows, once per panel (the method of Four Russians; see
 ``_rref_bits``).  Odd primes work on int32 rows in column panels: each
 panel is reduced in a narrow block that holds only the rows nonzero in
 the panel, the only rows the panel can change, and that also records
-their row operations; the columns right of it catch up in one int32
-product per panel, and row swaps only permute an index (see
-``_rref_generic``).  Inside the block only the entries that are read
-are reduced mod p.  The odd-p panel width is a fixed constant, not a
-setting: the result does not depend on it, every unreduced value is a
-residue plus at most _PANEL terms below p^2, so below
-17 * 251^2 < 2^31 for every prime up to MAX_PRIME, and 16 was the
-fastest width from 8 to 32 on the odd-p reports.  ``matmul_mod`` and
-the odd-p ``SegmentSums`` take int32 under the same kind of bound
+their row operations; the columns right of it catch up on row slices
+of the rows it changed, over the span of the columns its pivot rows
+are nonzero in (or on those columns alone when they are sparse in the
+span), one int32 product per chunk of rows bounded by _CHUNK_BYTES,
+and row swaps only permute an index (see ``_rref_generic``).  Inside
+the block only the entries that are read are reduced mod p.  The odd-p
+panel width is a fixed constant, not a setting: the result does not
+depend on it, every unreduced value is a residue plus at most _PANEL
+terms below p^2, so below 17 * 251^2 < 2^31 for every prime up to
+MAX_PRIME, and 16 is the fastest of the widths 8, 16 and 32 on the
+odd-p reports of the benchmark's report_p3 workload.  ``matmul_mod``
+and the odd-p ``SegmentSums`` take int32 under the same kind of bound
 and int64 past it.  All arithmetic is exact mod p, no floating point
 anywhere.
 
@@ -291,9 +294,14 @@ def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
     Right of the panel, row i should then end as its own entries plus
     T[i] @ src, where src holds the pivot rows as they were when the panel
     began; a pivot row's own entries are already counted through T, so
-    they are zeroed first.  That one int32 einsum, over the rows with a
-    nonzero T row and the columns where src is nonzero, brings every
-    column right of the panel up to date, augmented ones included.
+    they are zeroed first.  That int32 product, added to the rows with a
+    nonzero T row in chunks of at most _CHUNK_BYTES of int32, brings
+    every column right of the panel up to date, augmented ones included.
+    Only the columns where src is nonzero change, so the product is added
+    to the row slices over the span of those columns, or, when they are
+    at most half of that span, gathered at those columns alone: a slice
+    costs per column of the span, a gather per nonzero column but a few
+    times more per entry.
 
     Swaps only change the order of the rows: ``order[pos]`` is the row of
     R at position pos and ``where`` its inverse, and R is permuted once at
@@ -369,9 +377,21 @@ def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
             src = R[src_rows, c1:]
             R[src_rows, c1:] = 0
             live = np.flatnonzero(T.any(axis=1))
+            rows, T = act[live], T[live]
             cols = np.flatnonzero(src.any(axis=0))
-            block = np.ix_(act[live], c1 + cols)
-            R[block] = (R[block] + np.einsum("ik,kj->ij", T[live], src[:, cols])) % p
+            if cols.size == 0:
+                continue
+            first, last = int(cols[0]), int(cols[-1]) + 1
+            gather = last - first > 2 * cols.size
+            src = src[:, cols] if gather else src[:, first:last]
+            step = max(1, _CHUNK_BYTES // (4 * src.shape[1]))
+            for lo in range(0, rows.size, step):
+                rr = rows[lo:lo + step]
+                at = np.ix_(rr, c1 + cols) if gather else (rr, slice(c1 + first, c1 + last))
+                block = R[at]
+                block += np.einsum("ik,kj->ij", T[lo:lo + step], src)
+                block %= p
+                R[at] = block
     return R.astype(np.uint8)[order], pivots
 
 

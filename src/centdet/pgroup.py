@@ -773,7 +773,7 @@ def quotient_by_central(G: PcPresentation, Z: Subgroup):
     gens = G.generators()
     # canonical coset labels: minimum element of the coset
     label = G.mult_table()[:, list(Z.elems)].min(axis=1)
-    cosets = np.unique(label).tolist()
+    cosets = np.flatnonzero(np.bincount(label, minlength=G.order)).tolist()
 
     def cmult(a, b):
         return int(label[G.mult(a, b)])
@@ -873,7 +873,7 @@ def split_central_factors(G: PcPresentation) -> PcPresentation:
         pres = C if pres is None else direct_product(C, pres)
         images = [int(powers[k][z]) for k in range(a)] + images
     iso = GroupHom(pres, G, images)
-    if np.unique(iso.table()).size != order:
+    if not np.bincount(iso.table(), minlength=order).all():
         raise PcPresentationError("the split of central factors is not a bijection")
     return pres
 
@@ -932,7 +932,8 @@ def _verbal_subgroup(G: PcPresentation, pth_powers: np.ndarray) -> np.ndarray:
     x = np.arange(G.order)[:, None]
     comms = tbl[tbl[inv[x], inv[gens]], tbl[x, gens]]
     kept, elems = [], {0}
-    for g in np.unique(np.concatenate([comms.ravel(), pth_powers[gens]])).tolist():
+    words = np.concatenate([comms.ravel(), pth_powers[gens]])
+    for g in np.flatnonzero(np.bincount(words, minlength=G.order)).tolist():
         if g not in elems:
             kept.append(g)
             elems = closure(G.mult, 0, kept)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 from unittest import mock
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from centdet import fplinalg
-from centdet.catalog import load_pcp
+from centdet.catalog import builtin, load_pcp
+from centdet.cli import main
 from centdet.fplinalg import (
     FpMatrix,
     FpSubspace,
@@ -389,18 +392,30 @@ def test_segment_sums_accumulate_across_adds(p):
     assert np.array_equal(sums.rows(2, 4), want[2:4] % p)
 
 
+def recorded_calls(monkeypatch, name):
+    """The (input, p or ncols, pivot_limit) of every call of the kernel
+    ``fplinalg.<name>`` the test makes through the module, recorded as
+    they are made; the input is copied first, since _rref_bits
+    overwrites it."""
+    calls = []
+    kernel = getattr(fplinalg, name)
+
+    def recording(arr, arg, pivot_limit=None):
+        calls.append((np.array(arr, copy=True), arg, pivot_limit))
+        return kernel(arr, arg, pivot_limit)
+
+    monkeypatch.setattr(fplinalg, name, recording)
+    return calls
+
+
 @pytest.fixture
 def rref_generic_calls(monkeypatch):
-    """The (input, p, pivot_limit) of every _rref_generic call the test
-    makes through the module, recorded as they are made."""
-    calls = []
+    return recorded_calls(monkeypatch, "_rref_generic")
 
-    def recording(arr, p, pivot_limit=None):
-        calls.append((np.array(arr, copy=True), p, pivot_limit))
-        return _rref_generic(arr, p, pivot_limit)
 
-    monkeypatch.setattr(fplinalg, "_rref_generic", recording)
-    return calls
+@pytest.fixture
+def rref_bits_calls(monkeypatch):
+    return recorded_calls(monkeypatch, "_rref_bits")
 
 
 def test_rref_generic_does_not_depend_on_the_panel_width(rref_generic_calls, monkeypatch):
@@ -416,6 +431,33 @@ def test_rref_generic_does_not_depend_on_the_panel_width(rref_generic_calls, mon
             got_R, got_pivots = _rref_generic(*call)
             assert got_pivots == pivots
             assert got_R.shape == R.shape and got_R.tobytes() == R.tobytes()
+
+
+def test_eliminations_do_not_depend_on_the_chunk_size(
+        rref_generic_calls, rref_bits_calls, monkeypatch):
+    # at 64 bytes every chunked loop runs one or two rows at a time: the
+    # odd-p catch-up between panels, the p = 2 panel update and, in the
+    # lifts of a cohomology run, _parity_products; every output is
+    # compared byte for byte, rows below the rank included
+    build_minimal_resolution(load_pcp(os.path.join(INPUTS, "H27.pcp")), 6)
+    build_minimal_resolution(load_pcp(os.path.join(INPUTS, "Z9xZ9.pcp")), 4)
+    build_minimal_resolution(builtin("32#18").pres, 6)
+    assert len(rref_generic_calls) > 20 and len(rref_bits_calls) > 10
+    replays = [(_rref_generic, list(rref_generic_calls)), (_rref_bits, list(rref_bits_calls))]
+    want = [[kernel(arr.copy(), *rest) for arr, *rest in calls] for kernel, calls in replays]
+    ring = io.StringIO()
+    with contextlib.redirect_stdout(ring):
+        assert main(["cohomology", "32#18", "--degree", "6"]) == 0
+    monkeypatch.setattr(fplinalg, "_CHUNK_BYTES", 64)
+    for (kernel, calls), outputs in zip(replays, want):
+        for (arr, *rest), (R, pivots) in zip(calls, outputs):
+            got_R, got_pivots = kernel(arr.copy(), *rest)
+            assert got_pivots == pivots
+            assert got_R.shape == R.shape and got_R.tobytes() == R.tobytes()
+    again = io.StringIO()
+    with contextlib.redirect_stdout(again):
+        assert main(["cohomology", "32#18", "--degree", "6"]) == 0
+    assert again.getvalue() == ring.getvalue()
 
 
 @given(

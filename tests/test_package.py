@@ -3,9 +3,13 @@ leave ``centdet.__all__``, or ``from centdet import *`` breaks.  No
 module keeps an import it no longer uses, so a deletion leaves no trace,
 and no function, class or method stays defined that nothing refers to.
 No array is allocated with numpy's float64 default, since the
-arithmetic is exact over F_p."""
+arithmetic is exact over F_p.  The report route imports no numpy
+submodule it never uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import centdet
@@ -141,3 +145,26 @@ def test_every_definition_is_referenced():
                  for path in sorted(root.rglob("*.py")) if path != package / "__init__.py"]
     defining = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unreferenced(defining, referring) == []
+
+
+def test_the_report_route_does_not_import_numpy_ma():
+    # numpy imports numpy.ma on first use of some functions (np.unique
+    # among them); a fresh process shows what the route itself imports,
+    # since pytest or hypothesis may have imported it here already
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from centdet import cli",
+        "from centdet.catalog import builtin",
+        "from centdet.pgroup import center, quotient_by_central",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert cli.main(['invariants', {str(REPO / 'perfbench' / 'inputs' / 'Z9xZ9.pcp')!r},"
+        " '--degree', '2']) == 0",
+        "Q8 = builtin('Q8').pres",
+        "quotient_by_central(Q8, center(Q8))",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "False"

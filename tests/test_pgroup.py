@@ -778,6 +778,24 @@ def test_a_wrong_retraction_is_a_hard_error(monkeypatch):
         split_central_factors(plain(direct_product(Z9, Z9)))
 
 
+def test_a_split_that_is_not_a_bijection_is_a_hard_error(monkeypatch):
+    # for the true complement <h> of <z>, keep <z h^p> instead: cyclic of
+    # the same order, but it meets <z> in <z^p>, so the final map
+    # Z/9 x Z/9 -> G is a homomorphism that is not injective
+    retraction_kernel = pgroup._retraction_kernel
+
+    def overlapping(G, z, a):
+        powers = pgroup._power_table(G)
+        h = int(np.flatnonzero(retraction_kernel(G, z, a) & (powers[a - 1] != 0))[0])
+        mask = np.zeros(G.order, dtype=bool)
+        mask[list(closure(G.mult, 0, [G.mult(z, int(powers[1][h]))]))] = True
+        return mask
+
+    monkeypatch.setattr(pgroup, "_retraction_kernel", overlapping)
+    with pytest.raises(PcPresentationError, match="the split of central factors is not a bijection"):
+        split_central_factors(plain(direct_product(Z9, Z9)))
+
+
 @pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_solve_mod_prime_power_matches_an_exhaustive_search(p, a):
     rng = np.random.default_rng(p * 10 + a)
