@@ -8,19 +8,19 @@ pivot rows, once per panel (the method of Four Russians; see
 ``_rref_bits``).  Odd primes work on int32 rows in column panels: each
 panel is reduced in a narrow block that holds only the rows nonzero in
 the panel, the only rows the panel can change, and that also records
-their row operations; the columns right of it catch up on row slices
-of the rows it changed, over the span of the columns its pivot rows
-are nonzero in (or on those columns alone when they are sparse in the
-span), one int32 product per chunk of rows bounded by _CHUNK_BYTES,
-and row swaps only permute an index (see ``_rref_generic``).  Inside
-the block only the entries that are read are reduced mod p.  The odd-p
-panel width is a fixed constant, not a setting: the result does not
-depend on it, every unreduced value is a residue plus at most _PANEL
-terms below p^2, so below 17 * 251^2 < 2^31 for every prime up to
-MAX_PRIME, and 16 is the fastest of the widths 8, 16 and 32 on the
-odd-p reports of the benchmark's report_p3 workload.  ``matmul_mod``
-and the odd-p ``SegmentSums`` take int32 under the same kind of bound
-and int64 past it.  All arithmetic is exact mod p, no floating point
+their row operations; the columns right of it catch up on whole row
+slices of the rows it changed, over the span of the columns its pivot
+rows are nonzero in, one int32 product per chunk of rows bounded by
+_CHUNK_BYTES, and row swaps only permute an index (see
+``_rref_generic``).  Inside the block only the entries that are read
+are reduced mod p.  The odd-p panel width is a fixed constant, not a
+setting: the result does not depend on it, every unreduced value is a
+residue plus at most _PANEL terms below p^2, so below
+17 * 251^2 < 2^31 for every prime up to MAX_PRIME, and on the odd-p
+reports of the benchmark's report_p3 workload 16 was faster than 8 in
+10 of 10 rounds and faster than 32 in 9 of 10.  ``matmul_mod`` and the
+odd-p ``SegmentSums`` take int32 under the same kind of bound and int64
+past it.  All arithmetic is exact mod p, no floating point
 anywhere.
 
 ``LinSolver`` factors a matrix once, with its columns reversed, and
@@ -298,10 +298,7 @@ def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
     nonzero T row in chunks of at most _CHUNK_BYTES of int32, brings
     every column right of the panel up to date, augmented ones included.
     Only the columns where src is nonzero change, so the product is added
-    to the row slices over the span of those columns, or, when they are
-    at most half of that span, gathered at those columns alone: a slice
-    costs per column of the span, a gather per nonzero column but a few
-    times more per entry.
+    to whole row slices over the span of those columns, first to last.
 
     Swaps only change the order of the rows: ``order[pos]`` is the row of
     R at position pos and ``where`` its inverse, and R is permuted once at
@@ -382,16 +379,15 @@ def _rref_generic(arr: np.ndarray, p: int, pivot_limit: int | None = None):
             if cols.size == 0:
                 continue
             first, last = int(cols[0]), int(cols[-1]) + 1
-            gather = last - first > 2 * cols.size
-            src = src[:, cols] if gather else src[:, first:last]
+            src = src[:, first:last]
+            span = slice(c1 + first, c1 + last)
             step = max(1, _CHUNK_BYTES // (4 * src.shape[1]))
             for lo in range(0, rows.size, step):
                 rr = rows[lo:lo + step]
-                at = np.ix_(rr, c1 + cols) if gather else (rr, slice(c1 + first, c1 + last))
-                block = R[at]
+                block = R[rr, span]
                 block += np.einsum("ik,kj->ij", T[lo:lo + step], src)
                 block %= p
-                R[at] = block
+                R[rr, span] = block
     return R.astype(np.uint8)[order], pivots
 
 
