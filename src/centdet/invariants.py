@@ -261,7 +261,8 @@ class Analyzer:
 
     @property
     def C(self) -> Subgroup:
-        return self.category.C
+        """Omega_1 Z(G), kept on G; reading it builds no conjugacy class."""
+        return omega1_center(self.G)
 
     @property
     def center_rank(self) -> int:

@@ -28,11 +28,13 @@ checks by enumeration; ``Subgroup.conjugate`` reads conjugate subgroups
 off the tables.
 
 A group's structure is worked out once per presentation and kept on
-it: A_C (``quillen_category_AC``, C = Omega_1 Z(G)), which ``p_rank``
-reads since every maximal elementary abelian E contains C, each
-``subgroup_presentation``, under which G presents itself, and the
-Burnside generators.  Those, the Frattini subgroup and the maximal
-subgroups are read off one basis of Hom(G, Z/p) (``_hom_basis``).
+it: C = Omega_1 Z(G); the elementary abelian subgroups containing C,
+whose largest rank ``p_rank`` reads since every maximal elementary
+abelian E contains C; A_C (``quillen_category_AC``), whose conjugacy
+classes are built from that enumeration on the first read of its
+objects; each ``subgroup_presentation``, under which G presents itself;
+and the Burnside generators.  Those, the Frattini subgroup and the
+maximal subgroups are read off one basis of Hom(G, Z/p) (``_hom_basis``).
 
 ``split_central_factors`` presents a group as the ``direct_product`` of
 its central cyclic direct factors and a complement, checked as an
@@ -44,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +135,8 @@ class PcPresentation:
         self._order_p_mask: np.ndarray | None = None
         self._left_inv_gather: np.ndarray | None = None
         self._sub_pres_cache: dict = {}
+        self._omega1_center: tuple | None = None
+        self._above_center: tuple | None = None
         self._category: QuillenCategoryAC | None = None
         self._burnside: tuple[int, ...] | None = None
         self.factors: tuple[PcPresentation, PcPresentation] | None = None
@@ -402,27 +407,18 @@ def whole_group(G: PcPresentation) -> Subgroup:
     return Subgroup(G, range(G.order), G.generators())
 
 
-def normal_form(G: PcPresentation, word) -> tuple:
-    """Collect a word, given as (generator index, exponent) pairs, 1-based."""
-    x = 0
-    for t, e in word:
-        if not (1 <= t <= G.n):
-            raise PcPresentationError(f"generator g{t} out of range")
-        e = int(e) % (G.element_order(G.gen_idx(t - 1)))
-        for _ in range(e):
-            x = G.mult(x, G.gen_idx(t - 1))
-    return G.exp_of(x)
-
-
 def center(G: PcPresentation) -> Subgroup:
     return centralizer(G, whole_group(G))
 
 
 def omega1_center(G: PcPresentation, S: Subgroup | None = None) -> Subgroup:
     """Omega_1 Z(S), the largest central elementary abelian subgroup of S
-    (default G): the elements of S of order dividing p that commute with S."""
+    (default G): the elements of S of order dividing p that commute with S.
+    Omega_1 Z(G) is worked out once and kept on G as its elements."""
     if S is None:
-        S = whole_group(G)
+        if G._omega1_center is None:
+            G._omega1_center = omega1_center(G, whole_group(G)).elems
+        return Subgroup(G, G._omega1_center)
     elems = np.array(S.elems)
     central = G.commute_table()[np.ix_(elems, S.gens or S.elems)].all(axis=1)
     return Subgroup(G, elems[central & G.order_p_mask()[elems]])
@@ -481,10 +477,23 @@ def elementary_abelian_subgroups(
     return sorted(found.values(), key=lambda s: (s.order, s.elems))
 
 
+def _above_center(G: PcPresentation) -> tuple:
+    """The elementary abelian subgroups containing C = Omega_1 Z(G), as
+    (elems, gens) pairs sorted by (order, elems), enumerated once and kept
+    on G.  They are kept as tuples, not Subgroups, for the reason
+    ``frattini_subgroup`` gives."""
+    if G._above_center is None:
+        subs = elementary_abelian_subgroups(G, containing=omega1_center(G))
+        G._above_center = tuple((s.elems, s.gens) for s in subs)
+    return G._above_center
+
+
 def p_rank(G: PcPresentation) -> int:
-    """The largest rank among the objects of A_C, which holds every
-    maximal elementary abelian subgroup."""
-    return max(obj.rep.rank for obj in quillen_category_AC(G).objects)
+    """The largest rank in the enumeration above C = Omega_1 Z(G), which
+    holds every maximal elementary abelian subgroup.  It builds no
+    conjugacy class: those wait for the first read of A_C's objects."""
+    largest = max((elems for elems, _ in _above_center(G)), key=len)
+    return Subgroup(G, largest).rank
 
 
 def _hom_basis(G: PcPresentation) -> np.ndarray:
@@ -605,10 +614,6 @@ class GroupHom:
             start = np.zeros(self.src.order, dtype=np.int32)
             self._table = _evaluate(start, perms, _exponents(self.src), self.src.p)
         return self._table
-
-    def kernel_elements(self) -> list[int]:
-        t = self.table()
-        return [int(x) for x in np.flatnonzero(t == 0)]
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner (inner applied first)."""
@@ -1034,14 +1039,30 @@ def multiplication_hom(G: PcPresentation, C: Subgroup):
 # ---------------------------------------------------------------------------
 # the inclusion category of elementary abelians above the central socle
 
-@dataclass
 class QuillenCategoryAC:
-    """Conjugacy data for elementary abelian subgroups containing C(G)."""
+    """A_C for C = Omega_1 Z(G): the G-conjugacy classes of the elementary
+    abelian subgroups containing C.  The classes and ``member_index`` are
+    built from G's enumeration above C when first read."""
 
-    G: PcPresentation
-    C: Subgroup
-    objects: list[ConjClass]
-    member_index: dict  # elems-tuple -> (object position, conjugator)
+    def __init__(self, G: PcPresentation):
+        self.G = G
+        self.C = omega1_center(G)
+
+    @cached_property
+    def objects(self) -> list[ConjClass]:
+        """The classes sorted by (order, elems) of their representatives;
+        the first is C itself."""
+        G = self.G
+        classes = conjugacy_classes(
+            G, [Subgroup(G, elems, gens) for elems, gens in _above_center(G)])
+        classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
+        return classes
+
+    @cached_property
+    def member_index(self) -> dict:
+        """elems-tuple -> (object position, conjugator) over every member."""
+        return {elems: (pos, g) for pos, obj in enumerate(self.objects)
+                for elems, g in obj.members.items()}
 
     def weyl_reps(self, obj: ConjClass) -> list[int]:
         """Coset representatives of C_G(V) in N_G(V) for V the class rep:
@@ -1054,16 +1075,7 @@ class QuillenCategoryAC:
 
 
 def quillen_category_AC(G: PcPresentation) -> QuillenCategoryAC:
-    """A_C for C = Omega_1 Z(G), built once per presentation and kept on it;
-    its first object is C itself."""
+    """A_C for C = Omega_1 Z(G), kept on G; its first object is C itself."""
     if G._category is None:
-        C = omega1_center(G)
-        subs = elementary_abelian_subgroups(G, containing=C)
-        classes = conjugacy_classes(G, subs)
-        classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
-        member_index = {}
-        for pos, obj in enumerate(classes):
-            for elems, g in obj.members.items():
-                member_index[elems] = (pos, g)
-        G._category = QuillenCategoryAC(G, C, classes, member_index)
+        G._category = QuillenCategoryAC(G)
     return G._category

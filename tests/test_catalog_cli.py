@@ -38,6 +38,23 @@ def test_builtin_fingerprints_all():
         assert entry.pres.order == entry.expected["order"]
 
 
+def test_the_fingerprint_gate_conjugates_nothing(monkeypatch, capsys):
+    # the gate reads the p-rank off the enumeration above C; the classes
+    # of A_C wait for the first read of its objects
+    calls = []
+    classes = pgroup.conjugacy_classes
+    monkeypatch.setattr(pgroup, "conjugacy_classes",
+                        lambda *args: calls.append(args) or classes(*args))
+    for gid in builtin_ids() + ["D8xZ4"]:
+        builtin(gid).check_fingerprint()
+        assert main(["info", gid]) == 0
+    capsys.readouterr()
+    assert not calls
+    # the counter does count: the first read of the objects conjugates
+    assert len(pgroup.quillen_category_AC(builtin("D8").pres).objects) == 3
+    assert len(calls) == 1
+
+
 def test_builtin_unknown():
     with pytest.raises(CatalogError):
         builtin("Z7")

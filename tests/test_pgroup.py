@@ -8,7 +8,8 @@ import pytest
 
 from centdet import pgroup
 from centdet.acceptance import QUICK_CORPUS
-from centdet.catalog import builtin, load_pcp
+from centdet.catalog import builtin, builtin_ids, load_pcp
+from centdet.invariants import Analyzer
 from centdet.pgroup import (
     GroupHom,
     InconsistentPresentationError,
@@ -28,7 +29,6 @@ from centdet.pgroup import (
     is_p_central,
     maximal_subgroups,
     multiplication_hom,
-    normal_form,
     normalizer,
     omega1_center,
     p_rank,
@@ -94,6 +94,20 @@ def test_orders():
     assert D8.order == 8
     assert cyclic_presentation(2, 3).order == 8
     assert elem_abelian(3, 2).order == 9
+
+
+def normal_form(G, word):
+    """Collect a word, given as (generator index, exponent) pairs, 1-based."""
+    x = 0
+    for t, e in word:
+        g = G.gen_idx(t - 1)
+        for _ in range(int(e) % G.element_order(g)):
+            x = G.mult(x, g)
+    return G.exp_of(x)
+
+
+def kernel_elements(hom):
+    return np.flatnonzero(hom.table() == 0).tolist()
 
 
 def test_normal_form_trivia():
@@ -285,7 +299,7 @@ def test_quotient_by_central():
     Q, proj = quotient_by_central(Q8, Z)
     assert Q.order == 4
     assert all(Q.pth_power(x) == 0 for x in range(4))  # (Z/2)^2
-    assert sorted(proj.kernel_elements()) == list(Z.elems)
+    assert kernel_elements(proj) == list(Z.elems)
 
 
 def test_quotient_w32_like():
@@ -301,7 +315,7 @@ def test_quotient_w32_like():
     assert is_p_central(W)
     Q, proj = quotient_by_central(W, C)
     assert Q.order == 4
-    assert sorted(proj.kernel_elements()) == list(C.elems)
+    assert kernel_elements(proj) == list(C.elems)
 
 
 def test_subgroup_presentation_roundtrip():
@@ -661,6 +675,26 @@ def test_unitriangular_tables_match_matrix_products(size, p):
     pres, _, to_idx = pc_structure(elems, mult, inv, p)
     assert pres.order == len(elems) == p ** (size * (size - 1) // 2)
     _assert_table_matches(pres, elems, mult, to_idx)
+
+
+UNITRIANGULAR = {"UT4(2)": (4, 2), "UT3(3)": (3, 3), "UT3(5)": (3, 5)}
+
+
+@pytest.mark.parametrize("name", builtin_ids()
+                         + sorted(f for f in os.listdir(INPUTS) if f.endswith(".pcp"))
+                         + list(UNITRIANGULAR))
+def test_p_rank_matches_the_objects_of_A_C(name):
+    if name in UNITRIANGULAR:
+        size, p = UNITRIANGULAR[name]
+        G = pc_structure(*_unitriangular(size, p), p)[0]
+    elif name.endswith(".pcp"):
+        G = load_pcp(os.path.join(INPUTS, name))
+    else:
+        G = builtin(name).pres
+    rank = p_rank(G)  # before A_C is built: read off the enumeration
+    cat = quillen_category_AC(G)
+    assert rank == max(obj.rep.rank for obj in cat.objects)
+    assert Analyzer(G, 1).C == cat.C == cat.objects[0].rep
 
 
 @pytest.mark.parametrize("gid", QUICK_CORPUS)
